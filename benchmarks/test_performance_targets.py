@@ -6,11 +6,11 @@ classic LIPS benchmark and that the two machines end up comparable
 overall, the paper's headline conclusion.
 """
 
-from repro.eval.runner import run_baseline, run_psi
+from repro.eval.runner import run_spec
 
 
 def test_lips_target(once):
-    run = once(run_psi, "nreverse")
+    run = once(run_spec, "nreverse", "faithful")
     klips = run.lips / 1000.0
     print(f"\nmodelled PSI speed on nreverse(30): {klips:.1f} KLIPS "
           f"(paper target: 30K LIPS)")
@@ -22,8 +22,8 @@ def test_lips_target(once):
 
 
 def test_machines_comparable_on_lips_benchmark(once):
-    psi = run_psi("nreverse")
-    dec = once(run_baseline, "nreverse")
+    psi = run_spec("nreverse", "faithful")
+    dec = once(run_spec, "nreverse", "baseline")
     ratio = dec.time_ms / psi.time_ms
     print(f"\nnreverse DEC/PSI ratio: {ratio:.2f} (paper: 0.70)")
     # DEC wins nreverse, but within the same order of magnitude.

@@ -8,11 +8,11 @@ warms the worker pool, then drives the **full workload registry** from
 from a shared, seed-shuffled queue.  The request mix mirrors what the
 service exists to serve:
 
-* ``solve`` on the PSI engine for every workload,
+* ``solve`` under the ``faithful`` run spec for every workload,
 * ``solve`` under the ``indexed`` run spec for every workload (the
   spec-parameterized traffic, disk-cached under its own fingerprint),
-* ``solve`` on the baseline engine for every non-KL0-only workload
-  (the crosscheck traffic), and
+* ``solve`` under the ``baseline`` run spec for every non-KL0-only
+  workload (the crosscheck traffic), and
 * ``replay`` with a small config sweep per workload (the batchable
   traffic — concurrent replays of one workload coalesce into single
   ``simulate_many`` passes server-side).
@@ -95,10 +95,10 @@ def build_requests(workloads: list[dict], seed: int) -> list[tuple]:
     requests: list[tuple] = []
     for info in workloads:
         name = info["name"]
-        requests.append(("solve", name, {"engine": "psi"}))
+        requests.append(("solve", name, {"spec": "faithful"}))
         requests.append(("solve", name, {"spec": "indexed"}))
         if not info["psi_only"]:
-            requests.append(("solve", name, {"engine": "baseline"}))
+            requests.append(("solve", name, {"spec": "baseline"}))
         requests.append(("replay", name, {"configs": [
             {"capacity_words": capacity} for capacity in REPLAY_CAPACITIES]}))
         requests.append(("replay", name, {"configs": [{}]}))

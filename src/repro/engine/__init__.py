@@ -29,7 +29,6 @@ from repro.engine.answers import (
     render_answer,
 )
 from repro.engine.api import (
-    ENGINE_NAMES,
     AbstractEngine,
     EngineStatsFacade,
     PSIEngine,
@@ -59,5 +58,5 @@ __all__ = [
     "Answer", "canonical_answer", "answer_multiset", "render_answer",
     "check_expected",
     "AbstractEngine", "EngineStatsFacade", "PSIEngine", "WAMEngine",
-    "create_engine", "ENGINE_NAMES",
+    "create_engine",
 ]

@@ -28,13 +28,6 @@ from typing import Protocol, runtime_checkable
 
 from repro.engine.answers import Answer, canonical_answer
 
-#: Names :func:`create_engine` accepts, in preference order.
-#: ``psi-indexed`` is the PSI machine under
-#: :class:`~repro.core.machine.MachineConfig` ``indexed=True`` —
-#: first-argument clause selection, same answer semantics.
-ENGINE_NAMES = ("psi", "psi-indexed", "baseline")
-
-
 @dataclass(frozen=True)
 class EngineStatsFacade:
     """Uniform view of one engine's accounting after a run.
@@ -162,44 +155,29 @@ class WAMEngine:
 
 
 def create_engine(name: str) -> AbstractEngine:
-    """Instantiate a fresh engine by name.
+    """Instantiate a fresh engine for a registered run spec.
 
-    Accepts the legacy engine vocabulary (``psi``, ``psi-indexed``,
-    ``baseline`` and their aliases) plus any registered run-spec name
-    (:mod:`repro.eval.specs`): a PSI-engine spec yields a
-    :class:`PSIEngine` whose machine is built from the spec's
-    configuration, a baseline-engine spec a :class:`WAMEngine`.  The
-    legacy names keep their historical ``engine.name`` values
-    (``test_api`` pins them); spec-built engines are named after the
-    spec.
+    ``name`` is any run-spec name (:mod:`repro.eval.specs`): a
+    PSI-engine spec yields a :class:`PSIEngine` whose machine is built
+    from the spec's configuration, a baseline-engine spec a
+    :class:`WAMEngine`.  The engine is named after the spec; unknown
+    names raise :class:`ValueError` listing the registered specs.
     """
-    if name == "psi":
-        return PSIEngine()
-    if name in ("psi-indexed", "indexed"):
-        from repro.core.machine import MachineConfig, PSIMachine
-        engine = PSIEngine(PSIMachine(config=MachineConfig(indexed=True)))
-        engine.name = "psi-indexed"
-        return engine
-    if name in ("baseline", "dec", "wam"):
-        return WAMEngine()
-    # Fall through to the run-spec registry (imported lazily: eval sits
-    # above engine in the layer diagram, so the dependency must not be
-    # at module scope).
-    try:
-        from repro.eval.specs import get_spec
-        spec = get_spec(name)
-    except Exception:
-        raise ValueError(f"unknown engine {name!r}; expected one of "
-                         f"{ENGINE_NAMES} or a registered run spec") from None
-    if spec.engine == "baseline":
-        return WAMEngine()
     import dataclasses
 
-    from repro.core.machine import PSIMachine
+    # Imported lazily: eval sits above engine in the layer diagram, so
+    # the dependency must not be at module scope.
+    from repro.eval.specs import get_spec
 
-    # Copy the config: MachineConfig is a plain mutable dataclass and
-    # the registry's instance must not be aliased by a live machine.
-    engine = PSIEngine(PSIMachine(
-        config=dataclasses.replace(spec.machine_config)))
+    spec = get_spec(name)
+    if spec.engine == "baseline":
+        engine = WAMEngine()
+    else:
+        from repro.core.machine import PSIMachine
+
+        # Copy the config: MachineConfig is a plain mutable dataclass and
+        # the registry's instance must not be aliased by a live machine.
+        engine = PSIEngine(PSIMachine(
+            config=dataclasses.replace(spec.machine_config)))
     engine.name = spec.name
     return engine

@@ -212,7 +212,7 @@ _spec("process_switch", 0, "det", "os")
 #: Builtins only the KL0 engine implements: the heap-vector operations
 #: and the OS process switch, used exclusively by the ``psi_only``
 #: WINDOW workloads.  The WAM baseline never sees programs that call
-#: these (``run_baseline`` rejects ``psi_only`` workloads).
+#: these (the ``baseline`` run spec rejects ``psi_only`` workloads).
 KL0_ONLY = frozenset({
     ("new_vector", 2),
     ("vector_ref", 3),

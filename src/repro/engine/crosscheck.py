@@ -1,32 +1,28 @@
-"""Differential answer cross-validation between the two engines.
+"""Differential answer cross-validation between run specs.
 
 The PSI interpreter and the DEC baseline are independent
 implementations of the same language; any workload whose canonical
 answers differ between them has found a bug in one of the machines (or
 a semantic divergence between the dispatch tables).  This module runs
-every shared (non-``psi_only``) workload on both engines through the
-cache-aware :mod:`repro.eval.runner` paths and compares
+workloads under two registered run specs (:mod:`repro.eval.specs`;
+``faithful`` vs ``baseline`` by default) through the cache-aware
+:func:`repro.eval.runner.run_spec` path and compares
 
 * the canonical answer multisets (order-insensitive; variable names
   canonicalized, so engine-internal naming cannot cause noise), and
 * the side-effect counter snapshots (how failure-driven all-solutions
   loops report their result counts).
 
-Exceptions raised while running a workload on either engine are folded
-into the report as divergences rather than aborting the sweep — a
-crash on one engine *is* a differential finding.
+Exceptions raised while running a workload under either spec are
+folded into the report as divergences rather than aborting the sweep —
+a crash on one side *is* a differential finding.
 
 ``psi-eval crosscheck`` (see :mod:`repro.eval.cli`) renders the report
 and exits non-zero on any divergence; ``--report FILE`` writes the
-machine-readable form for CI artifact upload.
-
-``--specs A,B`` generalizes the oracle to any registered run-spec pair
-(:mod:`repro.eval.specs`): ``psi-eval crosscheck --specs
-faithful,indexed`` validates the clause-indexed configuration against
-the faithful one (subsuming the older ``--indexed`` flag, which is
-kept as an alias), and a future ``--specs faithful,unfused`` or any
-pair involving a freshly registered spec works the same way.  When
-both specs run the PSI engine the default scope widens to the *full*
+machine-readable form for CI artifact upload.  ``--specs A,B`` picks
+any other pair: ``--specs faithful,indexed`` validates the
+clause-indexed configuration against the faithful one.  When both
+specs run the PSI engine the default scope widens to the *full*
 registry (``psi_only`` workloads included) and, on shared workloads,
 the pair is additionally checked against the independent DEC baseline.
 This is the semantic gate for every optimisation spec: a configuration
@@ -73,13 +69,9 @@ class CrosscheckReport:
     interrupted: bool = False
     #: Workloads the interrupted sweep never reached.
     skipped: list[str] = field(default_factory=list)
-    #: True when the sweep compared the clause-indexed PSI
-    #: configuration against the faithful one (``--indexed`` or
-    #: ``--specs faithful,indexed``).
-    indexed: bool = False
     #: The run-spec pair the sweep compared (names), e.g.
     #: ``("faithful", "baseline")`` or ``("faithful", "indexed")``.
-    specs: tuple[str, str] | None = None
+    specs: tuple[str, str] = ("faithful", "baseline")
 
     @property
     def divergences(self) -> list[WorkloadCheck]:
@@ -96,8 +88,7 @@ class CrosscheckReport:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "indexed": self.indexed,
-            "specs": list(self.specs) if self.specs else None,
+            "specs": list(self.specs),
             "checked": len(self.checks),
             "divergences": len(self.divergences),
             "divergent": self.divergent_names,
@@ -107,10 +98,7 @@ class CrosscheckReport:
         }
 
     def render(self) -> str:
-        if self.indexed:
-            header = ("differential crosscheck: indexed PSI vs faithful PSI "
-                      "(and DEC baseline)")
-        elif self.specs and set(self.specs) != {"faithful", "baseline"}:
+        if set(self.specs) != {"faithful", "baseline"}:
             header = (f"differential crosscheck: {self.specs[0]} vs "
                       f"{self.specs[1]} run specs")
         else:
@@ -143,105 +131,32 @@ class CrosscheckReport:
         return "\n".join(lines)
 
 
-def _diff_answers(psi: tuple[Answer, ...],
-                  baseline: tuple[Answer, ...],
-                  psi_label: str = "PSI",
-                  other_label: str = "baseline") -> str:
-    psi_set = answer_multiset(psi)
-    base_set = answer_multiset(baseline)
-    if psi_set == base_set:
+def _diff_runs(first, second, first_label: str, second_label: str) -> str:
+    """How two runs differ: answer multisets first, then counters
+    (empty when they agree)."""
+    first_set = answer_multiset(first.answers)
+    second_set = answer_multiset(second.answers)
+    if first_set != second_set:
+        only_first = [a for a in first_set if a not in second_set]
+        only_second = [a for a in second_set if a not in first_set]
+        parts = []
+        if len(first_set) != len(second_set):
+            parts.append(f"{len(first_set)} {first_label} answer(s) vs "
+                         f"{len(second_set)} {second_label} answer(s)")
+        for label, only in ((first_label, only_first),
+                            (second_label, only_second)):
+            if only:
+                parts.append(f"{label} only: " + " | ".join(
+                    render_answer(a) for a in only[:3]))
+        return "; ".join(parts)
+    if first.counters == second.counters:
         return ""
-    only_psi = [a for a in psi_set if a not in base_set]
-    only_base = [a for a in base_set if a not in psi_set]
-    parts = []
-    if len(psi_set) != len(base_set):
-        parts.append(f"{len(psi_set)} {psi_label} answer(s) vs "
-                     f"{len(base_set)} {other_label} answer(s)")
-    if only_psi:
-        parts.append(f"{psi_label} only: "
-                     + " | ".join(render_answer(a) for a in only_psi[:3]))
-    if only_base:
-        parts.append(f"{other_label} only: "
-                     + " | ".join(render_answer(a) for a in only_base[:3]))
-    return "; ".join(parts)
-
-
-def _diff_counters(psi: dict[str, int], baseline: dict[str, int],
-                   psi_label: str = "psi",
-                   other_label: str = "baseline") -> str:
-    if psi == baseline:
-        return ""
-    keys = sorted(set(psi) | set(baseline))
-    diffs = [f"{key}: {psi_label}={psi.get(key)} "
-             f"{other_label}={baseline.get(key)}"
-             for key in keys if psi.get(key) != baseline.get(key)]
+    keys = sorted(set(first.counters) | set(second.counters))
+    diffs = [f"{key}: {first_label}={first.counters.get(key)} "
+             f"{second_label}={second.counters.get(key)}"
+             for key in keys
+             if first.counters.get(key) != second.counters.get(key)]
     return "counters differ — " + ", ".join(diffs)
-
-
-def crosscheck_workload(name: str) -> WorkloadCheck:
-    """Run one workload on both engines and compare canonical results."""
-    from repro.eval.runner import run_engine
-
-    try:
-        psi = run_engine(name, engine="psi", record_trace=False)
-    except Exception as exc:
-        return WorkloadCheck(name, ok=False,
-                             detail=f"PSI run failed: {exc}")
-    try:
-        baseline = run_engine(name, engine="baseline")
-    except Exception as exc:
-        return WorkloadCheck(name, ok=False,
-                             detail=f"baseline run failed: {exc}")
-
-    detail = _diff_answers(psi.answers, baseline.answers)
-    if not detail:
-        detail = _diff_counters(psi.counters, baseline.counters)
-    return WorkloadCheck(name, ok=not detail, detail=detail,
-                         psi_answers=psi.answers,
-                         baseline_answers=baseline.answers)
-
-
-def crosscheck_workload_indexed(name: str) -> WorkloadCheck:
-    """Compare the clause-indexed PSI run against the faithful one
-    (and, on shared workloads, against the DEC baseline too).
-
-    ``psi_answers`` carries the *indexed* run's answers and
-    ``baseline_answers`` the faithful reference's — same slots, same
-    report plumbing, different oracle.
-    """
-    from repro.eval.runner import run_engine
-    from repro.workloads import get
-
-    try:
-        indexed = run_engine(name, engine="psi-indexed", record_trace=False)
-    except Exception as exc:
-        return WorkloadCheck(name, ok=False,
-                             detail=f"indexed PSI run failed: {exc}")
-    try:
-        faithful = run_engine(name, engine="psi", record_trace=False)
-    except Exception as exc:
-        return WorkloadCheck(name, ok=False,
-                             detail=f"faithful PSI run failed: {exc}")
-
-    detail = _diff_answers(indexed.answers, faithful.answers,
-                           psi_label="indexed", other_label="faithful")
-    if not detail:
-        detail = _diff_counters(indexed.counters, faithful.counters,
-                                psi_label="indexed", other_label="faithful")
-    if not detail and not get(name).psi_only:
-        try:
-            baseline = run_engine(name, engine="baseline")
-        except Exception as exc:
-            return WorkloadCheck(name, ok=False,
-                                 detail=f"baseline run failed: {exc}")
-        detail = _diff_answers(indexed.answers, baseline.answers,
-                               psi_label="indexed")
-        if not detail:
-            detail = _diff_counters(indexed.counters, baseline.counters,
-                                    psi_label="indexed")
-    return WorkloadCheck(name, ok=not detail, detail=detail,
-                         psi_answers=indexed.answers,
-                         baseline_answers=faithful.answers)
 
 
 def crosscheck_workload_specs(name: str, spec_a, spec_b) -> WorkloadCheck:
@@ -251,8 +166,7 @@ def crosscheck_workload_specs(name: str, spec_a, spec_b) -> WorkloadCheck:
     first spec's results are additionally compared against the DEC
     baseline — an independent implementation is a stronger oracle than
     two configurations of one machine.  ``psi_answers`` carries the
-    first spec's answers, ``baseline_answers`` the second's (same
-    report plumbing as the fixed checkers, different oracle).
+    first spec's answers, ``baseline_answers`` the second's.
     """
     from repro.eval.runner import run_spec
     from repro.eval.specs import get_spec
@@ -270,12 +184,7 @@ def crosscheck_workload_specs(name: str, spec_a, spec_b) -> WorkloadCheck:
         return WorkloadCheck(name, ok=False,
                              detail=f"{spec_b.name} run failed: {exc}")
 
-    detail = _diff_answers(first.answers, second.answers,
-                           psi_label=spec_a.name, other_label=spec_b.name)
-    if not detail:
-        detail = _diff_counters(first.counters, second.counters,
-                                psi_label=spec_a.name,
-                                other_label=spec_b.name)
+    detail = _diff_runs(first, second, spec_a.name, spec_b.name)
     if (not detail and spec_a.engine == "psi" and spec_b.engine == "psi"
             and not get(name).psi_only):
         try:
@@ -283,27 +192,21 @@ def crosscheck_workload_specs(name: str, spec_a, spec_b) -> WorkloadCheck:
         except Exception as exc:
             return WorkloadCheck(name, ok=False,
                                  detail=f"baseline run failed: {exc}")
-        detail = _diff_answers(first.answers, baseline.answers,
-                               psi_label=spec_a.name)
-        if not detail:
-            detail = _diff_counters(first.counters, baseline.counters,
-                                    psi_label=spec_a.name)
+        detail = _diff_runs(first, baseline, spec_a.name, "baseline")
     return WorkloadCheck(name, ok=not detail, detail=detail,
                          psi_answers=first.answers,
                          baseline_answers=second.answers)
 
 
-def crosscheck(names=None, indexed: bool = False,
-               specs=None) -> CrosscheckReport:
-    """Crosscheck ``names`` (default: every shared workload).
+def crosscheck(names=None,
+               specs=("faithful", "baseline")) -> CrosscheckReport:
+    """Crosscheck ``names`` under the run-spec pair ``specs``.
 
-    ``specs`` names any registered run-spec pair to compare (``("faithful",
-    "indexed")``, ``("faithful", "unfused")``, …); when both specs run
-    the PSI engine the default scope is the *full* registry
-    (``psi_only`` workloads included) and the pair is additionally
-    checked against the DEC baseline on shared workloads.
-    ``indexed=True`` is the legacy spelling of ``specs=("indexed",
-    "faithful")``.
+    ``specs`` names any registered pair (``("faithful", "indexed")``,
+    ``("faithful", "unfused")``, …).  ``names`` defaults to every
+    shared workload, or to the *full* registry (``psi_only`` workloads
+    included) when both specs run the PSI engine; such a pair is
+    additionally checked against the DEC baseline on shared workloads.
 
     A ``KeyboardInterrupt`` mid-sweep does not discard the verdicts
     already gathered: the partial report comes back flagged
@@ -311,37 +214,20 @@ def crosscheck(names=None, indexed: bool = False,
     never reached — so ``psi-eval crosscheck --report`` still writes
     the divergences found so far when a long sweep is cut short.
     """
+    from repro.eval.specs import get_spec
     from repro.workloads import all_workloads, shared_workloads
 
-    if specs is not None:
-        from repro.eval.specs import get_spec
-
-        spec_a, spec_b = (get_spec(spec) for spec in specs)
-        psi_pair = spec_a.engine == "psi" and spec_b.engine == "psi"
-        if names is None:
-            names = (sorted(all_workloads()) if psi_pair
-                     else [w.name for w in shared_workloads()])
-
-        def check_one(name):
-            return crosscheck_workload_specs(name, spec_a, spec_b)
-
-        report = CrosscheckReport(
-            indexed={spec_a.name, spec_b.name} == {"faithful", "indexed"},
-            specs=(spec_a.name, spec_b.name))
-    else:
-        if names is None:
-            names = (sorted(all_workloads()) if indexed
-                     else [w.name for w in shared_workloads()])
-        check_one = (crosscheck_workload_indexed if indexed
-                     else crosscheck_workload)
-        report = CrosscheckReport(
-            indexed=indexed,
-            specs=(("indexed", "faithful") if indexed
-                   else ("faithful", "baseline")))
+    spec_a, spec_b = (get_spec(spec) for spec in specs)
+    if names is None:
+        names = (sorted(all_workloads())
+                 if spec_a.engine == "psi" and spec_b.engine == "psi"
+                 else [w.name for w in shared_workloads()])
+    report = CrosscheckReport(specs=(spec_a.name, spec_b.name))
     names = list(names)
     for index, name in enumerate(names):
         try:
-            report.checks.append(check_one(name))
+            report.checks.append(
+                crosscheck_workload_specs(name, spec_a, spec_b))
         except KeyboardInterrupt:
             report.interrupted = True
             report.skipped = names[index:]

@@ -15,10 +15,7 @@ from repro.eval import (  # noqa: F401
 from repro.eval.runner import (
     BaselineRun,
     clear_cache,
-    run_baseline,
-    run_engine,
     run_many,
-    run_psi,
     run_spec,
 )
 from repro.eval.specs import (
@@ -33,8 +30,7 @@ from repro.eval.specs import (
 __all__ = [
     "table1", "table2", "table3", "table4", "table5", "table6", "table7",
     "figure1", "ablations", "paper_data",
-    "run_spec", "run_many", "run_psi", "run_baseline", "run_engine",
-    "BaselineRun", "clear_cache",
+    "run_spec", "run_many", "BaselineRun", "clear_cache",
     "RunSpec", "get_spec", "register_spec", "all_specs", "default_spec",
     "set_default_spec",
 ]

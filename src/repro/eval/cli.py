@@ -25,13 +25,13 @@ Usage::
     psi-eval diff a.profile.json b.profile.json   # differential profile
     psi-eval diff -2 -1              # same verbs on two history entries
     psi-eval report --html           # self-contained dashboard (psi-report.html)
-    psi-eval crosscheck --all        # run every shared workload on both
-                                     # engines, fail on answer divergence
+    psi-eval crosscheck --all        # every shared workload under the
+                                     # faithful and baseline specs, fail
+                                     # on answer divergence
     psi-eval crosscheck nreverse qsort
     psi-eval crosscheck --all --report crosscheck-report.json
     psi-eval crosscheck --specs faithful,indexed --all
                                      # any registered run-spec pair
-                                     # (--indexed is the legacy alias)
     psi-eval indexed                 # faithful vs indexed PSI, per
                                      # workload: steps, speedup, counters
     psi-eval indexed --all --jobs 4  # full registry, both specs
@@ -44,8 +44,8 @@ Usage::
     psi-eval debug nreverse --out explorer.html
     psi-eval debug nreverse --step 1200   # print reconstructed machine
                                           # state at microstep 1200
-    psi-eval debug bup-2 --indexed   # explore the clause-indexed run
-                                     # (choicepoint timeline + counters)
+    psi-eval debug bup-2 --spec indexed  # explore the clause-indexed
+                                     # run (choicepoint timeline + counters)
     psi-eval debug --diff qsort      # first-divergence report vs the
                                      # baseline (psi-diff-qsort.html)
     psi-eval serve --workers 4 --port 7071   # warm-worker evaluation service
@@ -364,32 +364,27 @@ def _report(args):
 def _crosscheck(args):
     """``psi-eval crosscheck``: differential answer validation.
 
-    Runs workloads on both engines and compares canonical answer
-    multisets and counters; exits 1 on any divergence.  ``--all`` (or
-    no workload names) sweeps every shared (non-``psi_only``) workload;
-    ``--report FILE`` additionally writes the machine-readable JSON
-    report (the CI job uploads it as the mismatch artifact).
-    ``--specs A,B`` compares any registered run-spec pair —
-    ``--specs faithful,indexed`` is the semantic gate for the indexing
-    optimisation (and what ``--indexed`` now aliases); when both specs
-    run the PSI engine the default sweep is the full registry,
-    ``psi_only`` workloads included, with the DEC baseline as an extra
-    oracle on shared workloads.
+    Runs workloads under a run-spec pair (``--specs A,B``, default
+    ``faithful,baseline``) and compares canonical answer multisets and
+    counters; exits 1 on any divergence.  ``--all`` (or no workload
+    names) sweeps every shared (non-``psi_only``) workload; when both
+    specs run the PSI engine (``--specs faithful,indexed``, the
+    semantic gate for the indexing optimisation) the default sweep is
+    the full registry, ``psi_only`` workloads included, with the DEC
+    baseline as an extra oracle on shared workloads.  ``--report FILE``
+    additionally writes the machine-readable JSON report (the CI job
+    uploads it as the mismatch artifact).
     """
     import json
     import pathlib
 
     from repro.engine.crosscheck import crosscheck
+    from repro.eval.specs import get_spec
     from repro.workloads import get
 
-    spec_pair = _parse_spec_pair(args.specs) if args.specs else None
-    if spec_pair and args.indexed:
-        raise SystemExit("psi-eval crosscheck: --indexed is an alias for "
-                         "--specs faithful,indexed; pass one or the other")
-    psi_pair = args.indexed
-    if spec_pair:
-        from repro.eval.specs import get_spec
-        psi_pair = all(get_spec(s).engine == "psi" for s in spec_pair)
+    spec_pair = (_parse_spec_pair(args.specs) if args.specs
+                 else ("faithful", "baseline"))
+    psi_pair = all(get_spec(s).engine == "psi" for s in spec_pair)
     names = None if (args.all or not args.programs) else args.programs
     if names:
         _validate_workloads(names, "crosscheck")
@@ -402,7 +397,7 @@ def _crosscheck(args):
                     "baseline implementation; use --specs with two PSI "
                     "specs, e.g. faithful,indexed, to compare PSI "
                     "configurations instead)")
-    report = crosscheck(names, indexed=args.indexed, specs=spec_pair)
+    report = crosscheck(names, specs=spec_pair)
     if args.report:
         path = pathlib.Path(args.report)
         path.write_text(json.dumps(report.to_dict(), indent=2,
@@ -454,8 +449,8 @@ def _debug_workload(args):
       (default ``psi-debug-<name>.html``);
     * ``--step N`` — prints the reconstructed machine state at
       microstep N as text instead (no file written);
-    * ``--indexed`` — replays the workload under the clause-indexed
-      PSI configuration instead: the choicepoint timeline shows the
+    * ``--spec NAME`` — replays the workload under another PSI run
+      spec; under ``indexed`` the choicepoint timeline shows the
       narrower control stack and the header reports the index
       hit/miss and choicepoints-avoided counters;
     * ``--diff`` — also runs the DEC baseline, pinpoints the first
@@ -474,16 +469,15 @@ def _debug_workload(args):
     from repro.obs.timetravel import TraceExplorer, diff_workload
 
     _validate_workloads(args.programs, "debug")
-    if args.indexed and args.diff:
-        raise SystemExit("psi-eval debug: --indexed and --diff are "
-                         "mutually exclusive (the differential replay "
-                         "is defined against the faithful configuration)")
     if args.diff:
-        # Same reasoning as the flag exclusion above: a --spec override
-        # must not silently fall back to faithful replays.
-        specs.assert_faithful("psi-eval debug --diff")
-    debug_spec = specs.get_spec("indexed") if args.indexed \
-        else specs.default_spec()
+        # The differential replay is defined against the faithful
+        # configuration: a --spec override must not silently fall back
+        # to faithful replays.
+        try:
+            specs.assert_faithful("psi-eval debug --diff")
+        except RuntimeError as exc:
+            raise SystemExit(str(exc))
+    debug_spec = specs.default_spec()
     if debug_spec.engine != "psi":
         raise SystemExit(f"psi-eval debug: spec {debug_spec.name!r} runs "
                          "the baseline engine, which records no memory "
@@ -682,17 +676,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--last", type=int, default=None, metavar="N",
                         help="'history show': only the newest N entries")
     parser.add_argument("--all", action="store_true",
-                        help="'crosscheck': sweep every shared "
-                             "(non-psi_only) workload; 'indexed': sweep "
-                             "the full registry (the default when no "
-                             "names are given)")
+                        help="'crosscheck'/'indexed': sweep the default "
+                             "workload set instead of named workloads "
+                             "(the default when no names are given)")
     parser.add_argument("--report", default=None, metavar="FILE",
                         help="'crosscheck'/'indexed': also write the JSON "
                              "report to FILE")
-    parser.add_argument("--indexed", action="store_true",
-                        help="'crosscheck': alias for --specs "
-                             "faithful,indexed; 'debug': replay "
-                             "the workload under the indexed run spec")
     parser.add_argument("--spec", default=None, metavar="NAME",
                         help="run spec the spec-agnostic targets execute "
                              "under (faithful, indexed, unfused, baseline, "
@@ -700,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "'fidelity' refuses any spec but faithful")
     parser.add_argument("--specs", default=None, metavar="A,B",
                         help="'crosscheck': compare this run-spec pair "
-                             "(e.g. faithful,indexed) instead of PSI vs "
-                             "the DEC baseline")
+                             "(e.g. faithful,indexed; default: "
+                             "faithful,baseline)")
     parser.add_argument("--step", type=int, default=None, metavar="N",
                         help="'debug': print the reconstructed machine "
                              "state at microstep N instead of writing "

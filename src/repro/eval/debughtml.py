@@ -365,8 +365,8 @@ def build_explorer(name: str, run, explorer: TraceExplorer, *,
                    if final.cache is not None else "n/a")
     peak_depth = max((p.control_depth for p in explorer.timeline), default=0)
     # Clause-selection counters exist only on runs collected under
-    # MachineConfig(indexed=True) (psi-eval debug --indexed); a faithful
-    # run carries all-zero stats and gets no tile.
+    # MachineConfig(indexed=True) (psi-eval debug --spec indexed); a
+    # faithful run carries all-zero stats and gets no tile.
     index_stats = getattr(run, "index_stats", None) or {}
     index_tile = ""
     index_note = ""

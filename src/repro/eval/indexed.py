@@ -187,5 +187,6 @@ def render(report: IndexedReport) -> str:
     if not report.ok:
         bad = [r.name for r in report.rows if not r.answers_equal]
         lines.append(f"ANSWER DIVERGENCE under indexing: {', '.join(bad)} "
-                     "— run psi-eval crosscheck --indexed for details")
+                     "— run psi-eval crosscheck --specs faithful,indexed for "
+                     "details")
     return "\n".join(lines)

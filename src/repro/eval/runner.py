@@ -21,11 +21,6 @@ the hot path:
   table-ready runs.  The spec object itself is picklable and travels
   with the task, so unregistered ad-hoc specs parallelize too.
 
-``run_psi`` / ``run_psi_indexed`` / ``run_baseline`` survive as thin
-deprecated wrappers over :func:`run_spec`; they return the *same
-objects* the spec path does (shared memo tiers), so mixed old/new
-callers never double-execute.
-
 ``clear_cache`` exists for tests that need isolation.  ``CACHE_EVENTS``
 counts hits/misses/upgrades so callers (and tests) can observe what the
 tiers actually did — each event is counted both bare (``disk_hit``) and
@@ -36,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -51,19 +45,10 @@ from repro.workloads import Workload, get
 
 logger = logging.getLogger(__name__)
 
-#: Per-process memo tier for the built-in ``faithful`` spec.  Kept as a
-#: named module attribute (rather than only an entry in ``_MEMO``)
-#: because tests seed it directly; it is the same dict object the spec
-#: path consults, cleared *in place* by :func:`clear_cache`.
-_PSI_CACHE: dict[str, CollectedRun] = {}
-_BASELINE_CACHE: dict[str, "BaselineRun"] = {}
-
-#: spec fingerprint -> {workload name -> run}.  One memo dict per spec;
-#: aliases of one configuration share a fingerprint and hence a memo.
-_MEMO: dict[str, dict] = {
-    get_spec("faithful").fingerprint: _PSI_CACHE,
-    get_spec("baseline").fingerprint: _BASELINE_CACHE,
-}
+#: spec fingerprint -> {workload name -> run}.  One memo dict per spec,
+#: filled only through :func:`_memo`; specs that share a configuration
+#: share a fingerprint and hence a memo.
+_MEMO: dict[str, dict] = {}
 
 _DISK_CACHE_ENABLED = True
 
@@ -109,11 +94,6 @@ def _spec_run_key(workload: Workload, spec: RunSpec) -> str:
                    machine_config=spec.machine_config,
                    cache_config=spec.cache_config,
                    spec_fingerprint=spec.fingerprint)
-
-
-def _workload_key(workload: Workload) -> str:
-    """Disk key for a workload under the faithful spec (compat shim)."""
-    return _spec_run_key(workload, get_spec("faithful"))
 
 
 def run_spec(name: str, spec: RunSpec | str | None = None,
@@ -164,8 +144,8 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
         return cached
     if cached is not None:
         # A no-trace run was cached but the caller needs the memory
-        # trace: the workload has to execute again.  This used to be
-        # silent double work — make it visible.
+        # trace: the workload has to execute again — make the double
+        # work visible.
         _event("trace_upgrade", spec)
         logger.warning(
             "run_spec(%r, %r): cached run has no trace; re-running to record "
@@ -239,7 +219,7 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
 
 
 def _collect_summary(name: str, record_trace: bool, disk_cache: bool,
-                     obs_config=None, spec: RunSpec | None = None):
+                     obs_config, spec: RunSpec):
     """Worker-process entry point: run one workload, return its summary.
 
     ``obs_config`` is the parent's :class:`~repro.obs.ObsConfig` when
@@ -253,8 +233,7 @@ def _collect_summary(name: str, record_trace: bool, disk_cache: bool,
     set_disk_cache(disk_cache)
     if obs_config is not None:
         obs.enable(obs_config)
-    run = run_spec(name, spec if spec is not None else "faithful",
-                   record_trace=record_trace)
+    run = run_spec(name, spec, record_trace=record_trace)
     summary = run.to_summary()
     if run.observation is not None:
         summary.metrics = run.observation.metrics_snapshot
@@ -335,11 +314,9 @@ def run_many(names, jobs: int | None = None, record_trace: bool = True,
 class BaselineRun:
     """One workload's baseline execution: stats plus captured answers.
 
-    ``run_baseline`` used to return the bare :class:`BaselineStats`,
-    silently discarding the solution bindings — which made the
-    workloads' ``expected`` declarations dead weight on this path and
-    left nothing for the differential crosscheck to compare.  Timing
-    consumers keep working through the delegating properties.
+    The captured answers and counters feed the workloads' ``expected``
+    checks and the differential crosscheck; timing consumers read the
+    stats through the delegating properties.
     """
 
     stats: BaselineStats
@@ -374,52 +351,6 @@ def _check_expected(name: str, engine: str, workload: Workload,
         raise RuntimeError(
             f"workload {name} produced wrong results on the {engine} "
             f"engine: " + "; ".join(problems))
-
-
-def run_engine(name: str, engine: str = "psi",
-               record_trace: bool = True) -> CollectedRun | BaselineRun:
-    """Run a workload on any engine/spec by name.
-
-    ``engine`` accepts every registered spec name plus the legacy
-    engine vocabulary (``"psi"`` → ``faithful``, ``"psi-indexed"`` /
-    ``"indexed"`` → ``indexed``, ``"dec"`` / ``"wam"`` →
-    ``baseline``).  All results carry canonical answers and a counter
-    snapshot, so engine-agnostic consumers (the crosscheck oracle) can
-    compare results without knowing which machine produced them.
-    """
-    return run_spec(name, get_spec(engine), record_trace=record_trace)
-
-
-def run_psi(name: str, record_trace: bool = True) -> CollectedRun:
-    """Deprecated: use ``run_spec(name, "faithful")``.
-
-    Returns the identical object the spec path would (shared memo), so
-    mixed old/new callers never re-execute.
-    """
-    warnings.warn("run_psi() is deprecated; use run_spec(name, 'faithful')",
-                  DeprecationWarning, stacklevel=2)
-    return run_spec(name, "faithful", record_trace=record_trace)
-
-
-def run_psi_indexed(name: str, record_trace: bool = False) -> CollectedRun:
-    """Deprecated: use ``run_spec(name, "indexed")``.
-
-    The historical per-process-only memo is gone: indexed runs now go
-    through the same spec-keyed disk cache as faithful ones
-    (exactly-once under ``flock``, ``run_many``-parallelizable).
-    """
-    warnings.warn(
-        "run_psi_indexed() is deprecated; use run_spec(name, 'indexed')",
-        DeprecationWarning, stacklevel=2)
-    return run_spec(name, "indexed", record_trace=record_trace)
-
-
-def run_baseline(name: str) -> BaselineRun:
-    """Deprecated: use ``run_spec(name, "baseline")``."""
-    warnings.warn(
-        "run_baseline() is deprecated; use run_spec(name, 'baseline')",
-        DeprecationWarning, stacklevel=2)
-    return run_spec(name, "baseline")
 
 
 def _run_baseline_spec(name: str, spec: RunSpec) -> BaselineRun:
@@ -460,9 +391,8 @@ def _run_baseline_spec(name: str, spec: RunSpec) -> BaselineRun:
 def clear_cache(disk: bool = False) -> None:
     """Drop the per-process tiers; with ``disk=True`` purge ``.psi-cache`` too.
 
-    Memo dicts are cleared *in place* so module-level aliases
-    (``_PSI_CACHE``, ``_BASELINE_CACHE``) and any test-held references
-    stay live.
+    Memo dicts are cleared *in place*, so references obtained from
+    :func:`_memo` stay live.
     """
     for memo in _MEMO.values():
         memo.clear()

@@ -4,12 +4,8 @@ The paper's whole method is comparing one workload stream across
 machine configurations (Tables 1-5, Figure 1, the 1-set/2-set and
 store-in/store-through ablations), and every optimisation this repo
 adds — superinstruction fusion, first-argument clause indexing — is a
-new *configuration* of the same machines.  Before this module those
-configurations lived as ad-hoc code paths (``run_psi`` vs
-``run_psi_indexed``, an ``--indexed`` flag bolted onto crosscheck, a
-serve layer that could only serve the faithful machine).  A
-:class:`RunSpec` turns each of them into a named, hashable value that
-every layer consumes:
+new *configuration* of the same machines.  A :class:`RunSpec` makes
+each of them a named, hashable value that every layer consumes:
 
 * :mod:`repro.eval.runner` runs any spec through one disk-cached,
   ``flock``-exactly-once, ``run_many``-parallelizable path;
@@ -42,7 +38,7 @@ pool starts are visible inside workers too.
 The **fingerprint** is a content hash over everything that determines a
 run's results (engine, machine configuration, cache configuration,
 solution/trace options) — deliberately *excluding* the name, so two
-names for one configuration share cache entries, while any semantic
+specs with one configuration share cache entries, while any semantic
 difference separates them.
 """
 
@@ -92,10 +88,10 @@ class RunSpec:
     def fingerprint(self) -> str:
         """Content hash of everything that determines run results.
 
-        The spec *name* is excluded — an alias of the faithful
-        configuration shares its cache entries; any field that could
-        change a single emitted microinstruction separates them.
-        This string is folded into the disk-cache key
+        The spec *name* is excluded — a spec registered under another
+        name with the faithful configuration shares its cache entries;
+        any field that could change a single emitted microinstruction
+        separates them.  This string is folded into the disk-cache key
         (:func:`repro.eval.run_cache.run_key`).
         """
         digest = hashlib.sha256()
@@ -139,15 +135,6 @@ def _builtin_specs() -> dict[str, RunSpec]:
 
 _REGISTRY: dict[str, RunSpec] = _builtin_specs()
 
-#: Legacy engine names accepted wherever a spec name is (the
-#: ``create_engine``/``run_engine`` vocabulary predating specs).
-_ALIASES: dict[str, str] = {
-    "psi": FAITHFUL,
-    "psi-indexed": "indexed",
-    "dec": "baseline",
-    "wam": "baseline",
-}
-
 _default_spec_name: str = FAITHFUL
 
 
@@ -161,9 +148,6 @@ def register_spec(spec: RunSpec, *, replace: bool = False) -> RunSpec:
     if not replace and spec.name in _REGISTRY:
         raise ValueError(f"run spec {spec.name!r} is already registered "
                          "(pass replace=True to override)")
-    if spec.name in _ALIASES:
-        raise ValueError(f"{spec.name!r} is a reserved spec alias "
-                         f"(for {_ALIASES[spec.name]!r})")
     if spec.engine not in ("psi", "baseline"):
         raise ValueError(f"unknown engine {spec.engine!r} for spec "
                          f"{spec.name!r} (expected 'psi' or 'baseline')")
@@ -182,7 +166,7 @@ def unregister_spec(name: str) -> None:
 
 
 def get_spec(spec: "RunSpec | str | None") -> RunSpec:
-    """Resolve a spec name (or legacy engine alias) to its :class:`RunSpec`.
+    """Resolve a registered spec name to its :class:`RunSpec`.
 
     ``None`` resolves to the process default (:func:`default_spec`);
     a :class:`RunSpec` instance passes through unchanged, so callers
@@ -192,9 +176,8 @@ def get_spec(spec: "RunSpec | str | None") -> RunSpec:
         return default_spec()
     if isinstance(spec, RunSpec):
         return spec
-    name = _ALIASES.get(spec, spec)
     try:
-        return _REGISTRY[name]
+        return _REGISTRY[spec]
     except KeyError:
         raise ValueError(
             f"unknown run spec {spec!r}; registered: "

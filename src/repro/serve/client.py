@@ -100,9 +100,8 @@ class ServeClient:
     def ping(self) -> dict:
         return self.request("ping")
 
-    def solve(self, workload: str, engine: str = "psi",
-              spec: str | None = None) -> dict:
-        fields = {"workload": workload, "engine": engine}
+    def solve(self, workload: str, spec: str | None = None) -> dict:
+        fields = {"workload": workload}
         if spec is not None:
             fields["spec"] = spec
         return self.request("solve", **fields)
@@ -135,12 +134,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="op operands (e.g. the workload name)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, required=True)
-    parser.add_argument("--engine", default="psi",
-                        help="'solve': engine to run on (psi or baseline)")
     parser.add_argument("--spec", default=None, metavar="NAME",
                         help="'solve'/'replay'/'warm': run spec to evaluate "
-                             "under (e.g. faithful, indexed); overrides "
-                             "--engine")
+                             "under (e.g. faithful, indexed, baseline; "
+                             "default: faithful)")
     parser.add_argument("--capacity", type=int, action="append", default=[],
                         metavar="WORDS",
                         help="'replay': cache capacity in words; repeatable "
@@ -153,8 +150,6 @@ def main(argv: list[str] | None = None) -> int:
         if len(args.operands) != 1:
             parser.error(f"op {args.op!r} needs exactly one workload name")
         fields["workload"] = args.operands[0]
-    if args.op == "solve":
-        fields["engine"] = args.engine
     if args.op == "replay":
         fields["configs"] = ([{"capacity_words": c} for c in args.capacity]
                              or [{}])

@@ -51,8 +51,7 @@ def worker_solve(name: str, spec_name: str) -> dict:
     ``spec_name`` is resolved through the worker's own spec registry
     (:mod:`repro.eval.specs`); the pool uses a ``fork`` context, so
     specs registered in the server process before the pool starts are
-    visible here.  Legacy engine names (``psi``/``baseline``/…) resolve
-    through the registry's aliases.
+    visible here.
     """
     from repro.eval.runner import CACHE_EVENTS, run_spec
     from repro.eval.specs import get_spec

@@ -214,13 +214,17 @@ class EvalServer:
         return known[name]
 
     def _resolved_spec(self, message: dict):
-        """The request's run spec: ``spec`` field, legacy ``engine``, or
-        the faithful default.  Unknown names are protocol errors."""
+        """The request's run spec: the ``spec`` field, default
+        ``faithful``.  Unknown names are protocol errors, and so is an
+        ``engine`` field — silently running it as ``faithful`` would
+        answer a different question than the client asked."""
         from repro.eval.specs import get_spec, spec_names
 
-        name = message.get("spec")
-        if name is None:
-            name = message.get("engine", "psi")
+        if "engine" in message:
+            raise ProtocolError(
+                "unknown request field 'engine'; name the run spec with "
+                f"the 'spec' field (valid: {', '.join(spec_names())})")
+        name = message.get("spec", "faithful")
         if not isinstance(name, str):
             raise ProtocolError("'spec' must be a run-spec name")
         try:

@@ -74,7 +74,7 @@ def simulate_many(trace, configs) -> list[CacheStats]:
 
     In the evaluation pipeline the trace usually arrives from the
     persistent run cache (``RunSummary.trace_bytes`` rebuilt by
-    :func:`repro.eval.runner.run_psi`); replay is pure — deterministic
+    :func:`repro.eval.runner.run_spec`); replay is pure — deterministic
     in (trace, config) and independent of how the trace was obtained —
     which is what makes caching the trace instead of the replay results
     safe.

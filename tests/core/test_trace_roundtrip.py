@@ -34,9 +34,9 @@ class TestBytesRoundtrip:
         assert len(rebuilt) == 0
 
     def test_workload_trace_roundtrips(self):
-        from repro.eval.runner import run_psi
+        from repro.eval.runner import run_spec
 
-        trace = run_psi("nreverse", record_trace=True).trace
+        trace = run_spec("nreverse", "faithful", record_trace=True).trace
         rebuilt = TraceRecorder.frombytes(trace.tobytes())
         assert rebuilt.data == trace.data
         assert list(rebuilt.entries()) == rebuilt.decoded() == trace.decoded()

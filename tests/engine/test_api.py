@@ -3,13 +3,13 @@
 import pytest
 
 from repro.engine.api import (
-    ENGINE_NAMES,
     AbstractEngine,
     EngineStatsFacade,
     PSIEngine,
     WAMEngine,
     create_engine,
 )
+from repro.eval.specs import get_spec, spec_names
 
 PROGRAM = """
 append([], L, L).
@@ -17,7 +17,7 @@ append([H|T], L, [H|R]) :- append(T, L, R).
 """
 
 
-@pytest.fixture(params=ENGINE_NAMES)
+@pytest.fixture(params=spec_names())
 def engine(request):
     return create_engine(request.param)
 
@@ -27,12 +27,15 @@ class TestProtocol:
         assert isinstance(engine, AbstractEngine)
 
     def test_create_engine_names(self):
-        assert isinstance(create_engine("psi"), PSIEngine)
-        assert isinstance(create_engine("baseline"), WAMEngine)
-        assert isinstance(create_engine("dec"), WAMEngine)
-        assert isinstance(create_engine("wam"), WAMEngine)
-        with pytest.raises(ValueError):
-            create_engine("t800")
+        for name in spec_names():
+            engine = create_engine(name)
+            assert engine.name == name
+            expected = (WAMEngine if get_spec(name).engine == "baseline"
+                        else PSIEngine)
+            assert isinstance(engine, expected)
+        for name in ("t800", "wam"):
+            with pytest.raises(ValueError, match="unknown run spec"):
+                create_engine(name)
 
 
 class TestSolve:
@@ -70,7 +73,7 @@ class TestStatsFacade:
         assert facade.work > 0
 
     def test_work_units_differ_by_engine(self):
-        psi, wam = create_engine("psi"), create_engine("baseline")
+        psi, wam = create_engine("faithful"), create_engine("baseline")
         for eng in (psi, wam):
             eng.load(PROGRAM)
             eng.solve("append([1], [2], X)")

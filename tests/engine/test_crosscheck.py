@@ -8,8 +8,7 @@ from repro.engine.crosscheck import (
     CrosscheckReport,
     WorkloadCheck,
     crosscheck,
-    crosscheck_workload,
-    crosscheck_workload_indexed,
+    crosscheck_workload_specs,
 )
 from repro.workloads import all_workloads, shared_workloads
 
@@ -30,6 +29,7 @@ class TestReportShape:
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["checked"] == 1
         assert payload["workloads"][0]["name"] == "nreverse"
+        assert payload["specs"] == ["faithful", "baseline"]
 
     def test_empty_report_is_ok(self):
         assert CrosscheckReport().ok
@@ -48,7 +48,7 @@ class TestSharedWorkloads:
 
 class TestCrosscheckExecution:
     def test_single_workload_agrees(self):
-        check = crosscheck_workload("qsort")
+        check = crosscheck_workload_specs("qsort", "faithful", "baseline")
         assert check.ok, check.detail
         assert check.psi_answers == check.baseline_answers
         assert check.psi_answers  # answers actually captured
@@ -57,30 +57,31 @@ class TestCrosscheckExecution:
         # Forge a disagreement by corrupting the baseline answers.
         from repro.eval import runner
 
-        real = runner.run_engine
+        real = runner.run_spec
 
-        def forged(name, engine="psi", record_trace=True):
-            result = real(name, engine=engine, record_trace=record_trace)
-            if engine != "psi":
+        def forged(name, spec=None, record_trace=True):
+            result = real(name, spec, record_trace=record_trace)
+            if isinstance(result, runner.BaselineRun):
                 result = runner.BaselineRun(
                     stats=result.stats,
                     answers=((("X", "wrong"),),),
                     counters=result.counters)
             return result
 
-        monkeypatch.setattr(runner, "run_engine", forged)
-        check = crosscheck_workload("nreverse")
+        monkeypatch.setattr(runner, "run_spec", forged)
+        check = crosscheck_workload_specs("nreverse", "faithful", "baseline")
         assert not check.ok
-        assert "baseline only" in check.detail or "PSI only" in check.detail
+        assert "baseline only" in check.detail
+        assert "faithful only" in check.detail
 
     def test_engine_crash_is_a_divergence(self, monkeypatch):
         from repro.eval import runner
 
-        def exploding(name, engine="psi", record_trace=True):
+        def exploding(name, spec=None, record_trace=True):
             raise RuntimeError("engine on fire")
 
-        monkeypatch.setattr(runner, "run_engine", exploding)
-        check = crosscheck_workload("nreverse")
+        monkeypatch.setattr(runner, "run_spec", exploding)
+        check = crosscheck_workload_specs("nreverse", "faithful", "baseline")
         assert not check.ok
         assert "engine on fire" in check.detail
 
@@ -106,10 +107,10 @@ class TestIndexedRegistryEquivalence:
     answer multisets (and side-effect counters) on *every* registry
     workload — ``psi_only`` ones included, since both runs are PSI.
     The CI crosscheck job runs the same sweep through
-    ``psi-eval crosscheck --all --indexed``."""
+    ``psi-eval crosscheck --all --specs faithful,indexed``."""
 
     def test_indexed_agrees_with_faithful(self, name):
-        check = crosscheck_workload_indexed(name)
+        check = crosscheck_workload_specs(name, "indexed", "faithful")
         assert check.ok, f"{name}: {check.detail}"
         assert check.psi_answers  # indexed answers actually captured
 
@@ -145,13 +146,13 @@ class TestInterruptedSweep:
     def test_partial_report_survives_keyboard_interrupt(self, monkeypatch):
         import repro.engine.crosscheck as crosscheck_module
 
-        def check_then_interrupt(name):
+        def check_then_interrupt(name, spec_a, spec_b):
             if name == "second":
                 raise KeyboardInterrupt
             return WorkloadCheck(name, ok=(name != "first"),
                                  detail="" if name != "first" else "boom")
 
-        monkeypatch.setattr(crosscheck_module, "crosscheck_workload",
+        monkeypatch.setattr(crosscheck_module, "crosscheck_workload_specs",
                             check_then_interrupt)
         report = crosscheck(["first", "second", "third"])
         assert report.interrupted
@@ -177,12 +178,12 @@ class TestInterruptedSweep:
 
         from repro.eval.cli import main
 
-        def interrupt_on_second(name):
+        def interrupt_on_second(name, spec_a, spec_b):
             if name != "nreverse":
                 raise KeyboardInterrupt
             return WorkloadCheck(name, ok=True)
 
-        monkeypatch.setattr(crosscheck_module, "crosscheck_workload",
+        monkeypatch.setattr(crosscheck_module, "crosscheck_workload_specs",
                             interrupt_on_second)
         out = tmp_path / "crosscheck.json"
         status = main(["crosscheck", "nreverse", "qsort",

@@ -78,12 +78,12 @@ CORPUS = [
                          CORPUS, ids=[c[0] for c in CORPUS])
 def test_engines_agree(name, program, goal):
     multisets = {}
-    for engine_name in ("psi", "baseline"):
+    for engine_name in ("faithful", "baseline"):
         engine = create_engine(engine_name)
         engine.load(program)
         answers = engine.solve(goal, max_solutions=None)
         multisets[engine_name] = answer_multiset(answers)
-    assert multisets["psi"] == multisets["baseline"], \
+    assert multisets["faithful"] == multisets["baseline"], \
         f"{name}: engines diverge on {goal}"
 
 
@@ -94,12 +94,12 @@ def test_counters_agree_on_failure_driven_loop():
     count.
     """
     counts = {}
-    for engine_name in ("psi", "baseline"):
+    for engine_name in ("faithful", "baseline"):
         engine = create_engine(engine_name)
         engine.load(program)
         assert engine.solve("count") == ((),)
         counts[engine_name] = dict(engine.counters)
-    assert counts["psi"] == counts["baseline"] == {"seen": 3}
+    assert counts["faithful"] == counts["baseline"] == {"seen": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ INDEXING_CORPUS = [
 ]
 
 #: The three configurations the indexing corpus must agree across.
-ALL_CONFIGS = ("psi", "psi-indexed", "baseline")
+ALL_CONFIGS = ("faithful", "indexed", "baseline")
 
 
 @pytest.mark.parametrize("name,program,goal", INDEXING_CORPUS,
@@ -167,7 +167,7 @@ def test_indexing_corpus_agrees(name, program, goal):
         engine.load(program)
         answers = engine.solve(goal, max_solutions=None)
         multisets[engine_name] = answer_multiset(answers)
-    assert multisets["psi"] == multisets["psi-indexed"] \
+    assert multisets["faithful"] == multisets["indexed"] \
         == multisets["baseline"], f"{name}: configurations diverge on {goal}"
 
 
@@ -189,7 +189,7 @@ def test_assert_after_first_call_agrees():
             answer_multiset(engine.solve("d(9, R)", max_solutions=None)),
             answer_multiset(engine.solve("d(X, R)", max_solutions=None)),
         )
-    assert results["psi"] == results["psi-indexed"] == results["baseline"]
+    assert results["faithful"] == results["indexed"] == results["baseline"]
 
 
 def test_assert_creates_new_predicate_agrees():
@@ -201,7 +201,7 @@ def test_assert_creates_new_predicate_agrees():
                      "assertz(fresh(C, 3))")
         results[engine_name] = answer_multiset(
             engine.solve("fresh(b, R)", max_solutions=None))
-    assert results["psi"] == results["psi-indexed"] == results["baseline"]
+    assert results["faithful"] == results["indexed"] == results["baseline"]
 
 
 def test_retract_after_first_call_agrees():
@@ -217,4 +217,4 @@ def test_retract_after_first_call_agrees():
             answer_multiset(engine.solve("r(b, R)", max_solutions=None)),
             answer_multiset(engine.solve("r(X, R)", max_solutions=None)),
         )
-    assert results["psi"] == results["psi-indexed"] == results["baseline"]
+    assert results["faithful"] == results["indexed"] == results["baseline"]

@@ -18,9 +18,9 @@ from repro.obs.timetravel import TraceExplorer, first_divergence
 
 @pytest.fixture(scope="module")
 def nreverse():
-    from repro.eval.runner import run_psi
+    from repro.eval.runner import run_spec
 
-    run = run_psi("nreverse", record_trace=True)
+    run = run_spec("nreverse", "faithful", record_trace=True)
     return run, TraceExplorer(run.trace)
 
 

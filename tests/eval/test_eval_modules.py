@@ -25,23 +25,23 @@ FAST = {"window": "bup-1", "puzzle8": "lcp-1", "bup": "bup-1",
 
 
 class TestRunner:
-    def test_run_psi_caches(self):
-        first = runner.run_psi("lcp-1")
-        second = runner.run_psi("lcp-1")
+    def test_run_spec_caches(self):
+        first = runner.run_spec("lcp-1", "faithful")
+        second = runner.run_spec("lcp-1", "faithful")
         assert first is second
 
     def test_trace_upgrade_reruns(self):
-        light = runner.run_psi("lcp-1", record_trace=False)
-        with_trace = runner.run_psi("lcp-1", record_trace=True)
+        light = runner.run_spec("lcp-1", "faithful", record_trace=False)
+        with_trace = runner.run_spec("lcp-1", "faithful", record_trace=True)
         assert with_trace.trace is not None
 
-    def test_run_baseline(self):
-        stats = runner.run_baseline("lcp-1")
+    def test_run_spec_baseline(self):
+        stats = runner.run_spec("lcp-1", "baseline")
         assert stats.time_ms > 0
 
     def test_psi_only_workload_rejected_on_baseline(self):
         with pytest.raises(ValueError):
-            runner.run_baseline("window-1")
+            runner.run_spec("window-1", "baseline")
 
 
 class TestTable1:

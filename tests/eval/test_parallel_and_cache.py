@@ -12,6 +12,7 @@ import pytest
 
 from repro.eval import figure1, runner, table3, table4, table5
 from repro.eval.run_cache import RunCache, run_key
+from repro.eval.specs import get_spec
 from repro.tools.collect import RunSummary
 
 FAST_PROGRAMS = {"bup": "bup-1", "lcp": "lcp-1", "lcp2": "lcp-2"}
@@ -57,7 +58,7 @@ class TestParallelDeterminism:
         runner.set_disk_cache(False)
         runs = runner.run_many(["bup-1", "lcp-1"], jobs=2)
         for name, run in runs.items():
-            assert runner.run_psi(name) is run
+            assert runner.run_spec(name, "faithful") is run
 
     def test_run_many_serial_fallback(self, fresh):
         runner.set_disk_cache(False)
@@ -80,12 +81,12 @@ class TestDiskCache:
 
     def test_no_disk_cache_bypasses(self, fresh):
         runner.set_disk_cache(False)
-        runner.run_psi("lcp-1")
+        runner.run_spec("lcp-1", "faithful")
         assert RunCache().entries() == []
         assert runner.CACHE_EVENTS["disk_miss"] == 0
 
     def test_corrupted_entry_recomputed(self, fresh):
-        run = runner.run_psi("lcp-1")
+        run = runner.run_spec("lcp-1", "faithful")
         reference = run.stats.total_steps
         (entry,) = RunCache().entries()
 
@@ -95,7 +96,7 @@ class TestDiskCache:
         entry.write_bytes(bytes(blob))
 
         runner.clear_cache()
-        rerun = runner.run_psi("lcp-1")
+        rerun = runner.run_spec("lcp-1", "faithful")
         assert runner.CACHE_EVENTS["disk_hit"] == 0
         assert runner.CACHE_EVENTS["disk_miss"] == 1
         assert rerun.stats.total_steps == reference
@@ -104,7 +105,7 @@ class TestDiskCache:
 
     def test_stale_key_not_trusted(self, fresh):
         """An entry filed under the wrong key (stale hash) is a miss."""
-        runner.run_psi("lcp-1")
+        runner.run_spec("lcp-1", "faithful")
         (entry,) = RunCache().entries()
         wrong = entry.with_name("0" * 64 + ".run")
         entry.rename(wrong)
@@ -114,15 +115,15 @@ class TestDiskCache:
         assert not wrong.exists()
 
     def test_truncated_entry_is_miss(self, fresh):
-        runner.run_psi("lcp-1")
+        runner.run_spec("lcp-1", "faithful")
         (entry,) = RunCache().entries()
         entry.write_bytes(entry.read_bytes()[:40])
         runner.clear_cache()
-        assert runner.run_psi("lcp-1").succeeded
+        assert runner.run_spec("lcp-1", "faithful").succeeded
         assert runner.CACHE_EVENTS["disk_miss"] == 1
 
     def test_cache_clear(self, fresh):
-        runner.run_psi("lcp-1")
+        runner.run_spec("lcp-1", "faithful")
         cache = RunCache()
         assert len(cache.entries()) == 1
         assert cache.clear() == 1
@@ -144,9 +145,9 @@ class TestDiskCache:
         ``record_trace=True`` caller is served from the memory tier
         without the trace-upgrade double execution."""
         runner.set_disk_cache(False)
-        first = runner.run_psi("lcp-1", record_trace=False)
+        first = runner.run_spec("lcp-1", "faithful", record_trace=False)
         assert first.trace is not None
-        upgraded = runner.run_psi("lcp-1", record_trace=True)
+        upgraded = runner.run_spec("lcp-1", "faithful", record_trace=True)
         assert upgraded is first
         assert runner.CACHE_EVENTS["trace_upgrade"] == 0
         assert runner.CACHE_EVENTS["memory_hit"] == 1
@@ -158,10 +159,11 @@ class TestDiskCache:
         import dataclasses
 
         runner.set_disk_cache(False)
-        first = runner.run_psi("lcp-1")
-        runner._PSI_CACHE["lcp-1"] = dataclasses.replace(first, trace=None)
+        first = runner.run_spec("lcp-1", "faithful")
+        runner._memo(get_spec("faithful"))["lcp-1"] = dataclasses.replace(
+            first, trace=None)
         with caplog.at_level("WARNING", logger="repro.eval.runner"):
-            upgraded = runner.run_psi("lcp-1", record_trace=True)
+            upgraded = runner.run_spec("lcp-1", "faithful", record_trace=True)
         assert upgraded.trace is not None
         assert runner.CACHE_EVENTS["trace_upgrade"] == 1
         assert any("re-running to record one" in message
@@ -169,15 +171,15 @@ class TestDiskCache:
 
     def test_disk_cache_stores_traced_variant(self, fresh):
         """A no-trace request still persists (and later serves) the trace."""
-        runner.run_psi("lcp-1", record_trace=False)
+        runner.run_spec("lcp-1", "faithful", record_trace=False)
         runner.clear_cache()
-        run = runner.run_psi("lcp-1", record_trace=True)
+        run = runner.run_spec("lcp-1", "faithful", record_trace=True)
         assert runner.CACHE_EVENTS["disk_hit"] == 1
         assert runner.CACHE_EVENTS["trace_upgrade"] == 0
         assert run.trace is not None
 
     def test_summary_round_trip_preserves_renderable_stats(self, fresh):
-        run = runner.run_psi("bup-1")
+        run = runner.run_spec("bup-1", "faithful")
         rebuilt = run.to_summary().to_collected_run()
         assert rebuilt.machine is None
         assert rebuilt.steps == run.steps

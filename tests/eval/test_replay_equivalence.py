@@ -62,7 +62,7 @@ def ablation_configs():
 @pytest.fixture(scope="module", params=WORKLOADS)
 def trace(request):
     runner.clear_cache()
-    run = runner.run_psi(request.param, record_trace=True)
+    run = runner.run_spec(request.param, "faithful", record_trace=True)
     yield run.trace
     runner.clear_cache()
 

@@ -117,7 +117,7 @@ def test_clear_sweeps_lock_files(tmp_path):
     assert cache.entries() == []
 
 
-def _run_psi_contender(cache_dir, barrier, results):
+def _run_spec_contender(cache_dir, spec_name, barrier, results):
     """Fork-inherited interpreter state is reset so every process takes
     the disk-tier path on the same key, concurrently."""
     os.environ["PSI_CACHE_DIR"] = cache_dir
@@ -126,21 +126,9 @@ def _run_psi_contender(cache_dir, barrier, results):
     runner.clear_cache()
     runner.set_disk_cache(True)
     barrier.wait()
-    run = runner.run_psi("nreverse", record_trace=False)
-    results.put((dict(runner.CACHE_EVENTS),
-                 [list(map(list, answer)) for answer in run.answers]))
-
-
-def _run_spec_contender(cache_dir, spec_name, barrier, results):
-    """Like :func:`_run_psi_contender`, parameterized by run spec."""
-    os.environ["PSI_CACHE_DIR"] = cache_dir
-    from repro.eval import runner
-
-    runner.clear_cache()
-    runner.set_disk_cache(True)
-    barrier.wait()
     run = runner.run_spec("nreverse", spec_name, record_trace=False)
-    results.put((spec_name, dict(runner.CACHE_EVENTS), run.steps))
+    results.put((spec_name, dict(runner.CACHE_EVENTS), run.steps,
+                 [list(map(list, answer)) for answer in run.answers]))
 
 
 def test_concurrent_cold_start_two_specs_computes_once_each(tmp_path):
@@ -162,7 +150,7 @@ def test_concurrent_cold_start_two_specs_computes_once_each(tmp_path):
         assert proc.exitcode == 0
 
     for spec_name in ("faithful", "indexed"):
-        events = [e for name, e, _ in outcomes if name == spec_name]
+        events = [e for name, e, _, _ in outcomes if name == spec_name]
         assert len(events) == 2
         assert sum(e.get(f"disk_compute:{spec_name}", 0)
                    for e in events) == 1
@@ -186,18 +174,19 @@ def test_concurrent_cold_start_two_specs_computes_once_each(tmp_path):
 
     # Indexing narrows the clause scan, so the two specs' modelled
     # step counts differ — a cross-spec mixup would equalise them.
-    steps = {name: n for name, _, n in outcomes}
+    steps = {name: n for name, _, n, _ in outcomes}
     assert steps["faithful"] != steps["indexed"]
 
 
-def test_run_psi_concurrent_cold_start_computes_once(tmp_path):
-    """The full stack: N ``run_psi`` processes race one cold cache key;
+def test_run_spec_concurrent_cold_start_computes_once(tmp_path):
+    """The full stack: N ``run_spec`` processes race one cold cache key;
     one interprets, the rest block on the lock and load its entry."""
     context = multiprocessing.get_context("fork")
     barrier = context.Barrier(3)
     results = context.Queue()
-    procs = [context.Process(target=_run_psi_contender,
-                             args=(str(tmp_path), barrier, results))
+    procs = [context.Process(target=_run_spec_contender,
+                             args=(str(tmp_path), "faithful", barrier,
+                                   results))
              for _ in range(3)]
     for proc in procs:
         proc.start()
@@ -206,8 +195,8 @@ def test_run_psi_concurrent_cold_start_computes_once(tmp_path):
         proc.join(timeout=120)
         assert proc.exitcode == 0
 
-    events = [e for e, _ in outcomes]
-    answers = [a for _, a in outcomes]
+    events = [e for _, e, _, _ in outcomes]
+    answers = [a for _, _, _, a in outcomes]
     assert answers[0] == answers[1] == answers[2]
     assert sum(e.get("disk_compute", 0) for e in events) == 1
     assert all(e.get("disk_compute", 0) + e.get("disk_wait_hit", 0)

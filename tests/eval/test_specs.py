@@ -1,11 +1,10 @@
 """The run-spec registry and the spec-parameterized runner path.
 
-Covers the registry contracts (fingerprint identity, aliases,
-registration guards, the process default), the deprecated wrapper
-functions' object-identity with the spec path, and the acceptance
-property of the refactor: a non-faithful spec's runs are disk-cached
-under their own fingerprint, so a second invocation performs zero
-engine executions.
+Covers the registry contracts (fingerprint identity, registration
+guards, the process default, unknown names failing loudly) and the
+acceptance property of the spec path: a non-faithful spec's runs are
+disk-cached under their own fingerprint, so a second invocation
+performs zero engine executions.
 """
 
 import dataclasses
@@ -36,26 +35,20 @@ class TestRegistry:
         assert get_spec("unfused").machine_config.fused is False
         assert get_spec("baseline").engine == "baseline"
 
-    def test_legacy_engine_aliases_resolve(self):
-        assert get_spec("psi") is get_spec("faithful")
-        assert get_spec("psi-indexed") is get_spec("indexed")
-        assert get_spec("dec") is get_spec("baseline")
-        assert get_spec("wam") is get_spec("baseline")
-
     def test_get_spec_passthrough_and_default(self):
         spec = get_spec("indexed")
         assert get_spec(spec) is spec
         assert get_spec(None) is specs.default_spec()
 
     def test_unknown_spec_raises(self):
-        with pytest.raises(ValueError, match="unknown run spec"):
-            get_spec("no-such-spec")
+        for name in ("no-such-spec", "psi", "dec", "wam"):
+            with pytest.raises(ValueError, match="unknown run spec") as info:
+                get_spec(name)
+            assert "registered: baseline, faithful" in str(info.value)
 
     def test_register_guards(self):
         with pytest.raises(ValueError, match="already registered"):
             register_spec(RunSpec(name="faithful"))
-        with pytest.raises(ValueError, match="reserved spec alias"):
-            register_spec(RunSpec(name="psi"))
         with pytest.raises(ValueError, match="unknown engine"):
             register_spec(RunSpec(name="turbo", engine="quantum"))
 
@@ -108,40 +101,8 @@ class TestFingerprint:
 
     def test_specs_are_hashable_dict_keys(self):
         tiers = {get_spec("faithful"): 1, get_spec("indexed"): 2}
-        assert tiers[get_spec("psi")] == 1
-
-
-class TestDeprecatedWrappers:
-    def test_run_psi_is_object_identical_to_spec_path(self):
-        runner.clear_cache()
-        with pytest.warns(DeprecationWarning, match="run_psi"):
-            legacy = runner.run_psi("nreverse", record_trace=False)
-        assert legacy is runner.run_spec("nreverse", "faithful",
-                                         record_trace=False)
-
-    def test_run_psi_indexed_is_object_identical_to_spec_path(self):
-        runner.clear_cache()
-        with pytest.warns(DeprecationWarning, match="run_psi_indexed"):
-            legacy = runner.run_psi_indexed("nreverse")
-        assert legacy is runner.run_spec("nreverse", "indexed",
-                                         record_trace=False)
-
-    def test_run_baseline_is_object_identical_to_spec_path(self):
-        runner.clear_cache()
-        with pytest.warns(DeprecationWarning, match="run_baseline"):
-            legacy = runner.run_baseline("nreverse")
-        assert legacy is runner.run_spec("nreverse", "baseline")
-
-    def test_run_engine_resolves_spec_names(self):
-        runner.clear_cache()
-        via_engine = runner.run_engine("nreverse", engine="psi",
-                                       record_trace=False)
-        assert via_engine is runner.run_spec("nreverse", "faithful",
-                                             record_trace=False)
-        via_spec_name = runner.run_engine("nreverse", engine="indexed",
-                                          record_trace=False)
-        assert via_spec_name is runner.run_spec("nreverse", "indexed",
-                                                record_trace=False)
+        # A freshly built equal spec finds the registry spec's slot.
+        assert tiers[RunSpec(name="faithful")] == 1
 
 
 class TestSpecCaching:
@@ -206,7 +167,7 @@ class TestCreateEngine:
         engine.load("append([], L, L). "
                     "append([H|T], L, [H|R]) :- append(T, L, R).")
         assert engine.solve("append([1,2], [3], X)")
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(ValueError, match="unknown run spec"):
             create_engine("no-such-spec")
 
     def test_registered_spec_becomes_engine_name(self):
@@ -220,3 +181,31 @@ class TestCreateEngine:
         engine.load("append([], L, L). "
                     "append([H|T], L, [H|R]) :- append(T, L, R).")
         assert engine.solve("append([1], [2], X)")
+
+
+class TestUnknownSpecOnTheCommandLine:
+    """Names that are not registered specs exit non-zero with a one-line
+    error listing the registered specs — never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "nreverse", "--spec", "psi"],
+        ["crosscheck", "--specs", "psi,dec"],
+    ])
+    def test_cli_rejects_unknown_spec(self, argv):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-m", "repro.eval.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert "unknown run spec 'psi'" in lines[0]
+        assert "registered: baseline, faithful, indexed, unfused" in lines[0]
+        assert proc.stdout == ""

@@ -213,7 +213,7 @@ def test_parallel_worker_merge_equals_serial():
 
     def serial():
         for name in WORKLOADS:
-            runner.run_psi(name, record_trace=False)
+            runner.run_spec(name, "faithful", record_trace=False)
 
     def parallel():
         runner.run_many(WORKLOADS, jobs=2, record_trace=False)
@@ -235,10 +235,10 @@ def test_cached_runs_contribute_no_metrics(tmp_path, monkeypatch):
     obs.reset()
     obs.enable()
     try:
-        runner.run_psi("nreverse")          # miss: executes, records
+        runner.run_spec("nreverse", "faithful")        # miss: executes, records
         assert obs.global_metrics().value("psi.runs") == 1
         runner.clear_cache()                # drop the in-memory tier only
-        run = runner.run_psi("nreverse")    # disk hit: no execution
+        run = runner.run_spec("nreverse", "faithful")  # disk hit: no execution
         assert run.observation is None
         assert obs.global_metrics().value("psi.runs") == 1
     finally:

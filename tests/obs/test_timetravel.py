@@ -32,11 +32,11 @@ def _packed(code: int, area: int, offset: int) -> int:
 @pytest.fixture(scope="module")
 def explorers():
     """One built explorer (plus its run) per workload, shared module-wide."""
-    from repro.eval.runner import run_psi
+    from repro.eval.runner import run_spec
 
     built = {}
     for name in WORKLOADS:
-        run = run_psi(name, record_trace=True)
+        run = run_spec(name, "faithful", record_trace=True)
         built[name] = (run, TraceExplorer(run.trace))
     return built
 

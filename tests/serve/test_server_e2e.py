@@ -66,29 +66,31 @@ def test_ping_and_workloads(server):
 def test_concurrent_solves_match_local_engines(server):
     """Served answers == locally-run answers, as canonical multisets."""
     from repro.engine.answers import answer_multiset
-    from repro.eval.runner import run_engine
+    from repro.eval.runner import run_spec
+    from repro.eval.specs import get_spec
 
     host, port = server
-    jobs = [(name, engine) for name in WORKLOADS
-            for engine in ("psi", "baseline")]
+    jobs = [(name, spec) for name in WORKLOADS
+            for spec in ("faithful", "baseline")]
 
     def solve(job):
-        name, engine = job
+        name, spec = job
         with ServeClient(host, port) as client:
-            return client.solve(name, engine=engine)
+            return client.solve(name, spec=spec)
 
     with ThreadPoolExecutor(max_workers=len(jobs)) as executor:
         results = list(executor.map(solve, jobs))
 
-    for (name, engine), served in zip(jobs, results):
-        assert served["succeeded"], f"{engine} {name} failed server-side"
-        assert served["engine"] == engine
-        local = run_engine(name, engine=engine, record_trace=False)
+    for (name, spec), served in zip(jobs, results):
+        assert served["succeeded"], f"{spec} {name} failed server-side"
+        assert served["spec"] == spec
+        assert served["engine"] == get_spec(spec).engine
+        local = run_spec(name, spec, record_trace=False)
         served_answers = [tuple(tuple(pair) for pair in answer)
                           for answer in served["answers"]]
         assert (answer_multiset(served_answers)
                 == answer_multiset(local.answers)), \
-            f"served {engine} answers diverged for {name}"
+            f"served {spec} answers diverged for {name}"
         assert served["counters"] == dict(local.counters)
 
 
@@ -182,6 +184,21 @@ def test_baseline_spec_replay_is_rejected(server):
             client.replay("qsort", [{}], spec="baseline")
         with pytest.raises(ServeError, match="unknown run spec"):
             client.solve("qsort", spec="no-such-spec")
+
+
+def test_engine_field_is_rejected(server):
+    """A request naming its configuration with ``engine`` must fail
+    loudly instead of silently running the ``faithful`` default."""
+    host, port = server
+    with ServeClient(host, port) as client:
+        with pytest.raises(ServeError,
+                           match=r"ProtocolError: .*'engine'.*'spec' field"):
+            client.request("solve", workload="qsort", engine="baseline")
+        with pytest.raises(ServeError, match="'spec' field"):
+            client.request("replay", workload="qsort", configs=[{}],
+                           engine="psi")
+        # The connection survives, and the spec field serves baseline.
+        assert client.solve("qsort", spec="baseline")["engine"] == "baseline"
 
 
 def test_application_errors_leave_connection_usable(server):

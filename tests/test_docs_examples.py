@@ -29,6 +29,7 @@ DOCS = [
     "README.md",
     "EXPERIMENTS.md",
     "docs/ARCHITECTURE.md",
+    "docs/ENGINES.md",
     "docs/OBSERVABILITY.md",
     "docs/SERVING.md",
 ]
