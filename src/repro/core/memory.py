@@ -129,15 +129,16 @@ class TraceRecorder:
     per-entry generator.
 
     The packed array serialises losslessly via :meth:`tobytes` /
-    :meth:`frombytes` — that byte string is what run summaries carry
-    across process boundaries and what the persistent run cache stores
-    on disk.
+    :meth:`frombytes`.  Run summaries carry the array itself across
+    process boundaries, and the persistent run cache stores its raw
+    bytes as an entry's trace section.
     """
 
     __slots__ = ("data",)
 
-    def __init__(self) -> None:
-        self.data = array("q")
+    def __init__(self, data: array | None = None) -> None:
+        """Start empty, or adopt ``data`` (packed entries) without a copy."""
+        self.data = array("q") if data is None else data
 
     def access(self, cmd: CacheCmd, address: int) -> None:
         self.data.append((address << 2) | cmd.code)

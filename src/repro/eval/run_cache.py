@@ -18,10 +18,26 @@ Keying and integrity:
   changes the key, so
   stale entries are never *matched* — they simply become garbage that
   ``psi-eval cache clear`` removes.
-* Each entry file carries a header with the key and a SHA-256 digest of
-  the pickled payload.  A corrupted, truncated or tampered entry fails
-  the digest (or key) check and is treated as a miss and recomputed —
-  never trusted.
+* Each entry file has two sections after its header: a **summary**
+  section (the pickled :class:`RunSummary`, trace dropped) and a raw
+  **trace** section (the packed int64 memory trace, not pickled)::
+
+      psi-run-cache
+      <key>
+      spec=<label>
+      <summary sha256> <summary length>
+      <trace sha256 | -> <trace length>
+      <summary pickle><trace bytes>
+
+  Every load checks the magic line, key and label, checks that the
+  file size equals the header plus both section lengths, and verifies
+  the summary digest.  The trace section is read and hashed **only
+  when the caller asks for the trace** (``load(key, trace=True)``):
+  PMMS is the trace's only consumer, and most tables need just the
+  few kilobytes of statistics in the summary.  A corrupted, truncated
+  or tampered entry fails one of these checks and is treated as a miss
+  and recomputed — no byte is used before its section digest is
+  verified.
 
 Concurrency: writes are atomic renames, so readers can never observe a
 half-written entry, and per-key **advisory file locks** (:meth:`RunCache.lock`,
@@ -41,12 +57,13 @@ environment variable (or per-instance via ``RunCache(root=...)``).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
-import io
 import logging
 import os
 import pathlib
 import pickle
+from array import array
 
 try:
     import fcntl
@@ -60,7 +77,9 @@ logger = logging.getLogger(__name__)
 #: Bumped when the entry layout (header/payload format) changes.
 #: Version 2: keys fold in the run-spec fingerprint and entries carry a
 #: ``spec=<name>`` header line so ``cache info`` can group per spec.
-FORMAT_VERSION = 2
+#: Version 3: separate summary and trace sections, each with its own
+#: digest and length, so trace-free loads never touch the trace.
+FORMAT_VERSION = 3
 
 _MAGIC = b"psi-run-cache\n"
 
@@ -111,6 +130,57 @@ def run_key(*, source: str, goal: str, setup_goals: tuple[str, ...],
     return digest.hexdigest()
 
 
+def _section_line(data) -> bytes:
+    """Header line ``<sha256> <length>`` for one entry section."""
+    return (f"{hashlib.sha256(data).hexdigest()} "
+            f"{memoryview(data).nbytes}\n").encode()
+
+
+def _parse_section(line: bytes) -> tuple[str, int]:
+    """``(digest, length)`` from a :func:`_section_line` header line."""
+    digest, length = line.decode().split()
+    if int(length) < 0:
+        raise ValueError("negative section length")
+    return digest, int(length)
+
+
+def _read_entry(fp, key: str, trace: bool) -> RunSummary:
+    """Parse and verify one open entry file (see the module docstring).
+
+    The trace section is read into its final ``array('q')`` and hashed
+    in place — one read and one hash pass, no further copies.
+    """
+    if fp.readline() != _MAGIC:
+        raise ValueError("bad magic")
+    if fp.readline().strip().decode() != key:
+        raise ValueError("key mismatch")
+    if not fp.readline().startswith(b"spec="):
+        raise ValueError("missing spec label")
+    summary_digest, summary_len = _parse_section(fp.readline())
+    trace_digest, trace_len = _parse_section(fp.readline())
+    if trace_digest == "-" and trace_len:
+        raise ValueError("trace length without a trace digest")
+    itemsize = array("q").itemsize
+    if trace_len % itemsize:
+        raise ValueError("trace length is not a whole number of entries")
+    if os.fstat(fp.fileno()).st_size != fp.tell() + summary_len + trace_len:
+        raise ValueError("size mismatch (truncated entry)")
+    payload = fp.read(summary_len)
+    if hashlib.sha256(payload).hexdigest() != summary_digest:
+        raise ValueError("summary digest mismatch")
+    summary = pickle.loads(payload)
+    if not isinstance(summary, RunSummary):
+        raise ValueError("payload is not a RunSummary")
+    if trace and trace_digest != "-":
+        data = array("q", [0]) * (trace_len // itemsize)
+        if fp.readinto(memoryview(data).cast("B")) != trace_len:
+            raise ValueError("short trace section")
+        if hashlib.sha256(data).hexdigest() != trace_digest:
+            raise ValueError("trace digest mismatch")
+        summary.trace_bytes = data
+    return summary
+
+
 def default_root() -> pathlib.Path:
     return pathlib.Path(os.environ.get("PSI_CACHE_DIR", ".psi-cache"))
 
@@ -124,34 +194,26 @@ class RunCache:
     def _path(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.run"
 
-    def load(self, key: str) -> RunSummary | None:
+    def load(self, key: str, trace: bool = True) -> RunSummary | None:
         """Return the cached summary for ``key``, or None.
 
+        With ``trace=False`` the trace section is neither read nor
+        hashed and the summary comes back with ``trace_bytes=None``.
+        With ``trace=True`` an entry that holds a trace returns it as an
+        ``array('q')`` in ``trace_bytes``, verified against its digest.
+
         Any integrity failure — missing file, bad magic, key mismatch,
-        payload digest mismatch, unpicklable payload — is a miss.
+        size mismatch, section digest mismatch, unpicklable payload — is
+        a miss.
         """
         path = self._path(key)
         try:
-            raw = path.read_bytes()
+            fp = open(path, "rb")
         except OSError:
             return None
         try:
-            stream = io.BytesIO(raw)
-            if stream.readline() != _MAGIC:
-                raise ValueError("bad magic")
-            header_key = stream.readline().strip().decode()
-            label_line = stream.readline()
-            if not label_line.startswith(b"spec="):
-                raise ValueError("missing spec label (pre-v2 entry)")
-            payload_digest = stream.readline().strip().decode()
-            payload = stream.read()
-            if header_key != key:
-                raise ValueError("key mismatch")
-            if hashlib.sha256(payload).hexdigest() != payload_digest:
-                raise ValueError("payload digest mismatch")
-            summary = pickle.loads(payload)
-            if not isinstance(summary, RunSummary):
-                raise ValueError("payload is not a RunSummary")
+            with fp:
+                summary = _read_entry(fp, key, trace)
         except Exception as exc:
             logger.warning("run cache: discarding invalid entry %s (%s)",
                            path.name, exc)
@@ -169,20 +231,23 @@ class RunCache:
         ``label`` is the run-spec *name* (display metadata only —
         integrity and matching ride on the key, which already folds in
         the spec fingerprint).  It lets ``cache info`` group entries
-        per spec without unpickling payloads.
+        per spec without unpickling payloads.  The trace is written
+        straight from ``summary.trace_bytes``, never copied.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(summary, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = b"".join([
-            _MAGIC,
-            key.encode() + b"\n",
-            b"spec=" + label.encode() + b"\n",
-            hashlib.sha256(payload).hexdigest().encode() + b"\n",
-            payload,
-        ])
+        payload = pickle.dumps(dataclasses.replace(summary, trace_bytes=None),
+                               protocol=pickle.HIGHEST_PROTOCOL)
+        trace = summary.trace_bytes
+        trace_line = b"- 0\n" if trace is None else _section_line(trace)
         path = self._path(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(blob)
+        with open(tmp, "wb") as fp:
+            fp.write(b"".join([_MAGIC, key.encode() + b"\n",
+                               b"spec=" + label.encode() + b"\n",
+                               _section_line(payload), trace_line]))
+            fp.write(payload)
+            if trace is not None:
+                fp.write(trace)
         os.replace(tmp, path)
 
     @contextlib.contextmanager
@@ -208,7 +273,7 @@ class RunCache:
                 fcntl.flock(fp, fcntl.LOCK_UN)
 
     def load_or_compute(self, key: str, compute, usable=None, *,
-                        label: str = ""):
+                        label: str = "", trace: bool = True):
         """Return ``(summary, outcome)``, computing and storing on miss.
 
         ``outcome`` is ``"hit"`` (entry served without contention),
@@ -217,18 +282,19 @@ class RunCache:
         ran here and its summary was stored).  ``usable`` optionally
         narrows what counts as a hit — e.g. "only entries that carry a
         trace" — a non-``usable`` entry is treated as a miss and
-        overwritten by the recompute.
+        overwritten by the recompute.  ``trace`` is passed to
+        :meth:`load`; a computed summary is stored (and returned) whole.
 
         The lock is held across ``compute()``, which is what makes the
         miss path exactly-once under concurrency: the first process in
         computes, everyone queued behind it re-checks the store and
         loads instead of recomputing.
         """
-        summary = self.load(key)
+        summary = self.load(key, trace)
         if summary is not None and (usable is None or usable(summary)):
             return summary, "hit"
         with self.lock(key):
-            summary = self.load(key)
+            summary = self.load(key, trace)
             if summary is not None and (usable is None or usable(summary)):
                 return summary, "wait_hit"
             summary = compute()

@@ -56,10 +56,14 @@ _DISK_CACHE_ENABLED = True
 #: "memory_hit"; every "disk_miss" is also classified as "disk_compute"
 #: (this process executed the workload inside the key lock) or
 #: "disk_wait_hit" (another process stored the entry while this one
-#: held or waited for the lock).  Each event increments both its bare
-#: key and a ``<event>:<spec>`` key, so per-spec behaviour is
-#: observable without changing existing consumers.  Reset by
-#: :func:`clear_cache`.
+#: held or waited for the lock).  "trace_upgrade" counts only real
+#: re-executions: a trace-free run of the key was already held (in
+#: memory or on disk) but the caller needs the trace and no stored
+#: trace could serve it.  A trace-free memo entry whose disk entry
+#: carries the trace is served from disk as a plain "disk_hit".  Each
+#: event increments both its bare key and a ``<event>:<spec>`` key, so
+#: per-spec behaviour is observable without changing existing
+#: consumers.  Reset by :func:`clear_cache`.
 CACHE_EVENTS: Counter = Counter()
 
 
@@ -119,13 +123,20 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
       a spec's configuration silently invalidates only the affected
       entries.  The cache directory is ``.psi-cache/`` or
       ``$PSI_CACHE_DIR``.
-    * When the disk cache is enabled the trace is always recorded on a
-      real execution, so the stored variant satisfies later
+    * The trace is always recorded on a real execution (unless the
+      spec opts out), so the stored entry satisfies later
       ``record_trace=True`` callers without a second run.
-    * *Trace upgrade*: if the in-memory tier holds a no-trace run and
-      the caller needs the memory trace, the workload must execute
-      again — counted in ``CACHE_EVENTS["trace_upgrade"]`` and logged,
-      since it is otherwise silent double work.
+    * Disk loads read the entry's trace section only when
+      ``record_trace`` is true; ``record_trace=False`` callers get a
+      trace-free run and never touch the trace bytes.  A later
+      ``record_trace=True`` call for the same run loads the trace
+      section from disk (a ``disk_hit``).
+    * *Trace upgrade*: only when no stored trace can serve a
+      ``record_trace=True`` caller that already holds a trace-free run
+      of the key (disk tier off, or an entry stored without a trace)
+      does the workload execute again — counted in
+      ``CACHE_EVENTS["trace_upgrade"]`` and logged, since it is
+      otherwise silent double work.
 
     Observability (:mod:`repro.obs`) is orthogonal: cached runs carry
     no observation (obs artifacts are derived data and never stored);
@@ -142,20 +153,21 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
     if cached is not None and (cached.trace is not None or not record_trace):
         _event("memory_hit", spec)
         return cached
-    if cached is not None:
-        # A no-trace run was cached but the caller needs the memory
-        # trace: the workload has to execute again — make the double
-        # work visible.
-        _event("trace_upgrade", spec)
-        logger.warning(
-            "run_spec(%r, %r): cached run has no trace; re-running to record "
-            "one (call with record_trace=True first, or keep the disk cache "
-            "enabled, to avoid the double execution)", name, spec.name)
+    # A trace-free run of this key is already held; executing again is
+    # double work, made visible in execute().
+    untraced = cached is not None
 
     workload = get(name)
     all_solutions = _spec_all_solutions(workload, spec)
 
     def execute() -> CollectedRun:
+        if untraced:
+            _event("trace_upgrade", spec)
+            logger.warning(
+                "run_spec(%r, %r): cached run has no trace; re-running to "
+                "record one (keep the disk cache enabled and the spec's "
+                "record_trace on to avoid the double execution)",
+                name, spec.name)
         # Always record the trace on a real execution (unless the spec
         # opts out): the recorder is the memory system's
         # single-listener fast path, which the deferred cache replay
@@ -198,11 +210,15 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
         return run.to_summary()
 
     def usable(summary) -> bool:
-        return summary.trace_bytes is not None or not record_trace
+        nonlocal untraced
+        if summary.trace_bytes is None and record_trace:
+            untraced = True         # stored without a trace
+            return False
+        return True
 
     summary, outcome = RunCache().load_or_compute(
         _spec_run_key(workload, spec), compute, usable=usable,
-        label=spec.name)
+        label=spec.name, trace=record_trace)
     if outcome == "hit":
         _event("disk_hit", spec)
     else:
@@ -272,7 +288,8 @@ def run_many(names, jobs: int | None = None, record_trace: bool = True,
         if cached is not None and (cached.trace is not None or not record_trace):
             continue
         if _DISK_CACHE_ENABLED:
-            summary = RunCache().load(_spec_run_key(get(name), spec))
+            summary = RunCache().load(_spec_run_key(get(name), spec),
+                                      trace=record_trace)
             if summary is not None and (summary.trace_bytes is not None
                                         or not record_trace):
                 _event("disk_hit", spec)

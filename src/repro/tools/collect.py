@@ -14,6 +14,7 @@ goal on :class:`~repro.core.machine.PSIMachine` with
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -98,7 +99,7 @@ class CollectedRun:
             succeeded=self.succeeded,
             solutions=self.solutions,
             stats=_plain_stats(self.stats),
-            trace_bytes=self.trace.tobytes() if self.trace is not None else None,
+            trace_bytes=self.trace.data[:] if self.trace is not None else None,
             cache_stats=self.cache.stats if self.cache is not None else None,
             cache_config=self.cache.config if self.cache is not None else None,
             answers=self.answers,
@@ -131,17 +132,22 @@ class RunSummary:
 
     This is what worker processes return to the parent and what the
     persistent run cache stores: the stats counters (compact — routine
-    objects pickle by registry name), the packed trace bytes, and the
-    online cache's statistics.  The live machine is deliberately
-    dropped; it holds unpicklable interpreter state and none of the
-    paper's numbers need it.
+    objects pickle by registry name), the packed trace, and the online
+    cache's statistics.  The live machine is deliberately dropped; it
+    holds unpicklable interpreter state and none of the paper's numbers
+    need it.
+
+    ``trace_bytes`` is the packed trace as a bytes-like ``array('q')``
+    (the :attr:`TraceRecorder.data` layout), which :meth:`to_collected_run`
+    adopts without a copy; ``None`` when no trace was recorded or asked
+    for.
     """
 
     goal: str
     succeeded: bool
     solutions: int
     stats: StatsCollector
-    trace_bytes: bytes | None
+    trace_bytes: array | None
     cache_stats: CacheStats | None
     cache_config: CacheConfig | None
     #: Canonical answers and counter snapshot, carried verbatim so
@@ -161,7 +167,7 @@ class RunSummary:
 
     def to_collected_run(self) -> CollectedRun:
         """Rebuild a table-ready :class:`CollectedRun` (``machine=None``)."""
-        trace = (TraceRecorder.frombytes(self.trace_bytes)
+        trace = (TraceRecorder(self.trace_bytes)
                  if self.trace_bytes is not None else None)
         cache = None
         if self.cache_stats is not None:

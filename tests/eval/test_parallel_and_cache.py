@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from repro.eval import figure1, runner, table3, table4, table5
+from repro.eval import figure1, runner, table2, table3, table4, table5
 from repro.eval.run_cache import RunCache, run_key
 from repro.eval.specs import get_spec
 from repro.tools.collect import RunSummary
@@ -189,16 +189,96 @@ class TestDiskCache:
         assert list(rebuilt.trace.entries()) == list(run.trace.entries())
         assert rebuilt.cache.stats.hit_ratio == run.cache.stats.hit_ratio
 
-    def test_load_rejects_non_summary_payload(self, fresh, tmp_path):
+    def test_load_rejects_non_summary_payload(self, fresh, tmp_path, caplog):
         import hashlib
         import pickle
 
         cache = RunCache(tmp_path / "other")
         key = "a" * 64
         payload = pickle.dumps({"not": "a summary"})
-        blob = b"".join([b"psi-run-cache\n", key.encode() + b"\n",
-                         hashlib.sha256(payload).hexdigest().encode() + b"\n",
-                         payload])
+        blob = b"".join([
+            b"psi-run-cache\n", key.encode() + b"\n", b"spec=faithful\n",
+            f"{hashlib.sha256(payload).hexdigest()} {len(payload)}\n".encode(),
+            b"- 0\n", payload])
         cache.root.mkdir(parents=True)
         (cache.root / f"{key}.run").write_bytes(blob)
-        assert cache.load(key) is None
+        with caplog.at_level("WARNING", logger="repro.eval.run_cache"):
+            assert cache.load(key) is None
+        assert any("payload is not a RunSummary" in message
+                   for message in caplog.messages)
+
+    def test_trace_free_memo_entry_served_trace_from_disk(self, fresh,
+                                                          caplog):
+        """table2 leaves trace-free runs in the memo; table5 then needs
+        the traces and gets them from the entries' trace sections — disk
+        hits, no re-execution, no upgrade warning."""
+        cold = table5.render(table5.generate(FAST_PROGRAMS))
+        runner.clear_cache()
+        with caplog.at_level("WARNING", logger="repro.eval.runner"):
+            table2.generate(FAST_PROGRAMS)
+            warm = table5.render(table5.generate(FAST_PROGRAMS))
+        assert runner.CACHE_EVENTS["disk_compute"] == 0
+        assert runner.CACHE_EVENTS["trace_upgrade"] == 0
+        assert runner.CACHE_EVENTS["disk_hit"] == 2 * len(FAST_PROGRAMS)
+        assert not any("re-running" in message for message in caplog.messages)
+        assert warm == cold
+
+
+def _entry_sections(path: pathlib.Path) -> tuple[int, int, int]:
+    """(header, summary, trace) byte lengths of one stored entry."""
+    with open(path, "rb") as fp:
+        for _ in range(3):              # magic, key, spec label
+            fp.readline()
+        summary_len = int(fp.readline().split()[1])
+        trace_len = int(fp.readline().split()[1])
+        return fp.tell(), summary_len, trace_len
+
+
+class TestEntrySections:
+    """Integrity of the split (summary section + trace section) layout."""
+
+    @pytest.fixture()
+    def entry(self, fresh):
+        runner.run_spec("lcp-1", "faithful")
+        (path,) = RunCache().entries()
+        runner.clear_cache()
+        return path
+
+    def test_trace_free_load_skips_trace(self, entry):
+        summary = RunCache().load(entry.stem, trace=False)
+        assert summary.trace_bytes is None
+        traced = RunCache().load(entry.stem, trace=True)
+        assert len(traced.to_collected_run().trace) == \
+            _entry_sections(entry)[2] // 8
+
+    def test_summary_flip_is_miss_either_way(self, entry):
+        header, summary_len, _ = _entry_sections(entry)
+        blob = bytearray(entry.read_bytes())
+        blob[header + summary_len // 2] ^= 0xFF
+        for trace in (False, True):
+            entry.write_bytes(bytes(blob))
+            assert RunCache().load(entry.stem, trace=trace) is None
+            assert not entry.exists()
+
+    def test_trace_flip_is_miss_on_traced_load(self, entry):
+        header, summary_len, trace_len = _entry_sections(entry)
+        assert trace_len > 0
+        steps = RunCache().load(entry.stem, trace=False).stats.total_steps
+        blob = bytearray(entry.read_bytes())
+        blob[header + summary_len + trace_len // 2] ^= 0xFF
+        entry.write_bytes(bytes(blob))
+        # The trace section is not read by a trace-free load ...
+        assert RunCache().load(entry.stem, trace=False) is not None
+        # ... but a traced load verifies it, discards and recomputes.
+        rerun = runner.run_spec("lcp-1", "faithful", record_trace=True)
+        assert runner.CACHE_EVENTS["disk_hit"] == 0
+        assert runner.CACHE_EVENTS["disk_compute"] == 1
+        assert rerun.steps == steps
+        assert RunCache().load(entry.stem, trace=True) is not None
+
+    def test_truncated_trace_section_is_miss_without_trace(self, entry):
+        header, summary_len, trace_len = _entry_sections(entry)
+        blob = entry.read_bytes()
+        entry.write_bytes(blob[:header + summary_len + trace_len // 2])
+        assert RunCache().load(entry.stem, trace=False) is None
+        assert not entry.exists()
