@@ -91,7 +91,7 @@ def _run_workload(args) -> str:
     spec = default_spec()
     lines = []
     for name in args.programs:
-        run = run_spec(name)
+        run = run_spec(name, record_trace=False)
         stats = run.stats
         # The spec tag appears only off the faithful default, keeping
         # the historical output byte-stable.
@@ -752,7 +752,9 @@ def main(argv: list[str] | None = None) -> int:
         for target in targets:
             prewarm.update(dict.fromkeys(_target_workloads(target, args)))
         if prewarm:
-            runner.run_many(prewarm, jobs=args.jobs)
+            # Trace-free: on a warm disk cache only the targets that
+            # replay (figure1, ablations) load trace sections, on demand.
+            runner.run_many(prewarm, jobs=args.jobs, record_trace=False)
 
     # Handlers return a string, or (string, exit_code) when the command
     # carries a gate verdict (fidelity/report); the worst code wins.

@@ -21,6 +21,13 @@ the hot path:
   table-ready runs.  The spec object itself is picklable and travels
   with the task, so unregistered ad-hoc specs parallelize too.
 
+Tables 1–7 ask for trace-free runs (``record_trace=False``): every
+number they print comes from the stats counters and the run's online
+production-cache result.  Only trace replays — Figure 1, the
+ablations, serve replays, Table 5 under another cache configuration —
+ask for the trace, which a warm disk tier serves from the stored
+entry's trace section.
+
 ``clear_cache`` exists for tests that need isolation.  ``CACHE_EVENTS``
 counts hits/misses/upgrades so callers (and tests) can observe what the
 tiers actually did — each event is counted both bare (``disk_hit``) and

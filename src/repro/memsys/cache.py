@@ -124,6 +124,20 @@ class CacheStats:
         }
 
 
+@dataclass(frozen=True)
+class CacheResult:
+    """A finished simulation: the configuration and its final statistics.
+
+    What a collected run keeps of its online cache once the trace has
+    been fed through it.  It holds no set storage, so a run rebuilt
+    from a stored summary costs two references, not a fresh
+    :class:`Cache` of ``config.sets`` empty sets.
+    """
+
+    config: CacheConfig
+    stats: CacheStats
+
+
 def count_entries(entries) -> tuple[dict, dict]:
     """Per-area and per-command access totals of a decoded trace.
 

@@ -9,7 +9,8 @@ goal on :class:`~repro.core.machine.PSIMachine` with
 * optionally a :class:`~repro.core.memory.TraceRecorder` (the memory
   access stream handed to PMMS), and
 * optionally an online :class:`~repro.memsys.Cache` in the paper's
-  production configuration, for end-to-end execution-time measurement.
+  production configuration, for end-to-end execution-time measurement
+  (the run keeps its :class:`~repro.memsys.CacheResult`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from repro.core.machine import MachineConfig, PSIMachine
 from repro.core.memory import TraceRecorder
 from repro.core.stats import StatsCollector
 from repro.engine.answers import Answer, canonical_answer
-from repro.memsys import Cache, CacheConfig, CacheStats, TimingBreakdown, execution_time
+from repro.memsys import (Cache, CacheConfig, CacheResult, TimingBreakdown,
+                          execution_time)
 from repro.obs.session import RunObservation
 
 
@@ -41,7 +43,7 @@ class CollectedRun:
     solutions: int
     stats: StatsCollector
     trace: TraceRecorder | None
-    cache: Cache | None
+    cache: CacheResult | None
     machine: PSIMachine | None
     #: Observability artifact (trace/profile/metrics) when the run was
     #: collected with :func:`repro.obs.enabled` on; ``None`` otherwise.
@@ -100,8 +102,7 @@ class CollectedRun:
             solutions=self.solutions,
             stats=_plain_stats(self.stats),
             trace_bytes=self.trace.data[:] if self.trace is not None else None,
-            cache_stats=self.cache.stats if self.cache is not None else None,
-            cache_config=self.cache.config if self.cache is not None else None,
+            cache=self.cache,
             answers=self.answers,
             counters=self.counters,
             answer_marks=self.answer_marks,
@@ -133,9 +134,9 @@ class RunSummary:
     This is what worker processes return to the parent and what the
     persistent run cache stores: the stats counters (compact — routine
     objects pickle by registry name), the packed trace, and the online
-    cache's statistics.  The live machine is deliberately dropped; it
-    holds unpicklable interpreter state and none of the paper's numbers
-    need it.
+    cache's :class:`~repro.memsys.CacheResult`.  The live machine is
+    deliberately dropped; it holds unpicklable interpreter state and
+    none of the paper's numbers need it.
 
     ``trace_bytes`` is the packed trace as a bytes-like ``array('q')``
     (the :attr:`TraceRecorder.data` layout), which :meth:`to_collected_run`
@@ -148,8 +149,7 @@ class RunSummary:
     solutions: int
     stats: StatsCollector
     trace_bytes: array | None
-    cache_stats: CacheStats | None
-    cache_config: CacheConfig | None
+    cache: CacheResult | None
     #: Canonical answers and counter snapshot, carried verbatim so
     #: cache-served and worker-shipped runs stay crosscheckable.
     answers: tuple[Answer, ...] = ()
@@ -169,12 +169,8 @@ class RunSummary:
         """Rebuild a table-ready :class:`CollectedRun` (``machine=None``)."""
         trace = (TraceRecorder(self.trace_bytes)
                  if self.trace_bytes is not None else None)
-        cache = None
-        if self.cache_stats is not None:
-            cache = Cache(self.cache_config or CacheConfig())
-            cache.stats = self.cache_stats
         return CollectedRun(self.goal, self.succeeded, self.solutions,
-                            self.stats, trace, cache, machine=None,
+                            self.stats, trace, self.cache, machine=None,
                             answers=self.answers, counters=self.counters,
                             answer_marks=self.answer_marks,
                             index_stats=dict(self.index_stats))
@@ -312,7 +308,9 @@ def collect(program: str, goal: str, *,
             session.metrics.counter(f"psi.index.{key}").inc(value)
         observation = session.finish(cache)
         obs.record_run(observation)
-    return CollectedRun(goal, succeeded, solutions, stats, trace, cache,
+    result = (CacheResult(cache.config, cache.stats)
+              if cache is not None else None)
+    return CollectedRun(goal, succeeded, solutions, stats, trace, result,
                         machine, observation,
                         answers=answers, counters=dict(machine.counters),
                         answer_marks=tuple(marks),

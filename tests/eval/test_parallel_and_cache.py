@@ -13,7 +13,10 @@ import pytest
 from repro.eval import figure1, runner, table2, table3, table4, table5
 from repro.eval.run_cache import RunCache, run_key
 from repro.eval.specs import get_spec
+from repro.eval.table4 import AREA_ORDER
+from repro.memsys import Cache, CacheConfig, CacheResult
 from repro.tools.collect import RunSummary
+from repro.tools.pmms import simulate_many
 
 FAST_PROGRAMS = {"bup": "bup-1", "lcp": "lcp-1", "lcp2": "lcp-2"}
 FIGURE1_WORKLOAD = "lcp-2"
@@ -189,6 +192,27 @@ class TestDiskCache:
         assert list(rebuilt.trace.entries()) == list(run.trace.entries())
         assert rebuilt.cache.stats.hit_ratio == run.cache.stats.hit_ratio
 
+    def test_rebuilt_run_allocates_no_cache_sets(self, fresh, monkeypatch):
+        """The rebuilt run keeps the live run's cache config and stats
+        as a finished result; no simulator (and none of its per-set
+        storage) is built."""
+        run = runner.run_spec("bup-1", "faithful")
+        summary = run.to_summary()
+
+        def no_simulator(self, config=None):
+            raise AssertionError("rebuild constructed a Cache")
+
+        monkeypatch.setattr(Cache, "__init__", no_simulator)
+        rebuilt = summary.to_collected_run()
+        assert type(rebuilt.cache) is CacheResult
+        assert type(run.cache) is CacheResult
+        assert rebuilt.cache.config == run.cache.config == CacheConfig()
+        assert rebuilt.cache.stats is run.cache.stats
+        (entry,) = RunCache().entries()
+        stored = RunCache().load(entry.stem, trace=False)
+        assert stored.to_collected_run().cache.stats.snapshot() == \
+            run.cache.stats.snapshot()
+
     def test_load_rejects_non_summary_payload(self, fresh, tmp_path, caplog):
         import hashlib
         import pickle
@@ -209,19 +233,67 @@ class TestDiskCache:
 
     def test_trace_free_memo_entry_served_trace_from_disk(self, fresh,
                                                           caplog):
-        """table2 leaves trace-free runs in the memo; table5 then needs
-        the traces and gets them from the entries' trace sections — disk
-        hits, no re-execution, no upgrade warning."""
-        cold = table5.render(table5.generate(FAST_PROGRAMS))
+        """table2 leaves trace-free runs in the memo; Figure 1 then
+        replays one of them and gets its trace from the entry's trace
+        section — a disk hit, no re-execution, no upgrade warning."""
+        def figure():
+            return figure1.render(figure1.generate(
+                FIGURE1_WORKLOAD, capacities=FIGURE1_CAPACITIES))
+
+        table2.generate(FAST_PROGRAMS)
+        cold = figure()
         runner.clear_cache()
         with caplog.at_level("WARNING", logger="repro.eval.runner"):
             table2.generate(FAST_PROGRAMS)
-            warm = table5.render(table5.generate(FAST_PROGRAMS))
+            warm = figure()
+        assert FIGURE1_WORKLOAD in FAST_PROGRAMS.values()
         assert runner.CACHE_EVENTS["disk_compute"] == 0
         assert runner.CACHE_EVENTS["trace_upgrade"] == 0
-        assert runner.CACHE_EVENTS["disk_hit"] == 2 * len(FAST_PROGRAMS)
+        assert runner.CACHE_EVENTS["disk_hit"] == len(FAST_PROGRAMS) + 1
         assert not any("re-running" in message for message in caplog.messages)
         assert warm == cold
+
+
+class TestTable5FromStoredCacheStats:
+    """Table 5 reads each run's production-cache result and touches
+    the trace only to replay another configuration."""
+
+    @pytest.fixture()
+    def warm(self, fresh):
+        table5.generate(FAST_PROGRAMS)
+        runner.clear_cache()
+
+    def test_default_reads_no_trace_section(self, warm, monkeypatch):
+        asked = []
+        load = RunCache.load
+
+        def spy(self, key, trace=True):
+            asked.append(trace)
+            return load(self, key, trace)
+
+        monkeypatch.setattr(RunCache, "load", spy)
+        table5.generate(FAST_PROGRAMS)
+        assert asked == [False] * len(FAST_PROGRAMS)
+        memo = runner._memo(get_spec("faithful"))
+        assert all(memo[name].trace is None
+                   for name in FAST_PROGRAMS.values())
+        assert runner.CACHE_EVENTS["disk_compute"] == 0
+
+    def test_other_config_replays_trace(self, warm):
+        direct = CacheConfig(capacity_words=8192, ways=1)
+        rows = table5.generate(FAST_PROGRAMS, config=direct)
+        assert runner.CACHE_EVENTS["disk_compute"] == 0
+        assert runner.CACHE_EVENTS["trace_upgrade"] == 0
+        for row, name in zip(rows, FAST_PROGRAMS.values()):
+            run = runner.run_spec(name, "faithful", record_trace=True)
+            (stats,) = simulate_many(run.trace, [direct])
+            assert row.total == stats.hit_ratio
+            assert row.ratios == {area: stats.area_hit_ratio(area)
+                                  for area in AREA_ORDER}
+        # The 1-way replay is not the production cache's numbers.
+        production = table5.generate(FAST_PROGRAMS)
+        assert [row.total for row in rows] != \
+            [row.total for row in production]
 
 
 def _entry_sections(path: pathlib.Path) -> tuple[int, int, int]:

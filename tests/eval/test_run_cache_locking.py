@@ -22,7 +22,7 @@ KEY = "deadbeef" * 8
 def _summary(goal: str = "locked?") -> RunSummary:
     return RunSummary(goal=goal, succeeded=True, solutions=1,
                       stats=StatsCollector(), trace_bytes=None,
-                      cache_stats=None, cache_config=None)
+                      cache=None)
 
 
 def _contend(root, side_effect_path, barrier, results):
