@@ -109,8 +109,8 @@ class CacheStats:
         Used by the observability layer (``psi.cache.*`` metrics) and
         handy for ad-hoc inspection; cumulative totals only — windowed
         hit ratios over time come from
-        :class:`repro.obs.session.CacheWindowSampler`, which samples a
-        live cache while the run executes.
+        :class:`repro.obs.session.CacheWindowSampler`, which replays the
+        run's packed trace at the window cuts it noted.
         """
         return {
             "hits": self.hits,

@@ -11,19 +11,24 @@ attachment points :func:`repro.tools.collect.collect` uses:
   deterministic microstep clock, attributes every emission to the
   machine's current ``(predicate, module)`` context, traces predicate
   slices and sampled microroutine emissions;
-* :meth:`ObsSession.cache_sampler` — a sampler reading the online
-  cache's hit ratio over fixed windows of accounted accesses, driven
-  by the collector's billing path (keeping the memory fan-out on its
-  single-listener fast path);
+* :meth:`ObsSession.cache_sampler` — a sampler that, driven by the
+  collector's billing path, records only where each fixed window of
+  accounted accesses ends in the run's packed cache feed; the cache's
+  windowed hit ratios are derived from those cuts after the run;
 * :attr:`ObsSession.stack_observer` — a
-  :class:`~repro.core.memory.MemorySystem` observer recording
-  stack-area reclaim events (the PSI reclaims stacks by truncation on
-  proceed/TRO/backtrack — it has no garbage collector).
+  :class:`~repro.core.memory.MemorySystem` observer logging stack-area
+  reclaim events (the PSI reclaims stacks by truncation on
+  proceed/TRO/backtrack — it has no garbage collector) as bounded raw
+  records, turned into trace events when the session finishes.
 
-When observability is disabled none of this is constructed: the
-machine runs on the plain collector and the only residue of the
-subsystem is a handful of attribute stores per *call* (never per
-step), measured by the ``obs`` stage of ``scripts/bench_eval.py``.
+Live, a session records only what must be known while the run
+executes; everything else is derived once afterwards, so an observed
+run keeps the memory system on the same single-listener packed path
+as a plain one.  When observability is disabled none of this is
+constructed: the machine runs on the plain collector and the only
+residue of the subsystem is a handful of attribute stores per *call*
+(never per step).  The cost of leaving it on is perfbench's
+``observe`` workload (``obs.overhead_pct`` under ``--trace 1``).
 
 The finished artifact is a :class:`RunObservation` — trace + profile +
 metrics snapshot — attached to the
@@ -36,9 +41,11 @@ boundary, to be merged into the parent's registry).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import IO
 
+from repro.core.memory import Area
 from repro.core.stats import N_AREAS, StatsCollector
 from repro.core.micro import MEM_PAIR_BASE, MEM_STEPS, Module
 from repro.obs.metrics import MetricsRegistry
@@ -62,8 +69,6 @@ class ObsConfig:
     micro_sample_interval: int = 512
     #: sample the cache hit ratio once per this many memory accesses
     cache_window: int = 8192
-    #: profiler attribution: 1 = exact, N > 1 = every Nth emission
-    profile_interval: int = 1
 
 
 class ObservedStatsCollector(StatsCollector):
@@ -81,13 +86,11 @@ class ObservedStatsCollector(StatsCollector):
     that is flushed when either changes (and in :meth:`close`), cutting
     per-emission obs work to a couple of attribute compares.  The flush
     points never move steps between profile buckets — only the number
-    of ``profile.add`` calls changes.  This class is the exact-mode
-    (``profile_interval == 1``, the default) collector; statistical
-    sampling lives in :class:`SampledObservedStatsCollector`.
+    of ``profile.add`` calls changes.
     """
 
     __slots__ = ("tracer", "profile", "_now_base", "_open_pred",
-                 "_micro_interval", "_micro_tick", "_exact", "_attribute",
+                 "_micro_interval", "_micro_tick",
                  "_buf_pred", "_buf_module", "_buf_steps",
                  "_cache_sampler", "_win_n", "_win_limit")
 
@@ -104,9 +107,6 @@ class ObservedStatsCollector(StatsCollector):
         self._open_pred: str | None = None
         self._micro_interval = micro_sample_interval
         self._micro_tick = 0
-        self._exact = profile.sample_interval == 1
-        self._attribute = (profile.add if self._exact
-                           else profile.add_sampled)
         self._buf_pred: str | None = None
         self._buf_module = None
         self._buf_steps = 0
@@ -267,160 +267,113 @@ class ObservedStatsCollector(StatsCollector):
         self._open_pred = None
 
 
-class SampledObservedStatsCollector(ObservedStatsCollector):
-    """Statistical attribution (``profile_interval > 1``): unbuffered.
-
-    Every emission goes straight to ``profile.add_sampled`` so the
-    profiler's every-Nth-call sampling keeps its meaning; the exact
-    class's run-length buffering would collapse the sample population.
-    Counting and clocking are identical to the exact collector; with
-    the buffer permanently empty, the clock advances through
-    ``_now_base`` directly.
-    """
-
-    __slots__ = ()
-
-    def emit(self, routine, times: int = 1) -> None:
-        module = self.module
-        index = routine.pair_base + module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        steps = routine.n_steps * times
-        pred = self.predicate
-        if pred is not self._open_pred:
-            self._open_pred = pred
-            self.tracer.begin_slice(TRACK_CALLS, pred, self.now)
-        self._attribute(pred, module, steps)
-        self._now_base += steps
-        tick = self._micro_tick + times
-        if tick < self._micro_interval:
-            self._micro_tick = tick
-        else:
-            self._micro_tick = 0
-            self.tracer.complete(TRACK_MICRO, routine.name,
-                                 self.now - steps, steps,
-                                 {"module": module.value})
-
-    def emit_in(self, module, routine, times: int = 1) -> None:
-        index = routine.pair_base + module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        steps = routine.n_steps * times
-        self._attribute(self.predicate, module, steps)
-        self._now_base += steps
-
-    def mem_access(self, cmd, area) -> None:
-        code = cmd.code
-        self._mem_counts[code * N_AREAS + area] += 1
-        module = self.module
-        index = MEM_PAIR_BASE[code] + module.idx
-        try:
-            self._pair_counts[index] += 1
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += 1
-        steps = MEM_STEPS[code]
-        self._attribute(self.predicate, module, steps)
-        self._now_base += steps
-        n = self._win_n + 1
-        if n < self._win_limit:
-            self._win_n = n
-        else:
-            self._win_n = 0
-            self._cache_sampler.sample()
-
-    def mem_access_n(self, cmd, area, times: int) -> None:
-        code = cmd.code
-        self._mem_counts[code * N_AREAS + area] += times
-        module = self.module
-        index = MEM_PAIR_BASE[code] + module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        pred = self.predicate
-        steps = MEM_STEPS[code]
-        for _ in range(times):
-            self._attribute(pred, module, steps)
-        self._now_base += steps * times
-        n = self._win_n + times
-        if n < self._win_limit:
-            self._win_n = n
-        else:
-            self._win_n = 0
-            self._cache_sampler.sample()
+#: ``stacks`` counter name per area, e.g. ``top.local``
+_TOP_NAMES = {area: f"top.{area.name.lower()}" for area in Area}
 
 
 class StackObserver:
-    """Records stack reclaim events (:meth:`MemorySystem.settop`).
+    """Logs stack reclaim events (:meth:`MemorySystem.settop`).
 
     The PSI frees stack space exclusively by truncation — on proceed,
     tail-recursion reclaim and backtracking — so each ``settop`` that
     shrinks an area is one "GC-free" deallocation event: a counter
-    sample of the new top plus the reclaimed word count.
+    sample of the new top on the ``stacks`` track.
+
+    Live, an event is one raw ``(area, now, offset)`` record in a log
+    with the ring buffer's semantics: it keeps the newest
+    ``trace_capacity`` records and counts the rest as dropped, so a
+    long run holds O(capacity) records.  :meth:`materialise` turns the
+    log into trace events after the run.
     """
 
-    __slots__ = ("tracer", "collector")
+    __slots__ = ("tracer", "collector", "log", "logged")
 
     def __init__(self, tracer: Tracer, collector: ObservedStatsCollector):
         self.tracer = tracer
         self.collector = collector
+        self.log: deque = deque(maxlen=tracer.capacity)
+        self.logged = 0
 
     def on_settop(self, area, offset: int, old_top: int) -> None:
         if offset < old_top:
-            self.tracer.counter(TRACK_STACKS, f"top.{area.name.lower()}",
-                                self.collector.now, offset)
+            if not self.logged:
+                # The track takes its place in the tracer's buffer
+                # order (the tie order of ``events()``) at its first
+                # live record, as if the event had been traced now.
+                self.tracer.buffer(TRACK_STACKS)
+            self.logged += 1
+            self.log.append((area, self.collector.now, offset))
+
+    def materialise(self) -> None:
+        """Move the logged records onto the ``stacks`` track."""
+        if not self.logged:
+            return
+        counter = self.tracer.counter
+        for area, ts, offset in self.log:
+            counter(TRACK_STACKS, _TOP_NAMES[area], ts, offset)
+        self.tracer.buffer(TRACK_STACKS).dropped += \
+            self.logged - len(self.log)
 
 
 class CacheWindowSampler:
-    """Samples the online cache over windows of accounted accesses.
+    """The cache's hit ratio over windows of accounted accesses.
 
-    Driven by the observed collector's billing path rather than
-    attached as a memory listener: the collector counts accounted
-    accesses inline (two integer ops) and calls :meth:`sample` once
-    per ``window``.  Keeping the sampler off the listener chain keeps
-    :class:`~repro.core.memory.MemorySystem`'s fan-out on its
-    single-listener fast path when only the cache is attached — the
-    dominant obs-enabled configuration.  A window boundary landing
-    inside a block access samples at billing time, before the block's
-    remaining words reach the cache; windowed ratios are sampled,
-    derived data, so the one-block skew is immaterial.
+    Driven by the observed collector's billing path: the collector
+    counts accounted accesses inline and calls :meth:`sample` once per
+    ``window``.  A sample records only the cut — how many accesses the
+    run's packed cache feed holds, and the clock.  Billing precedes
+    listener notification at every memory-system site, so a cut is
+    exactly the access count a cache listening online would have seen
+    (one landing inside a block access falls before the block's
+    remaining words).
 
-    Emits a windowed hit-ratio counter event on the ``cache`` track and
-    feeds the ``psi.cache.window_hit_ratio`` histogram.
+    After the run, :meth:`replay` feeds the packed trace to the cache
+    segment by segment and, per cut, emits a hit-ratio counter event
+    on the ``cache`` track and a ``psi.cache.window_hit_ratio``
+    histogram observation.
     """
 
-    __slots__ = ("cache", "tracer", "histogram", "collector", "window",
-                 "_hits", "_misses")
+    __slots__ = ("feed", "tracer", "histogram", "collector", "window",
+                 "cuts")
 
-    def __init__(self, cache, tracer: Tracer, histogram,
+    def __init__(self, feed, tracer: Tracer, histogram,
                  collector: ObservedStatsCollector, window: int = 8192):
-        self.cache = cache
+        self.feed = feed
         self.tracer = tracer
         self.histogram = histogram
         self.collector = collector
         self.window = window
-        self._hits = 0
-        self._misses = 0
+        self.cuts: list[tuple[int, int]] = []
 
     def sample(self) -> None:
-        stats = self.cache.stats
-        hits, misses = stats.hits, stats.misses
-        window_hits = hits - self._hits
-        window_misses = misses - self._misses
-        self._hits, self._misses = hits, misses
-        accesses = window_hits + window_misses
-        ratio = 100.0 * window_hits / accesses if accesses else 100.0
-        self.tracer.counter(TRACK_CACHE, "hit_ratio",
-                            self.collector.now, round(ratio, 3))
-        self.histogram.observe(ratio)
+        if not self.cuts:
+            self.tracer.buffer(TRACK_CACHE)     # see StackObserver
+        self.cuts.append((len(self.feed), self.collector.now))
+
+    def replay(self, cache, totals) -> None:
+        """Feed the whole packed trace to ``cache``, emitting each window.
+
+        ``totals`` are the run's per-area / per-command access totals
+        (:meth:`~repro.memsys.Cache.access_many_packed`).  A replay
+        derives hits as totals minus misses, so the segments before the
+        last pass zero totals and the last one settles every segment's
+        hits; a window's hits are its length minus its misses.
+        """
+        data = self.feed
+        area_totals, cmd_totals = totals
+        zero = ([0] * len(area_totals), [0] * len(cmd_totals))
+        stats = cache.stats
+        start = 0
+        misses = stats.misses
+        for cut, ts in self.cuts:
+            cache.access_many_packed(data[start:cut], totals=zero)
+            accesses = cut - start
+            window_hits = accesses - (stats.misses - misses)
+            ratio = 100.0 * window_hits / accesses if accesses else 100.0
+            self.tracer.counter(TRACK_CACHE, "hit_ratio", ts, round(ratio, 3))
+            self.histogram.observe(ratio)
+            start, misses = cut, stats.misses
+        cache.access_many_packed(data[start:], totals=totals)
 
 
 @dataclass
@@ -455,30 +408,30 @@ class ObsSession:
         self.goal = goal
         self.config = config or ObsConfig()
         self.tracer = Tracer(capacity=self.config.trace_capacity)
-        self.profile = MicroProfile(self.config.profile_interval)
+        self.profile = MicroProfile()
         self.metrics = MetricsRegistry()
-        collector_cls = (ObservedStatsCollector
-                         if self.profile.sample_interval == 1
-                         else SampledObservedStatsCollector)
-        self.collector = collector_cls(
+        self.collector = ObservedStatsCollector(
             self.tracer, self.profile,
             micro_sample_interval=self.config.micro_sample_interval)
         self.stack_observer = StackObserver(self.tracer, self.collector)
 
-    def cache_sampler(self, cache) -> CacheWindowSampler | None:
-        if cache is None:
-            return None
+    def cache_sampler(self, feed) -> CacheWindowSampler:
+        """Sample windows of ``feed``, the packed trace the cache replays."""
         histogram = self.metrics.histogram("psi.cache.window_hit_ratio")
-        sampler = CacheWindowSampler(cache, self.tracer, histogram,
+        sampler = CacheWindowSampler(feed, self.tracer, histogram,
                                      self.collector,
                                      window=self.config.cache_window)
         self.collector.attach_cache_sampler(sampler)
         return sampler
 
     def finish(self, cache=None) -> RunObservation:
-        """Close the trace, derive the per-run metrics, build the artifact."""
+        """Close the trace, derive the per-run metrics, build the artifact.
+
+        ``cache``, when given, must already have replayed the run.
+        """
         collector = self.collector
         collector.close()
+        self.stack_observer.materialise()
         metrics = self.metrics
         metrics.counter("psi.runs").inc()
         metrics.counter("psi.microsteps").inc(collector.total_steps)

@@ -52,6 +52,10 @@ STEP_NS = CYCLE_NS
 #: JSONL schema version, carried by the metadata record.
 SCHEMA_VERSION = 1
 
+#: Encoder of the JSONL event lines, built once: ``json.dumps`` with
+#: keyword arguments constructs a fresh encoder per call.
+_JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
 
 class RingBuffer:
     """Fixed-capacity event buffer; overflow evicts the oldest entry.
@@ -156,7 +160,12 @@ class Tracer:
 
     # -- recording -----------------------------------------------------------
 
-    def _buffer(self, track: str) -> RingBuffer:
+    def buffer(self, track: str) -> RingBuffer:
+        """The track's ring buffer, created on first use.
+
+        Creation order is the order :meth:`events` merges tracks in, so
+        it breaks timestamp ties between tracks.
+        """
         buffer = self._buffers.get(track)
         if buffer is None:
             buffer = self._buffers[track] = RingBuffer(self.capacity)
@@ -165,14 +174,14 @@ class Tracer:
     def complete(self, track: str, name: str, ts: int, dur: int,
                  args: dict | None = None) -> None:
         """Record a complete span (start ``ts``, length ``dur`` steps)."""
-        self._buffer(track).append(TraceEvent(ts, dur, "X", track, name, args))
+        self.buffer(track).append(TraceEvent(ts, dur, "X", track, name, args))
 
     def instant(self, track: str, name: str, ts: int,
                 args: dict | None = None) -> None:
-        self._buffer(track).append(TraceEvent(ts, 0, "i", track, name, args))
+        self.buffer(track).append(TraceEvent(ts, 0, "i", track, name, args))
 
     def counter(self, track: str, name: str, ts: int, value: float) -> None:
-        self._buffer(track).append(
+        self.buffer(track).append(
             TraceEvent(ts, 0, "C", track, name, {"value": value}))
 
     def begin_slice(self, track: str, name: str, ts: int,
@@ -237,12 +246,12 @@ class Tracer:
         clock definition, drop counts); each following line is one
         :meth:`TraceEvent.to_dict` record.  Returns the event count.
         """
-        fp.write(json.dumps({"meta": self.metadata()},
-                            separators=(",", ":")) + "\n")
         events = self.events()
-        for event in events:
-            fp.write(json.dumps(event.to_dict(), separators=(",", ":"),
-                                sort_keys=True) + "\n")
+        encode = _JSONL_ENCODER.encode
+        lines = [json.dumps({"meta": self.metadata()}, separators=(",", ":"))]
+        lines.extend(encode(event.to_dict()) for event in events)
+        lines.append("")
+        fp.write("\n".join(lines))
         return len(events)
 
     def to_chrome(self, fp: IO[str], process_name: str = "PSI") -> int:
@@ -282,9 +291,11 @@ class Tracer:
             if event.args:
                 record["args"] = event.args
             trace_events.append(record)
-        json.dump({"traceEvents": trace_events,
-                   "displayTimeUnit": "ms",
-                   "metadata": self.metadata()}, fp)
+        # ``json.dumps`` encodes in C; ``json.dump`` would stream through
+        # the pure-Python encoder.
+        fp.write(json.dumps({"traceEvents": trace_events,
+                             "displayTimeUnit": "ms",
+                             "metadata": self.metadata()}))
         return len(events)
 
 

@@ -8,9 +8,10 @@ goal on :class:`~repro.core.machine.PSIMachine` with
 * the stats collector (microinstruction-stream statistics),
 * optionally a :class:`~repro.core.memory.TraceRecorder` (the memory
   access stream handed to PMMS), and
-* optionally an online :class:`~repro.memsys.Cache` in the paper's
-  production configuration, for end-to-end execution-time measurement
-  (the run keeps its :class:`~repro.memsys.CacheResult`).
+* optionally a :class:`~repro.memsys.Cache` in the paper's production
+  configuration, fed the packed trace after the run, for end-to-end
+  execution-time measurement (the run keeps its
+  :class:`~repro.memsys.CacheResult`).
 """
 
 from __future__ import annotations
@@ -230,25 +231,23 @@ def collect(program: str, goal: str, *,
     machine.wf.stats = stats
     trace = TraceRecorder() if record_trace else None
     cache = Cache(cache_config or CacheConfig()) if with_cache else None
-    # Deferred cache replay: without an observation session nothing
-    # reads ``cache.stats`` mid-run (the window sampler is the only
-    # live consumer), so the cache need not listen online.  Feeding it
-    # the packed trace afterwards — :meth:`Cache.access_many_packed`
-    # is access-for-access equivalent — keeps the memory system on its
-    # single-listener fast path for the whole run.
-    cache_feed = None
-    if cache is not None and session is None:
-        cache_feed = trace if trace is not None else TraceRecorder()
-    recorder = trace if trace is not None else cache_feed
+    # Deferred cache replay, for every run: the cache never listens
+    # online.  It is fed the packed trace afterwards —
+    # :meth:`Cache.access_many_packed` is access-for-access equivalent —
+    # which keeps the memory system on its single-listener packed path
+    # for the whole run.  An observed run's windowed hit ratios come
+    # from cuts in that same feed (the sampler is driven by the
+    # collector's billing path, not a memory listener).
+    recorder = trace
+    if recorder is None and cache is not None:
+        recorder = TraceRecorder()
     if recorder is not None:
         machine.mem.attach(recorder)
-    if cache is not None and cache_feed is None:
-        machine.mem.attach(cache)
+    sampler = None
     if session is not None:
         machine.mem.observer = session.stack_observer
-        # Driven by the collector's billing path, not a mem listener:
-        # keeps the fan-out on the single-listener fast path.
-        session.cache_sampler(cache)
+        if cache is not None:
+            sampler = session.cache_sampler(recorder.data)
 
     solver = machine.solve(goal)
     # Manual iteration (exactly what ``solver.all()`` does) so each
@@ -256,8 +255,7 @@ def collect(program: str, goal: str, *,
     # decoded — the answer → microstep marks the time-travel explorer's
     # differential mode seeks by.  Marks are taken only from the
     # caller-requested trace (they index into it; the internal
-    # cache-feed recorder is not returned, and whether it exists
-    # depends on the obs session — summaries must not).  Reading
+    # cache-feed recorder is not returned).  Reading
     # ``len(trace.data)`` between solutions is a pure observation of
     # already-recorded state, so the emission stream is identical to
     # an unmarked run.
@@ -288,15 +286,15 @@ def collect(program: str, goal: str, *,
     if recorder is not None:
         machine.mem.detach(recorder)
     if cache is not None:
-        if cache_feed is not None:
-            # The collector already holds the per-(command, area) access
-            # totals — billing and trace notification are paired at
-            # every memory-system site — so the replay can skip its
-            # counting pass over the packed trace.
-            cache.access_many_packed(cache_feed.data,
-                                     totals=_totals_from_stats(stats))
+        # The collector already holds the per-(command, area) access
+        # totals — billing and trace notification are paired at every
+        # memory-system site — so the replay can skip its counting pass
+        # over the packed trace.
+        totals = _totals_from_stats(stats)
+        if sampler is not None:
+            sampler.replay(cache, totals)
         else:
-            machine.mem.detach(cache)
+            cache.access_many_packed(recorder.data, totals=totals)
     observation = None
     if session is not None:
         machine.mem.observer = None

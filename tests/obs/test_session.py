@@ -108,3 +108,34 @@ class TestCachePurity:
             summary = _collect("nreverse").to_summary()
         rebuilt = summary.to_collected_run()
         assert rebuilt.observation is None
+
+
+class TestRecordingFootprint:
+    """An observed run records compact raw data and detaches cleanly."""
+
+    def test_stack_log_is_bounded(self, monkeypatch):
+        from repro.obs.session import StackObserver
+
+        pending = []
+        on_settop = StackObserver.on_settop
+
+        def spy(self, area, offset, old_top):
+            on_settop(self, area, offset, old_top)
+            pending.append(len(self.log))
+
+        monkeypatch.setattr(StackObserver, "on_settop", spy)
+        with obs.observed(trace_capacity=64):
+            run = _collect("nreverse")
+        assert pending and max(pending) == 64
+        counters = run.observation.metrics_snapshot
+        # Pinned: the counts an eagerly traced ring buffer reports.
+        assert counters["psi.trace.dropped"]["value"] == 1421
+        assert counters["psi.trace.events"]["value"] == 187
+        assert run.observation.tracer.dropped == {"calls": 1,
+                                                  "stacks": 1420}
+
+    def test_observed_run_leaves_memory_system_bare(self):
+        with obs.observed():
+            run = _collect("nreverse")
+        assert run.machine.mem.listeners == []
+        assert run.machine.mem.observer is None
