@@ -23,13 +23,9 @@ gives exact (not histogram-estimated) p50/p95/p99 plus throughput
 server's own metrics snapshot at drain time, and the batching
 efficiency (configs simulated / configs requested).  The run **fails**
 on any request error, a throughput of zero, or an unclean server exit
-after drain.
-
-The results land in two places:
-
-* ``--report PATH`` — the full JSON report (CI uploads this artifact);
-* ``BENCH_eval.json`` under a new ``"serve"`` stage (suppressed by
-  ``--quick`` and ``--no-bench``), next to the other tracked stages.
+after drain.  ``--report PATH`` writes the full JSON report (CI
+uploads this artifact).  The benchmark of record for the service is
+``perfbench``'s ``serve-mix`` workload (``perfbench/README.md``).
 
 Usage::
 
@@ -186,13 +182,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="shuffle seed for the request mix")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke: 4 cheap workloads, concurrency 4, "
-                             "1 round, no BENCH_eval.json update")
+                             "1 round")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write the full JSON report here")
-    parser.add_argument("--no-bench", action="store_true",
-                        help="do not update BENCH_eval.json")
-    parser.add_argument("--bench", default=str(REPO / "BENCH_eval.json"),
-                        help="the benchmark snapshot file to update")
     parser.add_argument("--keep-cache", action="store_true",
                         help="serve from the repo .psi-cache instead of a "
                              "throwaway temp cache")
@@ -286,23 +278,6 @@ def main(argv: list[str] | None = None) -> int:
         path = pathlib.Path(args.report)
         path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
-
-    if not args.quick and not args.no_bench:
-        bench_path = pathlib.Path(args.bench)
-        bench = (json.loads(bench_path.read_text())
-                 if bench_path.exists() else {})
-        bench["serve"] = {
-            "concurrency": args.concurrency,
-            "workers": args.workers,
-            "workloads": len(workloads),
-            "requests": phase["requests"],
-            "throughput_rps": phase["throughput_rps"],
-            "p50_ms": phase["latency_ms"]["p50"],
-            "p99_ms": phase["latency_ms"]["p99"],
-            "replay_dedup_ratio": report["batching"]["dedup_ratio"],
-        }
-        bench_path.write_text(json.dumps(bench, indent=2) + "\n")
-        print(f"updated {bench_path} ('serve' stage)")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -28,13 +28,26 @@ the pair is additionally checked against the independent DEC baseline.
 This is the semantic gate for every optimisation spec: a configuration
 may only ever change *how* answers are found, never the answer
 multiset.
+
+A PSI pair also reports what the second configuration bought: per
+workload, the modelled microsteps on each side, the step and
+modelled-time ratios (first / second), the second run's
+clause-selection counters (index hits, misses, choicepoints avoided),
+and the geomean step ratio over the sweep.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
 
 from repro.engine.answers import Answer, answer_multiset, render_answer
+
+logger = logging.getLogger(__name__)
+
+#: The second run's clause-selection counters a PSI pair reports.
+INDEX_COUNTERS = ("index_hits", "index_misses", "choicepoints_avoided")
 
 
 @dataclass
@@ -46,9 +59,36 @@ class WorkloadCheck:
     detail: str = ""
     psi_answers: tuple[Answer, ...] = ()
     baseline_answers: tuple[Answer, ...] = ()
+    #: The runs compared, under the first and the second spec; ``None``
+    #: when a side crashed.
+    first: object = field(default=None, repr=False)
+    second: object = field(default=None, repr=False)
 
-    def to_dict(self) -> dict:
-        return {
+    @property
+    def has_runs(self) -> bool:
+        return self.first is not None and self.second is not None
+
+    @property
+    def step_ratio(self) -> float:
+        """First spec's modelled microsteps over the second's."""
+        return (self.first.steps / self.second.steps
+                if self.second.steps else 0.0)
+
+    @property
+    def time_ratio(self) -> float:
+        """First spec's modelled time over the second's."""
+        return (self.first.time_ms / self.second.time_ms
+                if self.second.time_ms else 0.0)
+
+    @property
+    def index_counters(self) -> tuple[int, ...]:
+        """The second run's :data:`INDEX_COUNTERS` (zero when faithful)."""
+        return tuple(self.second.index_stats.get(key, 0)
+                     for key in INDEX_COUNTERS)
+
+    def to_dict(self, steps: bool = False) -> dict:
+        """The JSON form; ``steps`` adds the PSI-pair step columns."""
+        payload = {
             "name": self.name,
             "ok": self.ok,
             "detail": self.detail,
@@ -56,6 +96,14 @@ class WorkloadCheck:
             "baseline_answers": [list(map(list, a))
                                  for a in self.baseline_answers],
         }
+        if steps and self.has_runs:
+            payload.update({
+                "steps": [self.first.steps, self.second.steps],
+                "step_ratio": round(self.step_ratio, 4),
+                "time_ratio": round(self.time_ratio, 4),
+            })
+            payload.update(zip(INDEX_COUNTERS, self.index_counters))
+        return payload
 
 
 @dataclass
@@ -85,8 +133,21 @@ class CrosscheckReport:
     def ok(self) -> bool:
         return not self.divergences and not self.interrupted
 
+    @property
+    def psi_pair(self) -> bool:
+        """Both specs run the PSI engine, so the report carries the
+        step and clause-selection columns."""
+        from repro.eval.specs import get_spec
+
+        return all(get_spec(spec).engine == "psi" for spec in self.specs)
+
+    @property
+    def geomean_step_ratio(self) -> float:
+        return geomean([c.step_ratio for c in self.checks if c.has_runs])
+
     def to_dict(self) -> dict:
-        return {
+        psi_pair = self.psi_pair
+        payload = {
             "ok": self.ok,
             "specs": list(self.specs),
             "checked": len(self.checks),
@@ -94,8 +155,11 @@ class CrosscheckReport:
             "divergent": self.divergent_names,
             "interrupted": self.interrupted,
             "skipped": list(self.skipped),
-            "workloads": [c.to_dict() for c in self.checks],
+            "workloads": [c.to_dict(steps=psi_pair) for c in self.checks],
         }
+        if psi_pair:
+            payload["geomean_step_ratio"] = round(self.geomean_step_ratio, 4)
+        return payload
 
     def render(self) -> str:
         if set(self.specs) != {"faithful", "baseline"}:
@@ -103,15 +167,40 @@ class CrosscheckReport:
                       f"{self.specs[1]} run specs")
         else:
             header = "differential crosscheck: PSI vs DEC baseline"
-        lines = [header, ""]
+        psi_pair = self.psi_pair
+        first, second = self.specs
+        lines = [header]
+        if psi_pair:
+            lines.append(f"(steps are machine microsteps; steps× and time× "
+                         f"are {first}/{second}; hits, miss and CPs avoided "
+                         f"are {second}'s clause-selection counters)")
+        lines.append("")
         width = max((len(c.name) for c in self.checks), default=4)
+        if psi_pair:
+            width = max(width, len("workload"))
+            columns = (f"  {'workload':<{width}}  {'status':<8}  "
+                       f"{first:>12} {second:>12} {'steps×':>7} "
+                       f"{'time×':>6} {'hits':>8} {'miss':>6} "
+                       f"{'CPs avoided':>11}")
+            lines += [columns, "  " + "-" * (len(columns) - 2)]
         for check in self.checks:
             status = "ok" if check.ok else "DIVERGED"
             line = f"  {check.name:<{width}}  {status}"
+            if psi_pair and check.has_runs:
+                hits, misses, avoided = check.index_counters
+                line = (f"  {check.name:<{width}}  {status:<8}  "
+                        f"{check.first.steps:>12,} {check.second.steps:>12,} "
+                        f"{check.step_ratio:>6.2f}x {check.time_ratio:>5.2f}x "
+                        f"{hits:>8,} {misses:>6,} {avoided:>11,}")
             if check.detail:
                 line += f"  ({check.detail})"
             lines.append(line)
         lines.append("")
+        measured = sum(c.has_runs for c in self.checks)
+        if psi_pair and measured:
+            lines.append(f"geomean step ratio {first}/{second}: "
+                         f"{self.geomean_step_ratio:.3f}x over {measured} "
+                         "workload(s)")
         if self.interrupted:
             lines.append(f"sweep INTERRUPTED after {len(self.checks)} "
                          f"workload(s); {len(self.skipped)} never ran"
@@ -195,11 +284,20 @@ def crosscheck_workload_specs(name: str, spec_a, spec_b) -> WorkloadCheck:
         detail = _diff_runs(first, baseline, spec_a.name, "baseline")
     return WorkloadCheck(name, ok=not detail, detail=detail,
                          psi_answers=first.answers,
-                         baseline_answers=second.answers)
+                         baseline_answers=second.answers,
+                         first=first, second=second)
 
 
-def crosscheck(names=None,
-               specs=("faithful", "baseline")) -> CrosscheckReport:
+def geomean(values: list[float]) -> float:
+    """Geometric mean of the positive ``values`` (0.0 when none)."""
+    values = [v for v in values if v > 0]
+    if not values:
+        return 0.0
+    return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+def crosscheck(names=None, specs=("faithful", "baseline"),
+               jobs: int | None = None) -> CrosscheckReport:
     """Crosscheck ``names`` under the run-spec pair ``specs``.
 
     ``specs`` names any registered pair (``("faithful", "indexed")``,
@@ -207,6 +305,9 @@ def crosscheck(names=None,
     shared workload, or to the *full* registry (``psi_only`` workloads
     included) when both specs run the PSI engine; such a pair is
     additionally checked against the DEC baseline on shared workloads.
+    ``jobs`` pre-warms both specs' cache tiers on that many processes
+    through :func:`repro.eval.runner.run_many` before the serial
+    comparison loop (``psi-eval crosscheck --jobs N``).
 
     A ``KeyboardInterrupt`` mid-sweep does not discard the verdicts
     already gathered: the partial report comes back flagged
@@ -224,6 +325,17 @@ def crosscheck(names=None,
                  else [w.name for w in shared_workloads()])
     report = CrosscheckReport(specs=(spec_a.name, spec_b.name))
     names = list(names)
+    if jobs and jobs > 1:
+        from repro.eval.runner import run_many
+
+        for spec in (spec_a, spec_b):
+            try:
+                run_many(names, jobs=jobs, record_trace=False, spec=spec)
+            except Exception as exc:
+                # The sweep below reruns the failing workload and
+                # reports it as a divergence.
+                logger.warning("crosscheck: pre-warming %s stopped: %s",
+                               spec.name, exc)
     for index, name in enumerate(names):
         try:
             report.checks.append(

@@ -20,7 +20,7 @@ Usage::
     psi-eval fidelity --max-drift 30 # exit 1 when overall drift exceeds 30
     psi-eval fidelity --append-history
     psi-eval history show --last 10  # the run-history time series
-    psi-eval history compare -2 -1   # fidelity/bench deltas between entries
+    psi-eval history compare -2 -1   # fidelity deltas between entries
     psi-eval history export out.csv  # flatten the series for plotting
     psi-eval diff a.profile.json b.profile.json   # differential profile
     psi-eval diff -2 -1              # same verbs on two history entries
@@ -31,12 +31,12 @@ Usage::
     psi-eval crosscheck nreverse qsort
     psi-eval crosscheck --all --report crosscheck-report.json
     psi-eval crosscheck --specs faithful,indexed --all
-                                     # any registered run-spec pair
-    psi-eval indexed                 # faithful vs indexed PSI, per
-                                     # workload: steps, speedup, counters
-    psi-eval indexed --all --jobs 4  # full registry, both specs
-                                     # pre-warmed on 4 processes
-    psi-eval indexed bup-2 queens-all
+                                     # any registered run-spec pair; a
+                                     # PSI pair adds per-workload steps,
+                                     # step/time ratios and counters
+    psi-eval crosscheck --specs faithful,indexed --all --jobs 4
+                                     # both specs pre-warmed on 4
+                                     # processes
     psi-eval run bup-2 --spec indexed    # any target under another
                                      # registered run spec
     psi-eval debug nreverse          # time-travel HTML explorer
@@ -306,7 +306,7 @@ def _history(args) -> str:
 
 def _diff(args) -> str:
     """``psi-eval diff A B``: differential profile between two saved
-    profile snapshots, or fidelity/bench deltas between two history
+    profile snapshots, or fidelity deltas between two history
     entries — whichever the operands name."""
     from repro.obs import diffprof
 
@@ -371,7 +371,10 @@ def _crosscheck(args):
     specs run the PSI engine (``--specs faithful,indexed``, the
     semantic gate for the indexing optimisation) the default sweep is
     the full registry, ``psi_only`` workloads included, with the DEC
-    baseline as an extra oracle on shared workloads.  ``--report FILE``
+    baseline as an extra oracle on shared workloads, and the report
+    adds per-workload microsteps, step/time ratios, the second spec's
+    clause-selection counters and the geomean step ratio.  ``--jobs
+    N`` pre-warms both specs on N processes.  ``--report FILE``
     additionally writes the machine-readable JSON report (the CI job
     uploads it as the mismatch artifact).
     """
@@ -397,44 +400,13 @@ def _crosscheck(args):
                     "baseline implementation; use --specs with two PSI "
                     "specs, e.g. faithful,indexed, to compare PSI "
                     "configurations instead)")
-    report = crosscheck(names, specs=spec_pair)
+    report = crosscheck(names, specs=spec_pair, jobs=args.jobs)
     if args.report:
         path = pathlib.Path(args.report)
         path.write_text(json.dumps(report.to_dict(), indent=2,
                                    sort_keys=True) + "\n")
         print(f"wrote {path}", file=sys.stderr)
     return report.render(), 0 if report.ok else 1
-
-
-def _indexed_report(args):
-    """``psi-eval indexed``: faithful vs clause-indexed PSI, side by side.
-
-    Runs every named workload (``--all`` or no names: the full
-    registry) under both PSI run specs and prints per-workload
-    microsteps, modelled time, step/time speedups and the
-    clause-selection counters (index hits/misses, choicepoints
-    avoided), plus the geomean speedup over all rows and over the
-    backtracking-heavy subset the perf gate tracks.  Both specs go
-    through the spec-keyed disk cache, so a second invocation executes
-    nothing; ``--jobs N`` pre-warms cold entries on N processes.
-    Answer multisets are compared on every row; exits 1 on any
-    divergence.  ``--report FILE`` writes the JSON form.
-    """
-    import json
-    import pathlib
-
-    from repro.eval import indexed
-
-    names = None if (args.all or not args.programs) else args.programs
-    if names:
-        _validate_workloads(names, "indexed")
-    report = indexed.generate(names, jobs=args.jobs)
-    if args.report:
-        path = pathlib.Path(args.report)
-        path.write_text(json.dumps(report.to_dict(), indent=2,
-                                   sort_keys=True) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
-    return indexed.render(report), 0 if report.ok else 1
 
 
 def _debug_workload(args):
@@ -575,14 +547,13 @@ _TARGETS = {
     "diff": _diff,
     "report": _report,
     "crosscheck": _crosscheck,
-    "indexed": _indexed_report,
     "debug": _debug_workload,
     "serve": _serve,
 }
 
 #: Targets ``psi-eval all`` does not expand to (admin/meta commands).
 _NON_ALL = ("run", "profile", "cache", "fidelity", "history", "diff",
-            "report", "crosscheck", "indexed", "debug", "serve")
+            "report", "crosscheck", "debug", "serve")
 
 
 def _target_workloads(target: str, args) -> list[str]:
@@ -676,11 +647,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--last", type=int, default=None, metavar="N",
                         help="'history show': only the newest N entries")
     parser.add_argument("--all", action="store_true",
-                        help="'crosscheck'/'indexed': sweep the default "
+                        help="'crosscheck': sweep the default "
                              "workload set instead of named workloads "
                              "(the default when no names are given)")
     parser.add_argument("--report", default=None, metavar="FILE",
-                        help="'crosscheck'/'indexed': also write the JSON "
+                        help="'crosscheck': also write the JSON "
                              "report to FILE")
     parser.add_argument("--spec", default=None, metavar="NAME",
                         help="run spec the spec-agnostic targets execute "

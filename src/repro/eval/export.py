@@ -115,16 +115,12 @@ def history_to_rows(entries: list[dict]) -> list[dict]:
     """Flatten run-history entries into a CSV-able time series.
 
     One row per entry: the stamp columns plus the fidelity overall
-    score/drift and the headline benchmark numbers (absent sections
-    stay empty) — the shape plotting tools want for trend lines.
+    score/drift (empty when the entry has no fidelity section) — the
+    shape plotting tools want for trend lines.
     """
     rows = []
     for i, entry in enumerate(entries):
         overall = (entry.get("fidelity") or {}).get("overall") or {}
-        bench = entry.get("bench") or {}
-        eval_all = bench.get("eval_all") or {}
-        obs = bench.get("obs") or {}
-        replay = bench.get("replay") or {}
         rows.append({
             "index": i,
             "ts": entry.get("ts", ""),
@@ -133,10 +129,6 @@ def history_to_rows(entries: list[dict]) -> list[dict]:
             "code_version": entry.get("code_version", ""),
             "fidelity_score": overall.get("score", ""),
             "fidelity_drift": overall.get("drift", ""),
-            "serial_cold_s": eval_all.get("serial_cold_s", ""),
-            "jobs_warm_s": eval_all.get("jobs_warm_s", ""),
-            "obs_overhead_pct": obs.get("enabled_overhead_pct", ""),
-            "replay_speedup": replay.get("speedup", ""),
         })
     return rows
 

@@ -1,26 +1,23 @@
 """Append-only run-history store: the evaluation's time series.
 
-``BENCH_eval.json`` and ``psi-eval fidelity`` each describe *one*
-moment; this store keeps the trajectory.  Entries are one JSON object
-per line in ``results/history/history.jsonl`` (override the directory
-with ``$PSI_HISTORY_DIR``), appended and never rewritten, each stamped
-with the wall-clock time, the git commit and the simulator
-code-version hash (:func:`repro.eval.run_cache.code_version` — the
+``psi-eval fidelity`` describes *one* moment; this store keeps the
+trajectory.  Entries are one JSON object per line in
+``results/history/history.jsonl`` (override the directory with
+``$PSI_HISTORY_DIR``), appended and never rewritten, each stamped with
+the wall-clock time, the git commit and the simulator code-version
+hash (:func:`repro.eval.run_cache.code_version` — the
 same hash that keys the run cache, so "same code version" means "same
 deterministic results").
 
-Two entry kinds are appended today (the store is schema-open — any
-producer may add kinds):
-
-* ``fidelity`` — ``psi-eval fidelity --append-history``: the bounded
-  fidelity digest (per-table scores plus each table's worst cells);
-* ``bench`` — ``scripts/bench_eval.py``: the full benchmark results
-  that also land in ``BENCH_eval.json`` (which stays the
-  latest-snapshot view; the history is where the trend lives).
+The store is schema-open: any producer may add entry kinds, and every
+entry lists by stamp and kind.  ``psi-eval fidelity --append-history``
+appends ``fidelity`` entries, the bounded fidelity digest (per-table
+scores plus each table's worst cells).  Older ``bench`` entries, from
+the retired pre-``perfbench`` harness, stay readable.
 
 ``psi-eval history show`` renders the series, ``psi-eval history
 compare A B`` (and ``psi-eval diff`` on two history specs) reports
-per-table fidelity and benchmark deltas between any two entries.
+per-table fidelity deltas between any two entries.
 Entry specs are integer indexes (``0`` oldest, ``-1`` newest) or git
 SHA / timestamp prefixes.  The JSONL schema is documented in
 ``docs/OBSERVABILITY.md`` ("Fidelity & history").
@@ -150,25 +147,17 @@ class HistoryStore:
         for i, entry in enumerate(entries):
             if i < max(start, 0):
                 continue
-            fidelity = entry.get("fidelity") or {}
-            overall = fidelity.get("overall") or {}
-            bench = entry.get("bench") or {}
-            eval_all = bench.get("eval_all") or {}
-            obs = bench.get("obs") or {}
+            overall = (entry.get("fidelity") or {}).get("overall") or {}
             rows.append((
                 i, entry.get("ts", "-"),
                 (entry.get("git_sha") or "-")[:9],
                 entry.get("kind", "-"),
                 overall.get("score", None),
                 overall.get("drift", None),
-                eval_all.get("serial_cold_s", None),
-                obs.get("enabled_overhead_pct", None),
             ))
-        table = format_table(
-            ["#", "timestamp", "sha", "kind", "fidelity", "drift",
-             "serial cold (s)", "obs overhead %"],
+        return format_table(
+            ["#", "timestamp", "sha", "kind", "fidelity", "drift"],
             rows, title=f"run history ({self.path})")
-        return table
 
     def compare(self, base_spec: str | int = -2,
                 current_spec: str | int = -1) -> str:
@@ -182,7 +171,7 @@ class HistoryStore:
 def render_entry_diff(base: dict, current: dict,
                       base_label: str = "baseline",
                       current_label: str = "current") -> str:
-    """Per-table fidelity and benchmark deltas between two entries."""
+    """Per-table fidelity deltas between two entries."""
     from repro.eval.report import format_table
 
     lines = [f"history compare: {base_label} "
@@ -207,34 +196,7 @@ def render_entry_diff(base: dict, current: dict,
             ["table", "base score", "current score", "delta"], rows,
             title="fidelity score deltas (positive = closer to the paper)"))
 
-    base_bench = _flatten(base.get("bench") or {})
-    cur_bench = _flatten(current.get("bench") or {})
-    shared_bench = [key for key in base_bench
-                    if key in cur_bench
-                    and isinstance(base_bench[key], (int, float))
-                    and isinstance(cur_bench[key], (int, float))
-                    and not isinstance(base_bench[key], bool)]
-    if shared_bench:
-        rows = []
-        for key in shared_bench:
-            b, c = base_bench[key], cur_bench[key]
-            rows.append((key, b, c, round(c - b, 3)))
-        lines.append(format_table(
-            ["metric", "base", "current", "delta"], rows,
-            title="benchmark deltas"))
-
     if len(lines) == 1:
-        lines.append("entries share no comparable sections "
-                     "(one fidelity, one bench?)")
+        lines.append("entries share no comparable sections")
     return "\n\n".join(lines)
 
-
-def _flatten(data: dict, prefix: str = "") -> dict:
-    flat = {}
-    for key, value in data.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten(value, f"{name}."))
-        else:
-            flat[name] = value
-    return flat

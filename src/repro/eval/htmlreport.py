@@ -193,16 +193,7 @@ def _history_section(entries: list[dict]) -> str:
     scores = [((e.get("fidelity") or {}).get("overall") or {}).get("score")
               for e in entries]
     scores = [s for s in scores if isinstance(s, (int, float))]
-    colds = [((e.get("bench") or {}).get("eval_all") or {})
-             .get("serial_cold_s") for e in entries]
-    colds = [c for c in colds if isinstance(c, (int, float))]
-    overheads = [((e.get("bench") or {}).get("obs") or {})
-                 .get("enabled_overhead_pct") for e in entries]
-    overheads = [o for o in overheads if isinstance(o, (int, float))]
-    sparks = "".join(filter(None, (
-        _sparkline(scores, "fidelity score"),
-        _sparkline(colds, "eval all, serial cold", " s"),
-        _sparkline(overheads, "obs enabled overhead", " %"))))
+    sparks = _sparkline(scores, "fidelity score")
     if not sparks:
         return ""
     return (f'<div class="card"><h2 style="margin-top:0">history</h2>'

@@ -12,8 +12,8 @@ three cache tiers.  That is what makes the pool *warm*:
   in-memory tier;
 * every later request for that workload in the same worker is a
   memory hit — answers and traces are served without re-interpretation,
-  which is the steady state the latency numbers in ``BENCH_eval.json``'s
-  ``serve`` stage describe.
+  which is the steady state ``perfbench``'s ``serve-mix`` workload
+  measures (its warm-up repeats until a whole pass is memory hits).
 
 Work functions are module-level (picklable by reference) and return
 only JSON-able data, so the asyncio server can forward results to the

@@ -176,3 +176,42 @@ class TestTableInvariants:
             capture_output=True, text=True,
             env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.slow
+class TestFusedSpeedFloor:
+    def test_fused_dispatch_beats_the_per_op_loop(self):
+        """Superinstruction dispatch must stay at least 1.1x faster
+        than the per-op loop on qsort, billing the same modelled steps.
+
+        Best of seven runs each way, interleaved so host-speed drift
+        hits both sides alike; the cache model is off so the timing is
+        the interpreter's alone."""
+        import time
+
+        from repro.core.machine import MachineConfig
+        from repro.tools.collect import collect
+        from repro.workloads import get
+
+        workload = get("qsort")
+
+        def run_once(config):
+            t0 = time.perf_counter()
+            run = collect(workload.source, workload.goal,
+                          all_solutions=workload.all_solutions,
+                          record_trace=False, with_cache=False,
+                          machine_config=config,
+                          setup_goals=workload.setup_goals)
+            return time.perf_counter() - t0, run.stats.total_steps
+
+        fused, unfused = MachineConfig(), MachineConfig(fused=False)
+        run_once(fused)                  # warm-up: imports, code objects
+        best_fused = best_unfused = float("inf")
+        for _ in range(7):
+            fused_s, fused_steps = run_once(fused)
+            unfused_s, unfused_steps = run_once(unfused)
+            assert fused_steps == unfused_steps
+            best_fused = min(best_fused, fused_s)
+            best_unfused = min(best_unfused, unfused_s)
+        speedup = best_unfused / best_fused
+        assert speedup >= 1.1, f"fused dispatch only {speedup:.2f}x faster"

@@ -115,6 +115,79 @@ class TestIndexedRegistryEquivalence:
         assert check.psi_answers  # indexed answers actually captured
 
 
+#: The applications the paper calls "structure-and-backtracking" (BUP,
+#: LCP, the harmonizer, the 8-puzzle and N-queens), where clause
+#: selection, not arithmetic, dominates.  Deterministic list and
+#: arithmetic programs (nreverse, qsort, the Lisp trio) are left out:
+#: indexing barely moves them, as the paper's §3.1 predicts.
+BACKTRACKING_HEAVY = (
+    "bup-1", "bup-2", "bup-3", "bup-eval",
+    "lcp-1", "lcp-2", "lcp-3", "lcp-eval",
+    "harmonizer-1", "harmonizer-2", "harmonizer-3",
+    "puzzle8", "queens-one", "queens-all",
+)
+
+
+@pytest.mark.slow
+class TestIndexedStepFloor:
+    def test_indexed_geomean_step_ratio_floor(self):
+        """Clause indexing must keep paying on the backtracking-heavy
+        workloads: a geomean of at least 1.15x fewer modelled
+        microsteps than the faithful machine.  Steps are deterministic,
+        so the floor is exact, not a timing.  The runs come from the
+        session's run cache, filled by the registry sweep above."""
+        report = crosscheck(BACKTRACKING_HEAVY, specs=("faithful", "indexed"))
+        assert report.ok, report.render()
+        assert report.geomean_step_ratio >= 1.15, report.render()
+
+
+class TestStepColumns:
+    def test_psi_pair_reports_steps_and_counters(self):
+        report = crosscheck(["bup-1"], specs=("faithful", "indexed"))
+        check = report.checks[0]
+        assert check.first.steps > check.second.steps
+        rendered = report.render()
+        for column in ("faithful", "indexed", "steps×", "time×", "hits",
+                       "miss", "CPs avoided", "geomean step ratio"):
+            assert column in rendered
+        assert f"{check.first.steps:,}" in rendered
+        payload = json.loads(json.dumps(report.to_dict()))
+        row = payload["workloads"][0]
+        assert row["steps"] == [check.first.steps, check.second.steps]
+        assert row["step_ratio"] == round(check.step_ratio, 4)
+        assert row["time_ratio"] == round(check.time_ratio, 4)
+        index = check.second.index_stats
+        assert row["choicepoints_avoided"] == index["choicepoints_avoided"] > 0
+        assert row["index_hits"] == index["index_hits"]
+        assert row["index_misses"] == index["index_misses"]
+        assert payload["geomean_step_ratio"] == round(check.step_ratio, 4)
+
+    def test_jobs_prewarms_both_specs(self, monkeypatch):
+        from repro.eval import runner
+
+        warmed = []
+        monkeypatch.setattr(
+            runner, "run_many",
+            lambda names, jobs, record_trace, spec:
+                warmed.append((spec.name, list(names), jobs)))
+        report = crosscheck(["nreverse"], specs=("faithful", "indexed"),
+                            jobs=2)
+        assert report.ok
+        assert warmed == [("faithful", ["nreverse"], 2),
+                          ("indexed", ["nreverse"], 2)]
+
+    def test_faithful_vs_baseline_has_no_step_columns(self):
+        report = crosscheck(["bup-1"])
+        assert report.render().splitlines() == [
+            "differential crosscheck: PSI vs DEC baseline", "",
+            "  bup-1  ok", "",
+            "1 workload(s) checked, zero answer divergences"]
+        payload = report.to_dict()
+        assert "geomean_step_ratio" not in payload
+        assert set(payload["workloads"][0]) == {
+            "name", "ok", "detail", "psi_answers", "baseline_answers"}
+
+
 class TestDivergenceReproRecipe:
     def test_render_prints_the_debug_diff_command(self):
         report = CrosscheckReport(checks=[

@@ -99,14 +99,6 @@ class TestRenderAndCompare:
         assert "15.0" in text                  # table2: 70 -> 85
         assert "10.0" in text                  # overall: 80 -> 90
 
-    def test_compare_reports_bench_deltas(self, store):
-        store.append("bench", {"bench": {"eval_all": {"serial_cold_s": 120.0}}})
-        store.append("bench", {"bench": {"eval_all": {"serial_cold_s": 110.5}}})
-        text = store.compare(-2, -1)
-        assert "benchmark deltas" in text
-        assert "eval_all.serial_cold_s" in text
-        assert "-9.5" in text
-
     def test_disjoint_entries_say_so(self):
         text = render_entry_diff({"ts": "t0"}, {"ts": "t1"})
         assert "no comparable sections" in text

@@ -3,7 +3,7 @@
 ``repro.eval.htmlbase`` was extracted verbatim from
 ``repro.eval.htmlreport``; the SHA-256 pins below were computed on the
 pre-extraction dashboard builder over a fixed synthetic fidelity
-report.  If either hash moves, the shared helpers changed dashboard
+report (``GOLDEN_FULL`` was re-taken once since; see its comment).  If either hash moves, the shared helpers changed dashboard
 output — which the extraction promised never to do.  (A deliberate
 dashboard redesign should update the pins in the same commit and say
 so; this test exists to make silent drift impossible.)
@@ -19,8 +19,10 @@ from repro.eval.htmlreport import build_dashboard
 from repro.obs.fidelity import CellDrift, FidelityReport, TableFidelity
 
 #: SHA-256 of the full dashboard (figure 1 + history) over the fixture
-#: below, computed before the htmlbase extraction.
-GOLDEN_FULL = "11b66f7b814c348727f1a41b2eabec0e25b85e5c3dd32dec48ff64498c5b9160"
+#: below.  Its history entries carry fidelity scores only, since the
+#: dashboard no longer charts ``bench`` entries; the hash is what the
+#: builder printed for this same fixture before that removal.
+GOLDEN_FULL = "a6a01fe26f013ba7fe44548bfc5a2cb50dfa9ddc7517079ebc17c3db82b52907"
 #: SHA-256 of the bare dashboard — ``build_dashboard(report)`` alone.
 GOLDEN_BARE = "743f697208e9c72fc493bd0677a37b901fb425e2161daeb2b9736de2e69649ed"
 
@@ -40,11 +42,8 @@ def _figure1():
 
 
 def _history():
-    return [{"fidelity": {"overall": {"score": 75.0}},
-             "bench": {"eval_all": {"serial_cold_s": 120.0}}},
-            {"fidelity": {"overall": {"score": 81.4}},
-             "bench": {"eval_all": {"serial_cold_s": 119.2},
-                       "obs": {"enabled_overhead_pct": 47.7}}}]
+    return [{"fidelity": {"overall": {"score": 75.0}}},
+            {"fidelity": {"overall": {"score": 81.4}}}]
 
 
 @pytest.fixture()

@@ -24,11 +24,8 @@ def _figure1():
 
 
 def _history():
-    return [{"fidelity": {"overall": {"score": 75.0}},
-             "bench": {"eval_all": {"serial_cold_s": 120.0}}},
-            {"fidelity": {"overall": {"score": 81.4}},
-             "bench": {"eval_all": {"serial_cold_s": 119.2},
-                       "obs": {"enabled_overhead_pct": 47.7}}}]
+    return [{"fidelity": {"overall": {"score": 75.0}}},
+            {"fidelity": {"overall": {"score": 81.4}}}]
 
 
 @pytest.fixture()
@@ -105,7 +102,6 @@ class TestContent:
 
     def test_history_sparklines(self, html):
         assert "fidelity score" in html
-        assert "serial cold" in html
 
     def test_dark_mode_palette_defined(self, html):
         assert "prefers-color-scheme: dark" in html

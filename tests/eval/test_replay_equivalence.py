@@ -22,6 +22,9 @@ from repro.tools.pmms import (
 )
 
 WORKLOADS = ["lcp-2", "bup-1"]
+#: The bit-identical tests also replay Figure 1's own workload, whose
+#: trace is the largest of the three (hence ``slow``).
+BIT_IDENTICAL = [*WORKLOADS, pytest.param("window-1", marks=pytest.mark.slow)]
 
 
 def assert_stats_identical(reference, batched, context):
@@ -68,6 +71,7 @@ def trace(request):
 
 
 class TestSimulateManyEquivalence:
+    @pytest.mark.parametrize("trace", BIT_IDENTICAL, indirect=True)
     def test_figure1_capacities_bit_identical(self, trace):
         configs = figure1_configs()
         batched = simulate_many(trace, configs)
@@ -75,6 +79,7 @@ class TestSimulateManyEquivalence:
             assert_stats_identical(simulate(trace, config), stats,
                                    f"capacity {config.capacity_words}")
 
+    @pytest.mark.parametrize("trace", BIT_IDENTICAL, indirect=True)
     def test_ablation_pairs_bit_identical(self, trace):
         configs = ablation_configs()
         batched = simulate_many(trace, configs)

@@ -107,19 +107,21 @@ class TestFingerprint:
 
 class TestSpecCaching:
     def test_indexed_second_invocation_zero_engine_executions(self):
-        """The acceptance property: after one cold pass, re-deriving the
-        indexed comparison performs zero interpretations — both specs
+        """The acceptance property: after one cold pass, re-running the
+        faithful/indexed pair performs zero interpretations — both specs
         are served from their fingerprint-keyed disk entries."""
-        from repro.eval import indexed
+        def run_pair():
+            for spec in ("faithful", "indexed"):
+                runner.run_spec("nreverse", spec, record_trace=False)
 
         runner.clear_cache(disk=True)
         runner.set_disk_cache(True)
-        indexed.compare_workload("nreverse")
+        run_pair()
         first = dict(runner.CACHE_EVENTS)
         assert first.get("disk_compute:indexed", 0) == 1
 
         runner.clear_cache()            # memory tier only; disk persists
-        indexed.compare_workload("nreverse")
+        run_pair()
         second = dict(runner.CACHE_EVENTS)
         assert second.get("disk_compute", 0) == 0
         assert second.get("disk_hit:indexed", 0) == 1
