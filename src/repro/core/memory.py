@@ -122,11 +122,10 @@ class TraceRecorder:
 
     Each entry is ``address << 2 | command_code`` in a C ``int64``
     array; :meth:`entries` decodes back to ``(CacheCmd, address)``.
-    This is the COLLECT → PMMS hand-off format.  Replay consumers
-    should prefer :meth:`decoded` (one bulk decode) or the raw
-    :attr:`data` array (packed ints, no decode at all — see
-    :meth:`repro.memsys.cache.Cache.access_many_packed`) over the
-    per-entry generator.
+    This is the COLLECT → PMMS hand-off format.  Replay consumes the
+    raw :attr:`data` array (packed ints, no decode at all — see
+    :meth:`repro.memsys.cache.Cache.access_many_packed`); the decoding
+    views serve the per-access reference and inspection.
 
     The packed array serialises losslessly via :meth:`tobytes` /
     :meth:`frombytes`.  Run summaries carry the array itself across
@@ -152,11 +151,10 @@ class TraceRecorder:
             yield by_code[packed & 3], packed >> 2
 
     def decoded(self) -> list:
-        """Decode the whole trace once into ``(CacheCmd, address)`` pairs.
+        """The whole trace as a list of ``(CacheCmd, address)`` pairs.
 
-        Replaying one trace through many cache configurations pays the
-        unpacking cost once here instead of once per configuration (see
-        :func:`repro.tools.pmms.simulate_many`).
+        For inspection and tests; replay consumes the packed
+        :attr:`data` directly (:func:`repro.tools.pmms.simulate_many`).
         """
         by_code = CMD_BY_CODE
         return [(by_code[packed & 3], packed >> 2) for packed in self.data]

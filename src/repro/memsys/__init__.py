@@ -1,8 +1,7 @@
 """Memory-system simulation: the PMMS cache simulator and timing model."""
 
 from repro.memsys.cache import (AreaCounts, Cache, CacheConfig, CacheResult,
-                                CacheStats, WritePolicy, count_entries,
-                                count_entries_packed)
+                                CacheStats, WritePolicy, count_entries_packed)
 from repro.memsys.timing import (
     CYCLE_NS,
     MISS_NS,
@@ -18,7 +17,7 @@ PSI_CACHE = CacheConfig()
 
 __all__ = [
     "Cache", "CacheConfig", "CacheResult", "CacheStats", "AreaCounts",
-    "WritePolicy", "count_entries", "count_entries_packed",
+    "WritePolicy", "count_entries_packed",
     "PSI_CACHE",
     "TimingBreakdown", "execution_time", "time_without_cache",
     "improvement_ratio", "CYCLE_NS", "MISS_NS", "TRANSFER_NS",

@@ -138,23 +138,6 @@ class CacheResult:
     stats: CacheStats
 
 
-def count_entries(entries) -> tuple[dict, dict]:
-    """Per-area and per-command access totals of a decoded trace.
-
-    One pass, shared by every configuration replaying the same trace:
-    :meth:`Cache.access_many` turns these totals plus its miss counts
-    into full hit/miss statistics without touching a counter on the
-    (overwhelmingly more frequent) hit path.
-    """
-    area_counts = dict.fromkeys(range(len(Area)), 0)
-    cmd_counts = dict.fromkeys(CacheCmd, 0)
-    shift = AREA_SHIFT
-    for cmd, address in entries:
-        cmd_counts[cmd] += 1
-        area_counts[address >> shift] += 1
-    return area_counts, cmd_counts
-
-
 def count_entries_packed(data) -> tuple[list, list]:
     """Per-area and per-command access totals of a *packed* trace.
 
@@ -185,9 +168,10 @@ class Cache:
     Each set is an insertion-ordered dict ``{block_number: dirty}``
     whose key order *is* the LRU order (first = least recent): a hit
     pops and re-inserts its block, eviction pops the first key.  Dict
-    sets keep both the per-access listener path (:meth:`access`) and
-    the batched replay path (:meth:`access_many`) free of Python-level
-    scan loops.
+    sets keep both the per-access reference path (:meth:`access`) and
+    the batched packed-trace kernel (:meth:`access_many_packed`) free
+    of Python-level scan loops, and the two can be mixed freely on one
+    cache: the kernel keeps no state between calls.
     """
 
     def __init__(self, config: CacheConfig | None = None):
@@ -246,106 +230,24 @@ class Cache:
         ways[block] = is_write and self._store_in
         return False
 
-    def access_many(self, entries, totals=None) -> None:
-        """Replay a whole ``(command, address)`` sequence in one call.
-
-        Semantically identical to calling :meth:`access` per entry, but
-        every per-access attribute lookup is hoisted out of the loop and
-        — the decisive part — the hot loop counts only *misses*: hits
-        fall out as ``totals - misses`` at the end.  ``totals`` is the
-        ``(area_counts, cmd_counts)`` pair from :func:`count_entries`;
-        pass it in when replaying one trace through many configurations
-        (:func:`repro.tools.pmms.simulate_many`) so it is computed once.
-        """
-        cfg = self.config
-        sets = self._sets
-        n_sets = cfg.sets
-        block_shift = self._block_shift
-        max_ways = cfg.ways
-        store_in = cfg.policy == WritePolicy.STORE_IN
-        ws_no_fetch = cfg.write_stack_no_fetch
-        read_cmd = CacheCmd.READ
-        ws_cmd = CacheCmd.WRITE_STACK
-        area_shift = AREA_SHIFT
-
-        if totals is None:
-            entries = list(entries)
-            totals = count_entries(entries)
-        area_totals, cmd_totals = totals
-
-        stats = self.stats
-        absent = _ABSENT
-        next_ = next
-        iter_ = iter
-        area_misses = dict.fromkeys(range(len(Area)), 0)
-        cmd_misses = dict.fromkeys(CacheCmd, 0)
-        block_fetches = 0
-        writebacks = 0
-
-        if store_in:
-            for cmd, address in entries:
-                block = address >> block_shift
-                ways = sets[block % n_sets]
-                dirty = ways.pop(block, absent)
-                if dirty is not absent:
-                    # Hit: re-insert at the MRU end; a write dirties.
-                    ways[block] = True if cmd is not read_cmd else dirty
-                    continue
-                area_misses[address >> area_shift] += 1
-                cmd_misses[cmd] += 1
-                if not (ws_no_fetch and cmd is ws_cmd):
-                    block_fetches += 1
-                if len(ways) >= max_ways:
-                    if ways.pop(next_(iter_(ways))):
-                        writebacks += 1
-                # Write-allocate: a write miss installs a dirty block.
-                ways[block] = cmd is not read_cmd
-            through_writes = 0
-        else:
-            # Store-through: every write (hit or miss) goes to memory,
-            # write misses do not allocate, and blocks are never dirty.
-            for cmd, address in entries:
-                block = address >> block_shift
-                ways = sets[block % n_sets]
-                if ways.pop(block, absent) is not absent:
-                    ways[block] = False
-                    continue
-                area_misses[address >> area_shift] += 1
-                cmd_misses[cmd] += 1
-                if cmd is not read_cmd:
-                    continue
-                block_fetches += 1
-                if len(ways) >= max_ways:
-                    ways.pop(next_(iter_(ways)))
-                ways[block] = False
-            through_writes = sum(n for cmd, n in cmd_totals.items()
-                                 if cmd is not read_cmd)
-
-        per_area = stats.per_area
-        for area in Area:
-            counts = per_area[area]
-            misses = area_misses[area]
-            counts.hits += area_totals[area] - misses
-            counts.misses += misses
-        per_cmd_hits = stats.per_cmd_hits
-        per_cmd_misses = stats.per_cmd_misses
-        for cmd in CacheCmd:
-            misses = cmd_misses[cmd]
-            per_cmd_hits[cmd] += cmd_totals[cmd] - misses
-            per_cmd_misses[cmd] += misses
-        stats.block_fetches += block_fetches
-        stats.writebacks += writebacks
-        stats.through_writes += through_writes
-
     def access_many_packed(self, data, totals=None) -> None:
         """Replay a packed int trace (``address << 2 | code``) in one call.
 
-        Semantically identical to :meth:`access_many` over the decoded
-        entries, but the command objects are never rebuilt: commands are
-        compared as the 2-bit codes the trace already carries
-        (``CMD_BY_CODE`` order — READ=0, WRITE=1, WRITE_STACK=2).
-        ``totals`` is the pair from :func:`count_entries_packed`; pass
-        it when replaying one trace through many configurations.
+        Semantically identical to calling :meth:`access` per entry —
+        statistics and the final per-set LRU order both — but commands
+        stay the 2-bit codes the trace already carries (``CMD_BY_CODE``
+        order: READ=0, WRITE=1, WRITE_STACK=2) and the loop counts only
+        *misses*: hits fall out as ``totals - misses`` at the end.
+        ``totals`` is the ``(area_counts, cmd_counts)`` pair of
+        :func:`count_entries_packed`, or the run collector's own equal
+        totals; pass it to skip the counting pass.
+
+        Most accesses touch their set's most recently used block, which
+        is always a hit that leaves the LRU order as it is.  The loop
+        keeps each set's MRU tag in a local list, rebuilt at entry from
+        the sets' last keys, and answers such an access with one
+        comparison (plus, under store-in, setting a write's dirty bit
+        in place); every other access pops, re-inserts and evicts.
         """
         sets = self._sets
         n_sets = self._n_sets
@@ -363,6 +265,8 @@ class Cache:
         absent = _ABSENT
         next_ = next
         iter_ = iter
+        # mru[s] is the last key of sets[s] (-1 while the set is empty).
+        mru = [next_(reversed(ways), -1) for ways in sets]
         area_misses = [0] * len(AREAS)
         cmd_misses = [0] * len(CMD_BY_CODE)
         block_fetches = 0
@@ -371,7 +275,14 @@ class Cache:
         if store_in:
             for packed in data:
                 block = packed >> block_shift
-                ways = sets[block % n_sets]
+                index = block % n_sets
+                if mru[index] == block:
+                    if packed & 3:
+                        # Assigning an existing key keeps dict order.
+                        sets[index][block] = True
+                    continue
+                ways = sets[index]
+                mru[index] = block
                 dirty = ways.pop(block, absent)
                 code = packed & 3
                 if dirty is not absent:
@@ -393,9 +304,13 @@ class Cache:
             # write misses do not allocate, and blocks are never dirty.
             for packed in data:
                 block = packed >> block_shift
-                ways = sets[block % n_sets]
+                index = block % n_sets
+                if mru[index] == block:
+                    continue
+                ways = sets[index]
                 if ways.pop(block, absent) is not absent:
                     ways[block] = False
+                    mru[index] = block
                     continue
                 area_misses[packed >> area_shift] += 1
                 code = packed & 3
@@ -406,6 +321,7 @@ class Cache:
                 if len(ways) >= max_ways:
                     ways.pop(next_(iter_(ways)))
                 ways[block] = False
+                mru[index] = block
             through_writes = cmd_totals[1] + cmd_totals[2]
 
         per_area = stats.per_area
@@ -423,12 +339,6 @@ class Cache:
         stats.block_fetches += block_fetches
         stats.writebacks += writebacks
         stats.through_writes += through_writes
-
-    def _fill(self, ways: dict, block: int, dirty: bool) -> None:
-        if len(ways) >= self.config.ways:
-            if ways.pop(next(iter(ways))):      # evict the LRU block
-                self.stats.writebacks += 1
-        ways[block] = dirty
 
     # -- maintenance -----------------------------------------------------------------
 

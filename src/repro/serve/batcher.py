@@ -1,8 +1,9 @@
 """Coalescing of compatible cache-replay requests.
 
 Replay is the service's cheapest op per unit of asked-for work — one
-``simulate_many`` pass decodes a workload's packed trace once and runs
-any number of cache configurations over it (PR 1).  The batcher turns
+``simulate_many`` call runs any number of cache configurations over a
+workload's packed trace, one kernel pass each, with the run's own
+access totals.  The batcher turns
 that property into a serving win: replay requests that name the **same
 workload and run spec** (the compatibility criterion — one workload
 under one spec yields one trace) and arrive within one *batch window*

@@ -92,18 +92,21 @@ def worker_replay(name: str, spec_name: str, configs: list[dict]) -> dict:
 
     The trace comes from the ``spec_name`` run (any PSI spec — the
     server rejects baseline specs, which record no trace).  One
-    ``simulate_many`` pass serves the whole batch — the trace is
-    decoded once no matter how many client requests were coalesced into
-    ``configs``.  Statistics are bit-identical to a per-config
-    ``simulate`` (the PR-1 equivalence contract, re-asserted end-to-end
-    by ``tests/serve/test_server_e2e.py``).
+    ``simulate_many`` call serves the whole batch — one kernel pass per
+    configuration, no matter how many client requests were coalesced
+    into ``configs`` — and the run's own access totals stand in for a
+    counting pass over the trace.  Statistics are bit-identical to a
+    per-config ``simulate`` (re-asserted end-to-end by
+    ``tests/serve/test_server_e2e.py``).
     """
     from repro.eval.runner import run_spec
+    from repro.tools.collect import _totals_from_stats
     from repro.tools.pmms import simulate_many
 
     run = run_spec(name, spec_name, record_trace=True)
     stats = simulate_many(run.trace, [cache_config_from_json(c)
-                                      for c in configs])
+                                      for c in configs],
+                          totals=_totals_from_stats(run.stats))
     return {
         "workload": name,
         "spec": spec_name,

@@ -40,6 +40,17 @@ HEADER = struct.Struct(">I")
 #: a corrupt or hostile frame, not a real message.
 MAX_MESSAGE_BYTES = 16 << 20
 
+#: Largest cache a replay request may simulate, in sets.  Every set is
+#: a dict allocated up front (~72 bytes even when empty), so an
+#: unbounded geometry could exhaust a worker's memory; 2**17 sets is
+#: 1 Mi words at the default 2-way, 4-word-block geometry — 128x the
+#: paper's cache.
+MAX_REPLAY_SETS = 1 << 17
+
+#: Most cache configurations one replay request may name (Figure 1's
+#: whole capacity sweep is 11).
+MAX_REPLAY_CONFIGS = 64
+
 
 class ProtocolError(Exception):
     """A frame that cannot be part of a valid conversation."""
@@ -127,8 +138,9 @@ def cache_config_from_json(data: dict):
     """Build a validated :class:`~repro.memsys.CacheConfig` from JSON.
 
     Unknown fields are rejected (a typo like ``"capcity_words"`` must
-    not silently simulate the default geometry) and the dataclass's own
-    ``__post_init__`` validation applies, so a geometry error comes
+    not silently simulate the default geometry), the dataclass's own
+    ``__post_init__`` validation applies, and a geometry of more than
+    :data:`MAX_REPLAY_SETS` sets is refused, so each of these comes
     back to the client as an ``ok: false`` response.
     """
     from repro.memsys import CacheConfig
@@ -138,7 +150,11 @@ def cache_config_from_json(data: dict):
         raise ProtocolError(f"unknown cache config field(s): "
                             f"{', '.join(unknown)} "
                             f"(valid: {', '.join(_CONFIG_FIELDS)})")
-    return CacheConfig(**data)
+    config = CacheConfig(**data)
+    if config.sets > MAX_REPLAY_SETS:
+        raise ProtocolError(f"cache config of {config.sets} sets exceeds "
+                            f"the {MAX_REPLAY_SETS}-set replay limit")
+    return config
 
 
 def canonical_config_key(data: dict) -> tuple:

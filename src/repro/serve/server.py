@@ -28,6 +28,7 @@ from repro.obs.metrics import LATENCY_MS_BUCKETS, MetricsRegistry
 from repro.serve import pool as pool_mod
 from repro.serve.batcher import ReplayBatcher
 from repro.serve.protocol import (
+    MAX_REPLAY_CONFIGS,
     ProtocolError,
     canonical_config_key,
     read_message,
@@ -255,6 +256,9 @@ class EvalServer:
             raise ProtocolError("'configs' must be a non-empty list of "
                                 "cache-config objects (use [{}] for the "
                                 "production configuration)")
+        if len(configs) > MAX_REPLAY_CONFIGS:
+            raise ProtocolError(f"{len(configs)} replay configs exceed the "
+                                f"{MAX_REPLAY_CONFIGS}-config limit")
         for config in configs:
             if not isinstance(config, dict):
                 raise ProtocolError("each replay config must be an object")

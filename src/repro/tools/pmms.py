@@ -5,19 +5,14 @@ COLLECT against various cache specifications to produce hit ratios and
 the capacity/organisation studies of §4.2.  This module does exactly
 that over a :class:`~repro.core.memory.TraceRecorder`:
 
-* :func:`simulate` — one configuration over one trace,
-* :func:`simulate_many` — many configurations over one trace, decoding
-  the packed trace exactly once (the fast path all studies use),
+* :func:`simulate` — one configuration over one trace, one
+  :meth:`~repro.memsys.Cache.access` per entry (the reference),
+* :func:`simulate_many` — many configurations over one trace, each one
+  pass of the packed kernel :meth:`~repro.memsys.Cache.access_many_packed`
+  (the path every study uses),
 * :func:`capacity_sweep` — Figure 1's 8-word → 8K-word sweep,
 * :func:`compare_associativity` — the 1-set vs 2-set 4KW study,
 * :func:`compare_write_policy` — the store-in vs store-through study.
-
-Every multi-configuration study accepts either a
-:class:`~repro.core.memory.TraceRecorder` or an already-decoded list of
-``(CacheCmd, address)`` pairs (see ``TraceRecorder.decoded``), so a
-caller replaying one trace through several studies — e.g. the §4.2
-ablations, which run both comparisons on WINDOW — can pay the decode
-cost once.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from repro.memsys import (
     CacheConfig,
     CacheStats,
     WritePolicy,
-    count_entries,
     count_entries_packed,
     execution_time,
     improvement_ratio,
@@ -39,13 +33,6 @@ from repro.memsys import (
 
 #: Figure 1's x axis: cache capacity from 8 words to 8K words.
 FIGURE1_CAPACITIES = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
-
-
-def _decoded(trace) -> list:
-    """Accept a TraceRecorder or an already-decoded entry list."""
-    if isinstance(trace, TraceRecorder):
-        return trace.decoded()
-    return trace
 
 
 def simulate(trace: TraceRecorder, config: CacheConfig | None = None) -> CacheStats:
@@ -57,20 +44,23 @@ def simulate(trace: TraceRecorder, config: CacheConfig | None = None) -> CacheSt
     """
     cache = Cache(config or CacheConfig())
     access = cache.access
-    for cmd, address in _decoded(trace):
+    for cmd, address in trace.entries():
         access(cmd, address)
     return cache.stats
 
 
-def simulate_many(trace, configs) -> list[CacheStats]:
-    """Replay one trace through many configurations in a single pass.
+def simulate_many(trace: TraceRecorder, configs,
+                  totals=None) -> list[CacheStats]:
+    """Replay one trace through many configurations.
 
-    The packed trace is decoded once and each configuration's cache
-    consumes the decoded list through the batched
-    :meth:`~repro.memsys.Cache.access_many` — for Figure 1's 11
-    capacities this removes 10 redundant decode passes and all
-    per-access attribute traffic.  Statistics are bit-identical to
-    running :func:`simulate` once per configuration.
+    Each configuration's cache takes one pass of the packed kernel
+    (:meth:`~repro.memsys.Cache.access_many_packed`) over the raw
+    trace, which is never decoded.  ``totals`` are the trace's
+    per-area / per-command access totals; a caller holding the run's
+    collector passes its own (:func:`repro.tools.collect._totals_from_stats`)
+    and the counting pass is skipped, otherwise it runs once for all
+    configurations.  Statistics are bit-identical to running
+    :func:`simulate` once per configuration.
 
     In the evaluation pipeline the trace usually arrives from the
     persistent run cache (``RunSummary.trace_bytes`` rebuilt by
@@ -79,22 +69,13 @@ def simulate_many(trace, configs) -> list[CacheStats]:
     which is what makes caching the trace instead of the replay results
     safe.
     """
-    stats = []
-    if isinstance(trace, TraceRecorder):
-        # Packed fast path: the 2-bit command codes in the trace drive
-        # the replay directly — CacheCmd objects are never rebuilt.
-        data = trace.data
+    data = trace.data
+    if totals is None:
         totals = count_entries_packed(data)
-        for config in configs:
-            cache = Cache(config)
-            cache.access_many_packed(data, totals)
-            stats.append(cache.stats)
-        return stats
-    entries = _decoded(trace)
-    totals = count_entries(entries)
+    stats = []
     for config in configs:
         cache = Cache(config)
-        cache.access_many(entries, totals)
+        cache.access_many_packed(data, totals)
         stats.append(cache.stats)
     return stats
 
@@ -132,7 +113,7 @@ def capacity_sweep(trace, steps: int,
     point, 8 words, is two 4-word blocks in one set — as in the paper,
     which swept down to 8 words).
 
-    All capacities replay in one decode pass via :func:`simulate_many`.
+    All capacities replay through one :func:`simulate_many` call.
     """
     base = base or CacheConfig()
     configs = []

@@ -1,8 +1,9 @@
 """Replay equivalence: the batched single-pass path vs the reference.
 
-``simulate_many`` (decode once, ``Cache.access_many``, miss-only
-counting) must produce **bit-identical** ``CacheStats`` to N independent
-``simulate`` calls — over real workload traces, for all of Figure 1's
+``simulate_many`` (one ``Cache.access_many_packed`` pass per config over
+the raw packed trace, miss-only counting, per-set MRU fast path) must
+produce **bit-identical** ``CacheStats`` to N independent ``simulate``
+calls — over real workload traces, for all of Figure 1's
 capacities and both §4.2 ablation pairs.  Any divergence would silently
 corrupt the paper's reported numbers, so the comparison is exhaustive:
 every per-area counter, every per-command counter, every event count.
@@ -12,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.memory import AREA_SHIFT, Area
 from repro.eval import runner
 from repro.memsys import CacheConfig, WritePolicy
 from repro.tools.pmms import (
@@ -88,12 +90,6 @@ class TestSimulateManyEquivalence:
                 simulate(trace, config), stats,
                 f"{config.capacity_words}w/{config.ways}way/{config.policy}")
 
-    def test_decoded_entries_accepted(self, trace):
-        """Studies accept a pre-decoded entry list in place of the trace."""
-        (from_trace,) = simulate_many(trace, [CacheConfig()])
-        (from_entries,) = simulate_many(trace.decoded(), [CacheConfig()])
-        assert_stats_identical(from_trace, from_entries, "decoded input")
-
     def test_capacity_sweep_matches_reference_points(self, trace):
         """The sweep built on simulate_many reproduces per-point numbers."""
         capacities = (8, 256, 8192)
@@ -108,21 +104,9 @@ class TestSimulateManyEquivalence:
 
 
 class TestAccessManyIncremental:
-    def test_totals_offload_matches_self_counting(self, trace):
-        """access_many with precomputed totals == access_many without."""
-        from repro.memsys import Cache, count_entries
-
-        entries = trace.decoded()
-        with_totals = Cache(CacheConfig())
-        with_totals.access_many(entries, count_entries(entries))
-        self_counting = Cache(CacheConfig())
-        self_counting.access_many(entries)
-        assert_stats_identical(self_counting.stats, with_totals.stats,
-                               "totals offload")
-
     def test_packed_self_counting_matches_reference(self, trace):
         """access_many_packed without totals == the per-access reference."""
-        from repro.memsys import Cache, count_entries_packed
+        from repro.memsys import Cache
 
         for config in ablation_configs():
             packed = Cache(config)
@@ -131,10 +115,14 @@ class TestAccessManyIncremental:
                                    f"packed self-counting {config.policy}")
 
     def test_count_entries_packed_matches_decoded(self, trace):
-        from repro.memsys import count_entries, count_entries_packed
-
-        area_d, cmd_d = count_entries(trace.decoded())
-        area_p, cmd_p = count_entries_packed(trace.data)
-        assert list(area_p) == [area_d[i] for i in sorted(area_d)]
         from repro.core.micro import CMD_BY_CODE
+        from repro.memsys import count_entries_packed
+
+        area_d = [0] * len(Area)
+        cmd_d = dict.fromkeys(CMD_BY_CODE, 0)
+        for cmd, address in trace.decoded():
+            cmd_d[cmd] += 1
+            area_d[address >> AREA_SHIFT] += 1
+        area_p, cmd_p = count_entries_packed(trace.data)
+        assert list(area_p) == area_d
         assert list(cmd_p) == [cmd_d[cmd] for cmd in CMD_BY_CODE]

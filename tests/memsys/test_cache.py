@@ -1,12 +1,14 @@
 """Unit and property tests for the PMMS cache model."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.memory import Area, encode_address
-from repro.core.micro import CacheCmd
-from repro.memsys import Cache, CacheConfig, WritePolicy
+from repro.core.memory import AREAS, Area, encode_address
+from repro.core.micro import CMD_BY_CODE, CacheCmd
+from repro.memsys import Cache, CacheConfig, WritePolicy, count_entries_packed
 
 R = CacheCmd.READ
 W = CacheCmd.WRITE
@@ -178,3 +180,68 @@ class TestInvariants:
         assert cache.stats.accesses == 0
         assert cache.resident_blocks == 0
         assert cache.access(R, addr(0)) is False
+
+
+#: One access drawn from a small pool (two areas, 48 words each), so
+#: blocks recur: MRU hits, hits on an older way, dirty evictions and a
+#: read after a store-through write miss of the same block all occur.
+pooled_access = st.tuples(st.sampled_from([R, W, WS]),
+                          st.sampled_from([Area.HEAP, Area.LOCAL]),
+                          st.integers(min_value=0, max_value=47))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A geometry, a trace, and the cuts of a segmented replay with one
+    per-access call between two segments."""
+    ways = draw(st.sampled_from([1, 2, 4, 8]))
+    block_words = draw(st.sampled_from([1, 4, 8]))
+    config = CacheConfig(
+        capacity_words=ways * block_words * draw(st.integers(1, 16)),
+        ways=ways, block_words=block_words,
+        policy=draw(st.sampled_from([WritePolicy.STORE_IN,
+                                     WritePolicy.STORE_THROUGH])),
+        write_stack_no_fetch=draw(st.booleans()))
+    trace = draw(st.lists(pooled_access, max_size=300))
+    cuts = sorted(draw(st.lists(st.integers(0, len(trace)), max_size=4)))
+    between = draw(st.lists(pooled_access, min_size=len(cuts),
+                            max_size=len(cuts)))
+    return config, trace, cuts, between
+
+
+def stats_fields(stats):
+    return ({area: (c.hits, c.misses) for area, c in stats.per_area.items()},
+            dict(stats.per_cmd_hits), dict(stats.per_cmd_misses),
+            stats.block_fetches, stats.writebacks, stats.through_writes)
+
+
+class TestPackedKernel:
+    @given(kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_segmented_packed_replay_matches_per_access(self, case):
+        """``access_many_packed`` replayed segment by segment the way
+        ``CacheWindowSampler.replay`` does it (zero totals, the real
+        totals last), with an ``access`` call between two segments,
+        equals a pure per-access replay: every statistic and the final
+        LRU order of every set."""
+        config, trace, cuts, between = case
+        data = array("q", [addr(offset, area) << 2 | cmd.code
+                           for cmd, area, offset in trace])
+        zero = ([0] * len(AREAS), [0] * len(CMD_BY_CODE))
+        kernel, reference = Cache(config), Cache(config)
+        start = 0
+        for cut, (cmd, area, offset) in zip(cuts, between):
+            kernel.access_many_packed(data[start:cut], totals=zero)
+            kernel.access(cmd, addr(offset, area))
+            for ref_cmd, ref_area, ref_offset in trace[start:cut]:
+                reference.access(ref_cmd, addr(ref_offset, ref_area))
+            reference.access(cmd, addr(offset, area))
+            start = cut
+        kernel.access_many_packed(data[start:],
+                                  totals=count_entries_packed(data))
+        for cmd, area, offset in trace[start:]:
+            reference.access(cmd, addr(offset, area))
+
+        assert stats_fields(kernel.stats) == stats_fields(reference.stats)
+        assert ([list(ways.items()) for ways in kernel._sets]
+                == [list(ways.items()) for ways in reference._sets])

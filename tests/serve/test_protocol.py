@@ -8,6 +8,7 @@ from repro.memsys import CacheConfig, WritePolicy
 from repro.serve.protocol import (
     HEADER,
     MAX_MESSAGE_BYTES,
+    MAX_REPLAY_SETS,
     ProtocolError,
     cache_config_from_json,
     cache_config_to_json,
@@ -84,6 +85,18 @@ def test_cache_config_unknown_field_rejected():
 def test_cache_config_geometry_validation_applies():
     with pytest.raises(ValueError):
         cache_config_from_json({"capacity_words": 7})
+
+
+def test_cache_config_set_limit():
+    # The largest allowed geometry builds; one set more is refused
+    # before any set storage is allocated.
+    largest = {"capacity_words": MAX_REPLAY_SETS * 2 * 4}
+    assert cache_config_from_json(largest).sets == MAX_REPLAY_SETS
+    with pytest.raises(ProtocolError, match="replay limit"):
+        cache_config_from_json({"capacity_words": 2 ** 31})
+    with pytest.raises(ProtocolError, match="replay limit"):
+        canonical_config_key({"capacity_words": (MAX_REPLAY_SETS + 1) * 4,
+                              "ways": 1})
 
 
 def test_canonical_key_fills_defaults():

@@ -18,7 +18,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.protocol import cache_config_from_json, cache_stats_to_json
+from repro.serve.protocol import (
+    MAX_REPLAY_CONFIGS,
+    cache_config_from_json,
+    cache_stats_to_json,
+)
 
 #: Cheap workloads, so the module stays tier-1 affordable.
 WORKLOADS = ("nreverse", "qsort", "queens-one")
@@ -212,6 +216,24 @@ def test_application_errors_leave_connection_usable(server):
             client.request("frobnicate")
         # The connection survives ok:false responses.
         assert client.ping() == {"pong": True}
+
+
+def test_oversized_replays_are_refused_before_the_pool(server):
+    """A replay naming a huge geometry or too many configs is a typed
+    ``ok: false`` error that never reaches a worker, and the server
+    keeps serving."""
+    host, port = server
+    with ServeClient(host, port) as client:
+        submitted = client.health()["pool"]["submitted"]
+        with pytest.raises(ServeError,
+                           match=r"ProtocolError: .*-set replay limit"):
+            client.replay("nreverse", [{"capacity_words": 2 ** 31}])
+        with pytest.raises(ServeError,
+                           match=r"ProtocolError: .*-config limit"):
+            client.replay("nreverse", [{}] * (MAX_REPLAY_CONFIGS + 1))
+        health = client.health()
+    assert health["status"] == "ok"
+    assert health["pool"]["submitted"] == submitted
 
 
 def test_health_and_metrics_endpoints(server):
