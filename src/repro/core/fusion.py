@@ -8,15 +8,15 @@ runs as a single Python-level operation: the per-(routine, module) pair
 deltas and the per-(command, area) memory deltas of the whole run are
 precomputed at import time, so the machine bills the entire sequence
 with one :meth:`~repro.core.stats.StatsCollector.emit_fused` call (a
-handful of list-index increments) and hands the memory *notifications*
-to the listeners itself, in the exact reference order.
+handful of list-index increments) and appends the run's packed trace
+entries itself, in the exact reference order.
 
 Equivalence contract (guarded by ``tests/core/test_fusion.py`` and the
 golden digests in ``tests/core/test_stream_equivalence.py``): applying
 a superinstruction to a collector leaves it in exactly the state the
 unfused emission run would have — same ``routine_counts``, same
 ``mem_counts``, same total steps — and the machine's fused call sites
-reproduce the listener (trace) byte stream bit-for-bit.
+reproduce the trace byte stream bit-for-bit.
 
 The selected sequences live in :mod:`repro.core.fused_table`, an
 ahead-of-time generated module produced by

@@ -15,17 +15,18 @@ which
   collector (this is what makes "about one in every five
   microinstruction steps is a request for memory access" a measurable
   outcome rather than an assumption), and
-* forwards ``(command, address)`` to any attached listeners — the
-  online cache model and/or a trace recorder for the PMMS simulator.
+* when a run records its access stream (the COLLECT → PMMS hand-off),
+  appends the packed ``address << 2 | command_code`` entry to the
+  :class:`TraceRecorder` set by :meth:`MemorySystem.record`.
 
-Hot-path notes: the accounted accessors are fully inlined (no
-``_touch`` indirection).  The listener fan-out is precomputed into
-:attr:`MemorySystem._notify` — ``None`` for no listeners, the single
-listener's bound ``access`` method for one, a loop closure for more —
-and rebuilt only on :meth:`attach`/:meth:`detach`.  Statically-known
+The trace is the memory system's only sink: the cache simulator
+replays it after the run, and nothing observes accesses while the
+machine runs.  Hot-path notes: the accounted accessors are fully
+inlined (no ``_touch`` indirection) and test one bound
+``array.append`` (``None`` when nothing records).  Statically-known
 access sequences (control-frame pushes, frame flushes, resume reads)
 go through the block accessors, which bill once via
-``stats.mem_access_n`` and notify per word in the exact reference
+``stats.mem_access_n`` and append per word in the exact reference
 order, keeping the trace byte stream bit-identical.
 """
 
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 from array import array
 from enum import IntEnum
-from typing import Protocol
 
 from repro.core.micro import CMD_BY_CODE, CacheCmd
 from repro.errors import MachineError
@@ -104,21 +104,8 @@ def decode_address(address: int) -> tuple[Area, int]:
     return AREAS[address >> AREA_SHIFT], address & OFFSET_MASK
 
 
-class MemoryListener(Protocol):
-    """Receives every memory access as (command, flat address)."""
-
-    def access(self, cmd: CacheCmd, address: int) -> None: ...
-
-
-#: Encoding of cache commands into 2 bits for compact trace recording.
-#: Identical to ``CacheCmd.code`` / ``CMD_BY_CODE`` (guarded by a test);
-#: kept as dicts for existing consumers.
-CMD_CODE = {cmd: cmd.code for cmd in CacheCmd}
-CODE_CMD = {cmd.code: cmd for cmd in CacheCmd}
-
-
 class TraceRecorder:
-    """Memory listener that records the access stream compactly.
+    """The recorded memory-access stream, packed.
 
     Each entry is ``address << 2 | command_code`` in a C ``int64``
     array; :meth:`entries` decodes back to ``(CacheCmd, address)``.
@@ -213,33 +200,30 @@ class MemorySystem:
     Words are stored as ``(tag, data)`` tuples.  Stack areas support
     push (``write_stack``), truncation on backtracking, and top
     queries.  ``stats`` is the machine's stats collector (may be a
-    no-op stub in unit tests); listeners receive raw accesses.
+    no-op stub in unit tests); a :class:`TraceRecorder` set by
+    :meth:`record` receives the packed access stream.
 
     Area arguments are accepted as :class:`Area` members or raw ints
     (``Area`` is an ``IntEnum``); the machine's inner loops pass ints.
     """
 
     __slots__ = ("_stats", "_mem_access", "_mem_access_n", "word_limit",
-                 "areas", "_words", "listeners", "_notify", "_packed_append",
-                 "observer")
+                 "areas", "_words", "_packed_append", "observer")
 
     def __init__(self, stats, word_limit: int = 1 << 22):
         self._stats = stats
         self._mem_access = stats.mem_access
-        self._mem_access_n = getattr(stats, "mem_access_n", None) \
-            or _fallback_access_n(stats.mem_access)
+        self._mem_access_n = stats.mem_access_n
         self.word_limit = word_limit
         self.areas: dict[Area, list] = {area: [] for area in Area}
         #: The same per-area lists as :attr:`areas`, indexed by int
         #: area value.  All mutations are in-place, so both views stay
         #: consistent by construction.
         self._words: list[list] = [self.areas[area] for area in AREAS]
-        self.listeners: list[MemoryListener] = []
-        self._notify = None
-        #: When the sole listener is a :class:`TraceRecorder`, its
-        #: ``data.append`` bound method — the machine's fused paths then
-        #: append pre-packed ``address << 2 | code`` ints directly, with
-        #: no per-access Python frame.  ``None`` otherwise.
+        #: The recording trace's ``data.append`` bound method, or
+        #: ``None`` when nothing records.  Accessors and the machine's
+        #: fused paths append pre-packed ``address << 2 | code`` ints
+        #: directly, with no per-access Python frame.
         self._packed_append = None
         #: Optional observability hook (``on_settop(area, offset, old_top)``):
         #: receives stack truncations — the PSI's GC-free reclaim events —
@@ -258,44 +242,13 @@ class MemorySystem:
     def stats(self, stats) -> None:
         self._stats = stats
         self._mem_access = stats.mem_access
-        self._mem_access_n = getattr(stats, "mem_access_n", None) \
-            or _fallback_access_n(stats.mem_access)
+        self._mem_access_n = stats.mem_access_n
 
-    # -- listener management -------------------------------------------------
+    # -- trace recording -------------------------------------------------------
 
-    def attach(self, listener: MemoryListener) -> None:
-        self.listeners.append(listener)
-        self._rebuild_notify()
-
-    def detach(self, listener: MemoryListener) -> None:
-        self.listeners.remove(listener)
-        self._rebuild_notify()
-
-    def _rebuild_notify(self) -> None:
-        listeners = self.listeners
-        self._packed_append = None
-        if not listeners:
-            self._notify = None
-        elif len(listeners) == 1:
-            self._notify = listeners[0].access
-            if type(listeners[0]) is TraceRecorder:
-                self._packed_append = listeners[0].data.append
-        elif len(listeners) == 2:
-            first, second = (listener.access for listener in listeners)
-
-            def pair(cmd, address, _first=first, _second=second):
-                _first(cmd, address)
-                _second(cmd, address)
-
-            self._notify = pair
-        else:
-            accessors = tuple(listener.access for listener in listeners)
-
-            def fanout(cmd, address, _accessors=accessors):
-                for access in _accessors:
-                    access(cmd, address)
-
-            self._notify = fanout
+    def record(self, trace: TraceRecorder | None) -> None:
+        """Append every later access to ``trace``; ``None`` stops recording."""
+        self._packed_append = None if trace is None else trace.data.append
 
     # -- raw accessors (no accounting; loader/debug use) ----------------------
 
@@ -341,10 +294,6 @@ class MemorySystem:
         pa = self._packed_append
         if pa is not None:
             pa(((area << AREA_SHIFT) | offset) << 2)
-        else:
-            notify = self._notify
-            if notify is not None:
-                notify(_READ, (area << AREA_SHIFT) | offset)
         return self._words[area][offset]
 
     def write(self, area: Area, offset: int, word) -> None:
@@ -353,10 +302,6 @@ class MemorySystem:
         pa = self._packed_append
         if pa is not None:
             pa((((area << AREA_SHIFT) | offset) << 2) | 1)
-        else:
-            notify = self._notify
-            if notify is not None:
-                notify(_WRITE, (area << AREA_SHIFT) | offset)
         self._words[area][offset] = word
 
     def write_stack(self, area: Area, word) -> int:
@@ -371,10 +316,6 @@ class MemorySystem:
         pa = self._packed_append
         if pa is not None:
             pa((((area << AREA_SHIFT) | offset) << 2) | 2)
-        else:
-            notify = self._notify
-            if notify is not None:
-                notify(_WRITE_STACK, (area << AREA_SHIFT) | offset)
         words.append(word)
         return offset
 
@@ -384,19 +325,15 @@ class MemorySystem:
         pa = self._packed_append
         if pa is not None:
             pa((((area << AREA_SHIFT) | offset) << 2) | 2)
-        else:
-            notify = self._notify
-            if notify is not None:
-                notify(_WRITE_STACK, (area << AREA_SHIFT) | offset)
         self._words[area][offset] = word
 
     # -- accounted block accessors ---------------------------------------------
     #
     # Equivalent to the corresponding per-word calls repeated in order:
-    # billing uses the batched ``mem_access_n`` and listeners see every
-    # (command, address) pair in ascending-offset order, so both the
-    # stats counters and the trace byte stream match the unrolled loop
-    # exactly.
+    # billing uses the batched ``mem_access_n`` and the trace receives
+    # every (command, address) entry in ascending-offset order, so both
+    # the stats counters and the trace byte stream match the unrolled
+    # loop exactly.
 
     def read_block(self, area: Area, offset: int, count: int) -> list:
         """Read ``count`` consecutive words, billing ``count`` READs."""
@@ -406,12 +343,6 @@ class MemorySystem:
             packed = ((area << AREA_SHIFT) | offset) << 2
             for i in range(count):
                 pa(packed + 4 * i)
-        else:
-            notify = self._notify
-            if notify is not None:
-                base = (area << AREA_SHIFT) | offset
-                for i in range(count):
-                    notify(_READ, base + i)
         return self._words[area][offset:offset + count]
 
     def write_stack_block(self, area: Area, words) -> int:
@@ -431,12 +362,6 @@ class MemorySystem:
             packed = (((area << AREA_SHIFT) | offset) << 2) | 2
             for i in range(count):
                 pa(packed + 4 * i)
-        else:
-            notify = self._notify
-            if notify is not None:
-                base = (area << AREA_SHIFT) | offset
-                for i in range(count):
-                    notify(_WRITE_STACK, base + i)
         stack.extend(words)
         return offset
 
@@ -454,61 +379,22 @@ class MemorySystem:
             packed = (((area << AREA_SHIFT) | offset) << 2) | 2
             for i in range(count):
                 pa(packed + 4 * i)
-        else:
-            notify = self._notify
-            if notify is not None:
-                base = (area << AREA_SHIFT) | offset
-                for i in range(count):
-                    notify(_WRITE_STACK, base + i)
-
-    def rewrite_stack_block(self, area: Area, offset: int, words) -> None:
-        """Write-stack a word sequence into already-reserved slots."""
-        count = len(words)
-        self._mem_access_n(_WRITE_STACK, area, count)
-        pa = self._packed_append
-        if pa is not None:
-            packed = (((area << AREA_SHIFT) | offset) << 2) | 2
-            for i in range(count):
-                pa(packed + 4 * i)
-        else:
-            notify = self._notify
-            if notify is not None:
-                base = (area << AREA_SHIFT) | offset
-                for i in range(count):
-                    notify(_WRITE_STACK, base + i)
-        self._words[area][offset:offset + count] = words
 
     # -- fused-path accessors ---------------------------------------------------
     #
     # Used by the machine's superinstruction dispatch: the *billing* of
     # these accesses was already applied in one ``stats.emit_fused``
-    # call, so only the listener notification (and, for pushes, the
-    # actual word movement with its overflow check) remains.  The
-    # notification order is exactly that of the unfused accessors.
-
-    def touch_read(self, area: Area, offset: int) -> None:
-        """Notify one READ whose billing was fused."""
-        pa = self._packed_append
-        if pa is not None:
-            pa(((area << AREA_SHIFT) | offset) << 2)
-            return
-        notify = self._notify
-        if notify is not None:
-            notify(_READ, (area << AREA_SHIFT) | offset)
+    # call, so only the trace append (and, for pushes, the actual word
+    # movement with its overflow check) remains.  The append order is
+    # exactly that of the unfused accessors.
 
     def touch_read_run(self, area: Area, offset: int, count: int) -> None:
-        """Notify ``count`` consecutive READs whose billing was fused."""
+        """Record ``count`` consecutive READs whose billing was fused."""
         pa = self._packed_append
-        base = (area << AREA_SHIFT) | offset
         if pa is not None:
-            packed = base << 2
+            packed = ((area << AREA_SHIFT) | offset) << 2
             for i in range(count):
                 pa(packed + 4 * i)
-            return
-        notify = self._notify
-        if notify is not None:
-            for i in range(count):
-                notify(_READ, base + i)
 
     def push_fused(self, area: Area, word) -> int:
         """:meth:`write_stack` minus the billing (fused by the caller)."""
@@ -520,10 +406,6 @@ class MemorySystem:
         pa = self._packed_append
         if pa is not None:
             pa((((area << AREA_SHIFT) | offset) << 2) | 2)
-        else:
-            notify = self._notify
-            if notify is not None:
-                notify(_WRITE_STACK, (area << AREA_SHIFT) | offset)
         words.append(word)
         return offset
 
@@ -536,33 +418,9 @@ class MemorySystem:
             raise MachineError(
                 f"{AREAS[area].label} overflow ({offset + count} words)")
         pa = self._packed_append
-        base = (area << AREA_SHIFT) | offset
         if pa is not None:
-            packed = (base << 2) | 2
+            packed = (((area << AREA_SHIFT) | offset) << 2) | 2
             for i in range(count):
                 pa(packed + 4 * i)
-        else:
-            notify = self._notify
-            if notify is not None:
-                for i in range(count):
-                    notify(_WRITE_STACK, base + i)
         stack.extend(block)
         return offset
-
-    # -- address-based accessors (for dereferencing through REF words) ---------
-
-    def read_addr(self, address: int):
-        return self.read(address >> AREA_SHIFT, address & OFFSET_MASK)
-
-    def write_addr(self, address: int, word) -> None:
-        self.write(address >> AREA_SHIFT, address & OFFSET_MASK, word)
-
-
-def _fallback_access_n(mem_access):
-    """Batched billing for stats stubs that lack ``mem_access_n``."""
-
-    def access_n(cmd, area, times):
-        for _ in range(times):
-            mem_access(cmd, area)
-
-    return access_n

@@ -80,10 +80,6 @@ def set_disk_cache(enabled: bool) -> None:
     _DISK_CACHE_ENABLED = bool(enabled)
 
 
-def disk_cache_enabled() -> bool:
-    return _DISK_CACHE_ENABLED
-
-
 def _memo(spec: RunSpec) -> dict:
     return _MEMO.setdefault(spec.fingerprint, {})
 
@@ -176,11 +172,11 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
                 "record_trace on to avoid the double execution)",
                 name, spec.name)
         # Always record the trace on a real execution (unless the spec
-        # opts out): the recorder is the memory system's
-        # single-listener fast path, which the deferred cache replay
-        # keeps busy anyway, so recording costs almost nothing — and
-        # the cached run then serves every later ``record_trace=True``
-        # caller without the trace-upgrade double execution.
+        # opts out): the packed trace is the memory system's only
+        # sink, which the deferred cache replay needs anyway, so
+        # recording costs almost nothing — and the cached run then
+        # serves every later ``record_trace=True`` caller without the
+        # trace-upgrade double execution.
         # Configs are copied: MachineConfig/CacheConfig are plain
         # mutable dataclasses, and a live machine aliasing the
         # registry's instances would silently corrupt the spec (and

@@ -73,7 +73,8 @@ class RunSpec:
     engine: str = "psi"
     machine_config: MachineConfig = field(default_factory=MachineConfig)
     cache_config: CacheConfig = field(default_factory=CacheConfig)
-    #: Simulate the online cache (modelled time needs it).
+    #: Replay the run's packed trace through the production cache after
+    #: the run (modelled time needs its stats).
     with_cache: bool = True
     #: Override the workload's own solution mode (``None`` = respect
     #: each workload's ``all_solutions`` declaration).

@@ -1,12 +1,12 @@
 """Table 1: execution time of the benchmarks on PSI and DEC-2060.
 
 For each of the 19 benchmarks: the PSI model's time (microsteps at
-200 ns + cache stalls, via the online cache in the production
-configuration) and the DEC baseline's cost-model time, plus the DEC/PSI
-ratio the paper reports.  Absolute milliseconds differ from 1987
-(problem sizes are scaled; see the workload registry); the reproduced
-quantity is the *ratio pattern*: which machine wins on which program
-class, by roughly what factor.
+200 ns + cache stalls, from the run's trace replayed through the
+production cache configuration) and the DEC baseline's cost-model
+time, plus the DEC/PSI ratio the paper reports.  Absolute
+milliseconds differ from 1987 (problem sizes are scaled; see the
+workload registry); the reproduced quantity is the *ratio pattern*:
+which machine wins on which program class, by roughly what factor.
 """
 
 from __future__ import annotations
@@ -31,14 +31,6 @@ class Table1Row:
     paper_dec_ms: float
     paper_ratio: float
     psi_inferences: int
-
-    @property
-    def psi_wins(self) -> bool:
-        return self.ratio > 1.0
-
-    @property
-    def paper_psi_wins(self) -> bool:
-        return self.paper_ratio > 1.0
 
 
 def generate(workload_names: list[str] | None = None) -> list[Table1Row]:

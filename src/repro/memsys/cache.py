@@ -5,10 +5,10 @@ The PSI cache (§2.2): 8K words, two-way set associative, store-in
 block transfer, and a specialised *Write-stack* command that skips
 block read-in on a write miss (used for pushes to stack tops).
 
-The model is trace-driven: feed it ``(command, address)`` pairs either
-online (attach it to a running machine as a memory listener) or offline
-from a :class:`~repro.core.memory.TraceRecorder` via
-:mod:`repro.tools.pmms`.  It keeps per-area hit/miss counts so Table 5
+The model is trace-driven: a run records its access stream in a
+:class:`~repro.core.memory.TraceRecorder`, and the cache replays the
+packed entries after the run (:meth:`Cache.access_many_packed`, driven
+by :mod:`repro.tools.collect` and :mod:`repro.tools.pmms`).  It keeps per-area hit/miss counts so Table 5
 falls straight out, and event counts the timing model converts to
 stall time for Figure 1 and the store-in/store-through ablation.
 """
@@ -128,8 +128,8 @@ class CacheStats:
 class CacheResult:
     """A finished simulation: the configuration and its final statistics.
 
-    What a collected run keeps of its online cache once the trace has
-    been fed through it.  It holds no set storage, so a run rebuilt
+    What a collected run keeps of its production cache once the trace
+    has been fed through it.  It holds no set storage, so a run rebuilt
     from a stored summary costs two references, not a fresh
     :class:`Cache` of ``config.sets`` empty sets.
     """
@@ -160,7 +160,7 @@ _ABSENT = object()
 
 
 class Cache:
-    """One simulated cache (usable directly as a memory listener).
+    """One simulated cache, fed a recorded access stream.
 
     Replacement is true LRU within each set.  Tags are full block
     numbers, so distinct areas never alias.
@@ -184,14 +184,14 @@ class Cache:
             if cfg.block_words > 1 else 0
         if 1 << self._block_shift != cfg.block_words:
             raise ValueError("block size must be a power of two")
-        # Hot-path constants hoisted out of the per-access listener call.
+        # Hot-path constants hoisted out of the per-access call.
         self._n_sets = cfg.sets
         self._max_ways = cfg.ways
         self._store_in = cfg.policy == WritePolicy.STORE_IN
         self._ws_no_fetch = cfg.write_stack_no_fetch
         self._area_counts = tuple(self.stats.per_area[area] for area in AREAS)
 
-    # -- MemoryListener interface -------------------------------------------------
+    # -- per-access reference --------------------------------------------------
 
     def access(self, cmd: CacheCmd, address: int) -> bool:
         """Simulate one access; returns True on hit."""

@@ -199,17 +199,3 @@ def mine_workload(name: str, lengths: tuple[int, ...] = (2, 3, 4),
                   top: int = 20) -> list[Candidate]:
     """Top fusion candidates for a single workload."""
     return rank(ngram_counts(record_workload(name).events, lengths), top)
-
-
-def mine_many(names, lengths: tuple[int, ...] = (2, 3, 4),
-              top: int = 20) -> list[Candidate]:
-    """Top fusion candidates aggregated across a workload set.
-
-    Counts are summed per n-gram before ranking, so a sequence hot in
-    several medium workloads outranks one hot in a single outlier —
-    the selection criterion the committed fused table is built with.
-    """
-    total: Counter = Counter()
-    for name in names:
-        total.update(ngram_counts(record_workload(name).events, lengths))
-    return rank(total, top)

@@ -23,8 +23,8 @@ attachment points :func:`repro.tools.collect.collect` uses:
 
 Live, a session records only what must be known while the run
 executes; everything else is derived once afterwards, so an observed
-run keeps the memory system on the same single-listener packed path
-as a plain one.  When observability is disabled none of this is
+run keeps the memory system on the same packed-trace path as a plain
+one.  When observability is disabled none of this is
 constructed: the machine runs on the plain collector and the only
 residue of the subsystem is a handful of attribute stores per *call*
 (never per step).  The cost of leaving it on is perfbench's
@@ -322,10 +322,10 @@ class CacheWindowSampler:
     counts accounted accesses inline and calls :meth:`sample` once per
     ``window``.  A sample records only the cut — how many accesses the
     run's packed cache feed holds, and the clock.  Billing precedes
-    listener notification at every memory-system site, so a cut is
-    exactly the access count a cache listening online would have seen
-    (one landing inside a block access falls before the block's
-    remaining words).
+    the trace append at every memory-system site, so a cut is exactly
+    the access count the cache has replayed when it reaches that point
+    of the run (one landing inside a block access falls before the
+    block's remaining words).
 
     After the run, :meth:`replay` feeds the packed trace to the cache
     segment by segment and, per cut, emits a hit-ratio counter event

@@ -27,14 +27,29 @@ import multiprocessing
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.serve.protocol import cache_config_from_json, cache_stats_to_json
 
 
 def _init_worker(cache_dir: str | None, disk_cache: bool) -> None:
-    """Per-process setup: point the run cache, mirror the cache flag."""
+    """Per-process setup: detach from the server's signal handling,
+    point the run cache, mirror the cache flag.
+
+    A forked worker inherits the server loop's signal wakeup fd and its
+    SIGINT/SIGTERM handlers, so a signal sent to the worker would wake
+    the *server's* loop and drain it — which is what the executor's
+    ``terminate()`` of the surviving workers did whenever one worker
+    died.  Workers leave shutdown to the server: they ignore SIGINT (a
+    terminal Ctrl-C reaches the whole process group) and die on SIGTERM.
+    """
+    import signal
+
     from repro.eval import runner
 
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if cache_dir is not None:
         os.environ["PSI_CACHE_DIR"] = cache_dir
     runner.set_disk_cache(disk_cache)
@@ -140,6 +155,15 @@ class WorkerPool:
     Tracks submitted/completed/failed counts and the in-flight depth so
     the ``health`` endpoint can report queue pressure (anything beyond
     ``workers`` in flight is queued inside the executor).
+
+    A worker that dies (crash, OOM kill, ``os._exit``) breaks the whole
+    ``ProcessPoolExecutor``: its pending futures fail with
+    ``BrokenProcessPool`` and it accepts no further work.  The pool then
+    replaces the executor with a fresh one built from the same
+    arguments, so only the requests in flight on the broken executor
+    fail (a request refused at submission never ran, and is submitted
+    to the fresh executor instead); ``respawns`` counts the
+    replacements.
     """
 
     def __init__(self, workers: int, *, cache_dir: str | None = None,
@@ -149,28 +173,49 @@ class WorkerPool:
         self.completed = 0
         self.failed = 0
         self.inflight = 0
+        self.respawns = 0
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:                      # pragma: no cover - non-POSIX
             context = None
-        self._executor = ProcessPoolExecutor(
+        self._executor_args = dict(
             max_workers=self.workers, mp_context=context,
             initializer=_init_worker, initargs=(cache_dir, disk_cache))
+        self._executor = ProcessPoolExecutor(**self._executor_args)
 
     async def run(self, fn, *args):
         """Run one work function on the pool; await its plain-data result."""
         loop = asyncio.get_running_loop()
         self.submitted += 1
         self.inflight += 1
+        executor = self._executor
         try:
-            result = await loop.run_in_executor(self._executor, fn, *args)
+            try:
+                future = loop.run_in_executor(executor, fn, *args)
+            except BrokenProcessPool:
+                # A worker died while no request was in flight: nothing
+                # of this one ran, so it goes to a fresh executor.
+                executor = self._respawn(executor)
+                future = loop.run_in_executor(executor, fn, *args)
+            result = await future
             self.completed += 1
             return result
-        except Exception:
+        except Exception as exc:
             self.failed += 1
+            if isinstance(exc, BrokenProcessPool):
+                self._respawn(executor)
             raise
         finally:
             self.inflight -= 1
+
+    def _respawn(self, broken: ProcessPoolExecutor) -> ProcessPoolExecutor:
+        """Replace ``broken`` with a fresh executor (once per breakage,
+        however many requests it failed); return the current one."""
+        if broken is self._executor:
+            self._executor = ProcessPoolExecutor(**self._executor_args)
+            self.respawns += 1
+            broken.shutdown(wait=False, cancel_futures=True)
+        return self._executor
 
     def health(self) -> dict:
         return {
@@ -180,6 +225,7 @@ class WorkerPool:
             "failed": self.failed,
             "inflight": self.inflight,
             "queued": max(0, self.inflight - self.workers),
+            "respawns": self.respawns,
         }
 
     def shutdown(self) -> None:

@@ -75,7 +75,8 @@ class CollectedRun:
 
     @property
     def timing(self) -> TimingBreakdown:
-        """PSI execution time (requires the online cache)."""
+        """PSI execution time, with stalls from the replayed production
+        cache (compute only for a ``with_cache=False`` run)."""
         cache_stats = self.cache.stats if self.cache is not None else None
         return execution_time(self.steps, cache_stats)
 
@@ -231,18 +232,15 @@ def collect(program: str, goal: str, *,
     machine.wf.stats = stats
     trace = TraceRecorder() if record_trace else None
     cache = Cache(cache_config or CacheConfig()) if with_cache else None
-    # Deferred cache replay, for every run: the cache never listens
-    # online.  It is fed the packed trace afterwards —
-    # :meth:`Cache.access_many_packed` is access-for-access equivalent —
-    # which keeps the memory system on its single-listener packed path
-    # for the whole run.  An observed run's windowed hit ratios come
-    # from cuts in that same feed (the sampler is driven by the
-    # collector's billing path, not a memory listener).
+    # Deferred cache replay, for every run: the memory system's only
+    # sink is the packed trace, and the cache is fed that trace after
+    # the run.  An observed run's windowed hit ratios come from cuts in
+    # the same feed (the sampler is driven by the collector's billing
+    # path).
     recorder = trace
     if recorder is None and cache is not None:
         recorder = TraceRecorder()
-    if recorder is not None:
-        machine.mem.attach(recorder)
+    machine.mem.record(recorder)
     sampler = None
     if session is not None:
         machine.mem.observer = session.stack_observer
@@ -283,8 +281,7 @@ def collect(program: str, goal: str, *,
     # statistics are exactly those of an uncaptured run.
     answers = tuple(canonical_answer(s.bindings) for s in captured)
 
-    if recorder is not None:
-        machine.mem.detach(recorder)
+    machine.mem.record(None)
     if cache is not None:
         # The collector already holds the per-(command, area) access
         # totals — billing and trace notification are paired at every

@@ -73,18 +73,11 @@ class TestMemorySystem:
         with pytest.raises(MachineError):
             small.write_stack(Area.LOCAL, (Tag.INT, 0))
 
-    def test_addressed_access(self, mem):
-        mem.write_stack(Area.GLOBAL, (Tag.INT, 7))
-        address = encode_address(Area.GLOBAL, 0)
-        assert mem.read_addr(address) == (Tag.INT, 7)
-        mem.write_addr(address, (Tag.INT, 8))
-        assert mem.peek(Area.GLOBAL, 0) == (Tag.INT, 8)
-
 
 class TestListeners:
     def test_trace_recorder_roundtrip(self, mem):
         trace = TraceRecorder()
-        mem.attach(trace)
+        mem.record(trace)
         mem.write_stack(Area.LOCAL, (Tag.INT, 0))
         mem.read(Area.LOCAL, 0)
         mem.write(Area.LOCAL, 0, (Tag.INT, 1))
@@ -97,11 +90,22 @@ class TestListeners:
 
     def test_detach_stops_recording(self, mem):
         trace = TraceRecorder()
-        mem.attach(trace)
+        mem.record(trace)
         mem.write_stack(Area.LOCAL, (Tag.INT, 0))
-        mem.detach(trace)
+        mem.record(None)
+        assert mem._packed_append is None
         mem.read(Area.LOCAL, 0)
         assert len(trace) == 1
+
+    def test_record_replaces_sink(self, mem):
+        first, second = TraceRecorder(), TraceRecorder()
+        mem.record(first)
+        mem.write_stack(Area.LOCAL, (Tag.INT, 0))
+        mem.record(second)
+        mem.read(Area.LOCAL, 0)
+        assert len(first) == 1
+        assert list(second.entries()) == [
+            (CacheCmd.READ, encode_address(Area.LOCAL, 0))]
 
     def test_clear(self):
         trace = TraceRecorder()

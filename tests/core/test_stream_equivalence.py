@@ -1,7 +1,7 @@
 """Golden-digest guard for the microinstruction-stream equivalence contract.
 
 The interpreter hot path is free to change *how* it accumulates
-emissions (interned counters, fused memory fan-outs, batched emits) but
+emissions (interned counters, fused trace appends, batched emits) but
 never *what* is emitted: every optimisation must produce a bit-for-bit
 identical :class:`~repro.core.memory.TraceRecorder` byte stream and an
 equal ``routine_counts``/``mem_counts`` accounting.  These tests pin
@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.machine import MachineConfig
 from repro.tools.collect import collect
-from repro.workloads import get, shared_workloads
+from repro.workloads import all_workloads, get
 
 #: Committed digests of the reference emission stream.  Regenerate only
 #: for a *deliberate* modelling change (which also moves the fidelity
@@ -115,11 +115,12 @@ def aggregates(stats) -> dict:
     }
 
 
-def run_workload(name: str, machine_config: MachineConfig | None = None):
+def run_workload(name: str, machine_config: MachineConfig | None = None,
+                 record_trace: bool = True):
     workload = get(name)
     return collect(workload.source, workload.goal,
                    all_solutions=workload.all_solutions,
-                   record_trace=True, with_cache=False,
+                   record_trace=record_trace, with_cache=False,
                    machine_config=machine_config,
                    setup_goals=workload.setup_goals)
 
@@ -150,13 +151,26 @@ class TestStreamEquivalence:
             f"{name}: per-routine counters differ but aggregates agree: "
             f"emissions moved between (module, routine) buckets")
 
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    def test_sink_free_billing_matches_golden(self, name, fused):
+        """With no trace and no cache the memory system has no sink:
+        every accessor and fused call site must still bill exactly the
+        reference counters."""
+        run = run_workload(name, MachineConfig(fused=fused),
+                           record_trace=False)
+        assert run.trace is None
+        assert stats_digest(run.stats) == GOLDEN[name]["stats_sha256"], (
+            f"{name}: billing without a trace sink diverged from the "
+            f"recorded reference")
+
 
 @pytest.mark.slow
-@pytest.mark.parametrize(
-    "name", sorted(w.name for w in shared_workloads()))
+@pytest.mark.parametrize("name", sorted(all_workloads()))
 class TestFusedRegistryEquivalence:
     """Fused dispatch must reproduce the unfused stream on *every*
-    shared workload, not just the three golden-digest ones.
+    registry workload (the PSI-only KL0 ones included), not just the
+    three golden-digest ones.
 
     The unfused run (``MachineConfig(fused=False)``) is the reference:
     identical trace bytes (memory-access order is cache-visible) and
@@ -197,13 +211,11 @@ class TestObservedStreamEquivalence:
 def test_interning_invariants():
     """The flat-counter index spaces must stay mutually consistent."""
     from repro.core import micro
-    from repro.core.memory import AREAS, CMD_CODE, Area
+    from repro.core.memory import AREAS, Area
     from repro.core.stats import N_AREAS
 
     assert N_AREAS == len(Area) == len(AREAS)
     assert [int(a) for a in AREAS] == list(range(len(AREAS)))
-    for cmd, code in CMD_CODE.items():
-        assert cmd.code == code
     assert [m.idx for m in micro.MODULE_BY_INDEX] == \
         list(range(micro.N_MODULES))
     routines = micro.routines_by_rid()

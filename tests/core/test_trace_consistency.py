@@ -25,9 +25,9 @@ def run():
     machine = PSIMachine()
     machine.consult(PROGRAM)
     trace = TraceRecorder()
-    machine.mem.attach(trace)
+    machine.mem.record(trace)
     assert machine.solve("perm([1,2,3,4], P)").count() == 24
-    machine.mem.detach(trace)
+    machine.mem.record(None)
     return machine, trace
 
 

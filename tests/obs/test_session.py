@@ -137,5 +137,5 @@ class TestRecordingFootprint:
     def test_observed_run_leaves_memory_system_bare(self):
         with obs.observed():
             run = _collect("nreverse")
-        assert run.machine.mem.listeners == []
+        assert run.machine.mem._packed_append is None
         assert run.machine.mem.observer is None

@@ -74,7 +74,8 @@ class TestCollect:
             run.trace.data)
 
     def test_listeners_detached_after_run(self, run):
-        assert run.machine.mem.listeners == []
+        """The trace sink is cleared once the run is collected."""
+        assert run.machine.mem._packed_append is None
 
 
 class TestMap:
