@@ -14,17 +14,17 @@ service exists to serve:
 * ``solve`` under the ``baseline`` run spec for every non-KL0-only
   workload (the crosscheck traffic), and
 * ``replay`` with a small config sweep per workload (the batchable
-  traffic — concurrent replays of one workload coalesce into single
-  ``simulate_many`` passes server-side).
+  traffic — replays of one workload that queue behind busy workers
+  coalesce into single ``simulate_many`` calls server-side).
 
 Every request's wall-clock latency is recorded client-side; the report
 gives exact (not histogram-estimated) p50/p95/p99 plus throughput
 (requests per second over the measured phase), per-op breakdowns, the
 server's own metrics snapshot at drain time, and the batching
-efficiency (configs simulated / configs requested).  The run **fails**
-on any request error, a throughput of zero, or an unclean server exit
-after drain.  ``--report PATH`` writes the full JSON report (CI
-uploads this artifact).  The benchmark of record for the service is
+efficiency (configs requested / configs simulated or reused).  The run
+**fails** on any request error, a throughput of zero, or an unclean
+server exit after drain.  ``--report PATH`` writes the full JSON report
+(CI uploads this artifact).  The benchmark of record for the service is
 ``perfbench``'s ``serve-mix`` workload (``perfbench/README.md``).
 
 Usage::
@@ -252,8 +252,11 @@ def main(argv: list[str] | None = None) -> int:
     batches = server_metrics.get("serve.replay.batches", {}).get("value", 0)
     simulated = server_metrics.get("serve.replay.configs_simulated",
                                    {}).get("value", 0)
+    reused = server_metrics.get("serve.replay.configs_reused",
+                                {}).get("value", 0)
     requested = server_metrics.get("serve.replay.configs_requested",
                                    {}).get("value", 0)
+    answered = simulated + reused
     report = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
@@ -268,8 +271,9 @@ def main(argv: list[str] | None = None) -> int:
         "batching": {"batches": batches,
                      "configs_requested": requested,
                      "configs_simulated": simulated,
-                     "dedup_ratio": (round(requested / simulated, 2)
-                                     if simulated else None)},
+                     "configs_reused": reused,
+                     "dedup_ratio": (round(requested / answered, 2)
+                                     if answered else None)},
         "server_health_final": health,
         "server_metrics": server_metrics,
         "failures": failures,

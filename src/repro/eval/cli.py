@@ -515,9 +515,11 @@ def _serve(args) -> str:
     announced on stdout), keeps ``--workers`` warm engine worker
     processes, and serves solve/replay/metrics/health/fidelity requests
     over the length-prefixed JSON protocol until a client sends
-    ``drain`` (or the process receives SIGINT/SIGTERM).  See
-    ``docs/SERVING.md`` for the protocol and a worked session;
-    ``scripts/load_gen.py`` drives it under load.
+    ``drain`` (or the process receives SIGINT/SIGTERM).  Replays are
+    dispatched at once while a worker is free for them and coalesce
+    per workload only while they queue.  See ``docs/SERVING.md`` for
+    the protocol and a worked session; ``scripts/load_gen.py`` drives
+    it under load.
     """
     import asyncio
 
@@ -525,7 +527,6 @@ def _serve(args) -> str:
 
     return asyncio.run(run_server(
         host=args.host, port=args.port, workers=args.workers,
-        batch_window_s=args.batch_window_ms / 1000.0,
         disk_cache=not args.no_disk_cache))
 
 
@@ -674,19 +675,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'debug': checkpoint every K microsteps "
                              "(default: auto-sized from the trace length)")
     parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="'serve': warm engine worker processes "
-                             "(default: 2)")
+                        help="'serve': warm engine worker processes; "
+                             "replays dispatch at once while fewer than N "
+                             "replay batches run, and coalesce per "
+                             "workload only while they wait (default: 2)")
     parser.add_argument("--port", type=int, default=7071, metavar="P",
                         help="'serve': TCP port to bind (0 picks an "
                              "ephemeral port, announced on stdout; "
                              "default: 7071)")
     parser.add_argument("--host", default="127.0.0.1", metavar="H",
                         help="'serve': address to bind (default: 127.0.0.1)")
-    parser.add_argument("--batch-window-ms", type=float, default=5.0,
-                        metavar="MS",
-                        help="'serve': how long a replay request waits for "
-                             "batchable companions before its "
-                             "simulate_many pass starts (default: 5)")
     return parser
 
 

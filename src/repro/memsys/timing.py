@@ -54,10 +54,12 @@ class TimingBreakdown:
 def execution_time(steps: int, cache: CacheStats | None) -> TimingBreakdown:
     """Time for ``steps`` microinstructions given cache behaviour.
 
-    With ``cache=None`` the machine is modelled *without* cache memory:
-    every memory access pays the full main-memory latency (this is the
-    Tnc of Figure 1's performance improvement ratio; pass the access
-    count via a zero-capacity run instead — see :func:`time_without_cache`).
+    With ``cache=None`` the result is compute-only time: no miss stall,
+    write-back or write-through term, which is what a run collected
+    without a cache reports.  It is *not* the no-cache time Tnc of
+    Figure 1's performance improvement ratio, where every memory access
+    pays the full main-memory latency; Tnc comes from
+    :func:`time_without_cache`, which takes the access count.
     """
     compute = steps * CYCLE_NS
     if cache is None:

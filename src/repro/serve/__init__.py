@@ -20,9 +20,10 @@ Layout (stdlib ``asyncio`` only, no new dependencies):
   ``ProcessPoolExecutor`` whose workers reuse the exact
   :mod:`repro.eval.runner` cache tiers (so ``RunSummary`` pickling and
   the file-locked ``.psi-cache/`` are shared with the CLI path);
-* :mod:`repro.serve.batcher` — the replay coalescer: requests for the
-  same workload trace that arrive within one batch window run as one
-  ``simulate_many`` pass over the union of their configurations;
+* :mod:`repro.serve.batcher` — the replay coalescer: a replay goes to
+  the pool at once while a replay slot is free; requests for the same
+  workload trace that queue behind busy slots run as one
+  ``simulate_many`` call over the union of their configurations;
 * :mod:`repro.serve.server` — the asyncio server and request dispatch;
 * :mod:`repro.serve.client` — a small blocking client (also a CLI:
   ``python -m repro.serve.client``) used by tests, docs and

@@ -47,15 +47,14 @@ class EvalServer:
     """The evaluation service: worker pool + batcher + asyncio frontend."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 workers: int = 2, *, batch_window_s: float = 0.005,
-                 cache_dir: str | None = None, disk_cache: bool = True):
+                 workers: int = 2, *, cache_dir: str | None = None,
+                 disk_cache: bool = True):
         self.host = host
         self._requested_port = port
         self.metrics = MetricsRegistry()
         self.pool = pool_mod.WorkerPool(workers, cache_dir=cache_dir,
                                         disk_cache=disk_cache)
-        self.batcher = ReplayBatcher(self.pool, window_s=batch_window_s,
-                                     metrics=self.metrics)
+        self.batcher = ReplayBatcher(self.pool, metrics=self.metrics)
         self._server: asyncio.base_events.Server | None = None
         self._tasks: set[asyncio.Task] = set()
         self._conn_handlers: set[asyncio.Task] = set()
@@ -291,10 +290,13 @@ class EvalServer:
         from repro import obs
 
         latency = self.metrics.get("serve.latency_ms")
+        wait = self.metrics.get("serve.replay.wait_ms")
         return {
             "server": self.metrics.snapshot(),
             "latency_ms": (latency.quantiles() if latency is not None
                            else {}),
+            "replay_wait_ms": wait.quantiles() if wait is not None else {},
+            "pool": self.pool.health(),
             "process_obs": obs.global_metrics().snapshot(),
         }
 
@@ -338,16 +340,14 @@ class EvalServer:
 
 
 async def run_server(host: str = "127.0.0.1", port: int = 0,
-                     workers: int = 2, *, batch_window_s: float = 0.005,
-                     disk_cache: bool = True) -> str:
+                     workers: int = 2, *, disk_cache: bool = True) -> str:
     """CLI entry: start, announce readiness on stdout, serve, drain.
 
     The ready line's format — ``psi-eval serve: listening on HOST:PORT``
     — is part of the tooling contract: ``scripts/load_gen.py`` and the
     end-to-end tests parse it to discover an ephemeral port.
     """
-    server = EvalServer(host, port, workers, batch_window_s=batch_window_s,
-                        disk_cache=disk_cache)
+    server = EvalServer(host, port, workers, disk_cache=disk_cache)
     await server.start()
     print(f"psi-eval serve: listening on {server.host}:{server.port} "
           f"({server.pool.workers} worker(s), pid {os.getpid()})",

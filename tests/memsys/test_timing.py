@@ -42,6 +42,14 @@ class TestExecutionTime:
         assert timing.compute_ns == 100 * CYCLE_NS
         assert timing.miss_stall_ns == 20 * (MISS_NS - CYCLE_NS)
 
+    def test_no_cache_stats_is_not_tnc(self):
+        """``execution_time(n, None)`` is compute-only; the all-miss
+        Tnc needs the access count and :func:`time_without_cache`."""
+        compute_only = execution_time(100, None)
+        assert compute_only.miss_stall_ns == 0
+        assert compute_only.writeback_ns == compute_only.through_write_ns == 0
+        assert time_without_cache(100, 20).total_ns > compute_only.total_ns
+
 
 class TestImprovementRatio:
     def test_definition(self):

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -27,6 +28,8 @@ from repro.serve.protocol import (
 #: Cheap workloads, so the module stays tier-1 affordable.
 WORKLOADS = ("nreverse", "qsort", "queens-one")
 
+WORKERS = 2
+
 READY_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 
 
@@ -34,18 +37,16 @@ READY_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 def server():
     """A live ``psi-eval serve`` subprocess; drained clean at teardown.
 
-    A long batch window (100 ms) makes the concurrent-replay test
-    coalesce deterministically; the suite's session ``PSI_CACHE_DIR``
-    redirect is inherited through the environment, so the server's
-    workers share (and file-lock) the same disk cache as the local
-    comparison runs below.
+    The suite's session ``PSI_CACHE_DIR`` redirect is inherited through
+    the environment, so the server's workers share (and file-lock) the
+    same disk cache as the local comparison runs below.
     """
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.eval.cli", "serve",
-         "--port", "0", "--workers", "2", "--batch-window-ms", "100"],
+         "--port", "0", "--workers", str(WORKERS)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
     line = proc.stdout.readline()
     match = READY_RE.search(line)
@@ -110,20 +111,31 @@ def test_psi_solve_reports_run_shape(server):
 
 def test_concurrent_replays_batch_and_match_serial(server):
     """Batched replay statistics are byte-identical to local serial
-    ``simulate`` — the equivalence contract, end to end."""
+    ``simulate`` — the equivalence contract, end to end, including the
+    production geometry a worker answers from the run's stored
+    ``CacheResult`` (``{}`` and an explicit 8192 words)."""
     from repro.eval.runner import run_spec
     from repro.tools.pmms import simulate
 
     host, port = server
     configs = [{"capacity_words": 1024}, {"capacity_words": 8192},
-               {"capacity_words": 4096, "ways": 1}, {}]
+               {"capacity_words": 4096, "ways": 1}, {},
+               {"capacity_words": 2048}, {"capacity_words": 512}]
+    assert len(configs) > WORKERS
+    barrier = threading.Barrier(len(configs))
 
     def replay(config):
         with ServeClient(host, port) as client:
+            client.ping()
+            barrier.wait(timeout=60)
             return client.replay("qsort", [config])
 
+    with ServeClient(host, port) as client:
+        before = client.metrics()["server"]
     with ThreadPoolExecutor(max_workers=len(configs)) as executor:
         results = list(executor.map(replay, configs))
+    with ServeClient(host, port) as client:
+        after = client.metrics()["server"]
 
     trace = run_spec("qsort", "faithful", record_trace=True).trace
     for config, served in zip(configs, results):
@@ -134,9 +146,20 @@ def test_concurrent_replays_batch_and_match_serial(server):
         assert (json.dumps(served["stats"][0], sort_keys=True)
                 == json.dumps(local_stats, sort_keys=True)), \
             f"batched replay diverged from serial for {config}"
-    # The 100 ms window plus simultaneous submission must coalesce at
-    # least some of the four single-config requests into one batch.
+    # More simultaneous same-workload replays than workers: at least
+    # the ones that find every replay slot busy park and coalesce.
     assert any(r["batch_size"] > 1 for r in results)
+
+    def delta(name):
+        return (after.get(name, {}).get("value", 0)
+                - before.get(name, {}).get("value", 0))
+
+    # The production geometry ({} and 8192) is answered from the
+    # stored result, never simulated: at most the four other configs
+    # take a kernel pass, and coalescing only ever lowers the counts.
+    assert delta("serve.replay.configs_requested") == len(configs)
+    assert delta("serve.replay.configs_reused") in (1, 2)
+    assert delta("serve.replay.configs_simulated") <= 4
 
 
 def test_indexed_spec_solve_matches_local_indexed_engine(server):
@@ -252,6 +275,25 @@ def test_health_and_metrics_endpoints(server):
     assert snapshot["serve.latency_ms"]["kind"] == "histogram"
     assert metrics["latency_ms"]["count"] >= 1
     assert metrics["latency_ms"]["p50"] is not None
+    assert metrics["pool"]["workers"] == WORKERS
+    assert {"respawns", "failed", "inflight"} <= set(metrics["pool"])
+
+
+def test_replay_wait_is_timed(server):
+    """A replay sent to an idle server dispatches at once: the
+    ``serve.replay.wait_ms`` histogram gains a sample of about 0."""
+    host, port = server
+    with ServeClient(host, port) as client:
+        before = client.metrics()["server"].get("serve.replay.wait_ms")
+        client.replay("nreverse", [{}])
+        after = client.metrics()
+    wait = after["server"]["serve.replay.wait_ms"]
+    assert wait["kind"] == "histogram"
+    count = wait["count"] - (before["count"] if before else 0)
+    total = wait["sum"] - (before["sum"] if before else 0.0)
+    assert count == 1
+    assert total < 50.0
+    assert after["replay_wait_ms"]["count"] == wait["count"]
 
 
 def test_fidelity_endpoint(server):
