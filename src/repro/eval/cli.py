@@ -3,7 +3,7 @@
 Usage::
 
     psi-eval table1                  # or table2..table7, figure1, ablations
-    psi-eval all
+    psi-eval all > results/eval_report.txt   # the committed report
     psi-eval all --jobs 4            # fan workload execution across processes
     psi-eval table1 nreverse qsort
     psi-eval table1 --programs nreverse qsort
@@ -518,8 +518,8 @@ def _serve(args) -> str:
     ``drain`` (or the process receives SIGINT/SIGTERM).  Replays are
     dispatched at once while a worker is free for them and coalesce
     per workload only while they queue.  See ``docs/SERVING.md`` for
-    the protocol and a worked session; ``scripts/load_gen.py`` drives
-    it under load.
+    the protocol and a worked session; ``perfbench``'s ``serve-mix``
+    workload measures it under load.
     """
     import asyncio
 
@@ -729,6 +729,10 @@ def main(argv: list[str] | None = None) -> int:
     # carries a gate verdict (fidelity/report); the worst code wins.
     status = 0
     for name in targets:
+        if args.target == "all":
+            # Section headers make `all` the committed report format
+            # (results/eval_report.txt).
+            print(f"== {name} ==", flush=True)
         result = _TARGETS[name](args)
         if isinstance(result, tuple):
             result, code = result

@@ -27,7 +27,7 @@ Layout (stdlib ``asyncio`` only, no new dependencies):
 * :mod:`repro.serve.server` — the asyncio server and request dispatch;
 * :mod:`repro.serve.client` — a small blocking client (also a CLI:
   ``python -m repro.serve.client``) used by tests, docs and
-  ``scripts/load_gen.py``.
+  ``perfbench``'s ``serve-mix`` workload.
 
 See ``docs/SERVING.md`` for the protocol schema, the architecture
 diagram, the cache-locking invariants and a worked client session.

@@ -3,9 +3,10 @@
 The protocol is plain TCP (length-prefixed JSON, see
 :mod:`repro.serve.protocol`), so this client is a thin socket wrapper:
 one :class:`ServeClient` per thread, one request in flight at a time
-(concurrency in :mod:`scripts.load_gen` and the tests comes from many
-clients, mirroring many tenants).  It doubles as the command-line
-client the docs use where an HTTP service would show ``curl``::
+(concurrency in the end-to-end tests and ``perfbench``'s
+``serve-mix`` comes from many clients, mirroring many tenants).  It
+doubles as the command-line client the docs use where an HTTP service
+would show ``curl``::
 
     python -m repro.serve.client --port 7071 health
     python -m repro.serve.client --port 7071 solve nreverse

@@ -344,8 +344,8 @@ async def run_server(host: str = "127.0.0.1", port: int = 0,
     """CLI entry: start, announce readiness on stdout, serve, drain.
 
     The ready line's format — ``psi-eval serve: listening on HOST:PORT``
-    — is part of the tooling contract: ``scripts/load_gen.py`` and the
-    end-to-end tests parse it to discover an ephemeral port.
+    — is part of the tooling contract: ``perfbench``'s ``serve-mix`` and
+    the end-to-end tests parse it to discover an ephemeral port.
     """
     server = EvalServer(host, port, workers, disk_cache=disk_cache)
     await server.start()

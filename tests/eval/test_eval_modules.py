@@ -1,8 +1,9 @@
 """Tests for the evaluation harness (fast workloads only).
 
-The full-table regeneration lives in benchmarks/; these tests check the
-plumbing: caching, row construction, rendering and the CLI, using the
-quick benchmarks so the whole module runs in seconds.
+The full-table regeneration and its paper-shape checks live in
+tests/paper/; these tests check the plumbing: caching, row
+construction, rendering and the CLI, using the quick benchmarks so the
+whole module runs in seconds.
 """
 
 import pytest

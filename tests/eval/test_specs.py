@@ -106,7 +106,8 @@ class TestFingerprint:
 
 
 class TestSpecCaching:
-    def test_indexed_second_invocation_zero_engine_executions(self):
+    def test_indexed_second_invocation_zero_engine_executions(
+            self, tmp_path, monkeypatch):
         """The acceptance property: after one cold pass, re-running the
         faithful/indexed pair performs zero interpretations — both specs
         are served from their fingerprint-keyed disk entries."""
@@ -114,7 +115,10 @@ class TestSpecCaching:
             for spec in ("faithful", "indexed"):
                 runner.run_spec("nreverse", spec, record_trace=False)
 
-        runner.clear_cache(disk=True)
+        # An empty private cache: purging the session's shared one
+        # would send every later test that reads it back to cold runs.
+        monkeypatch.setenv("PSI_CACHE_DIR", str(tmp_path))
+        runner.clear_cache()
         runner.set_disk_cache(True)
         run_pair()
         first = dict(runner.CACHE_EVENTS)

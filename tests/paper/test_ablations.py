@@ -1,14 +1,18 @@
-"""Benchmark harness for the §4.2 ablations.
+"""Paper-shape checks for the §4.2 ablations.
 
 * one 4KW set loses only a few percent vs two 4KW sets (paper: ~3%);
 * store-in beats store-through (paper: ~8% higher improvement ratio).
 """
 
+import pytest
+
 from repro.eval import ablations
 
+pytestmark = pytest.mark.slow
 
-def test_ablations(once):
-    results = once(ablations.generate)
+
+def test_ablations():
+    results = ablations.generate()
     print()
     print(ablations.render(results))
 

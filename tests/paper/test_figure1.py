@@ -1,15 +1,19 @@
-"""Benchmark harness for Figure 1: improvement ratio vs cache capacity.
+"""Paper-shape checks for Figure 1: improvement ratio vs cache capacity.
 
 Shape checks: improvement grows monotonically-ish with capacity and
 saturates near 512 words — the paper's argument that the 8K-word cache
 "can be reduced to some extent".
 """
 
+import pytest
+
 from repro.eval import figure1
 
+pytestmark = pytest.mark.slow
 
-def test_figure1(once):
-    result = once(figure1.generate)
+
+def test_figure1():
+    result = figure1.generate()
     print()
     print(figure1.render(result))
     points = result.points

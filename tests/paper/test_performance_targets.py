@@ -6,11 +6,15 @@ classic LIPS benchmark and that the two machines end up comparable
 overall, the paper's headline conclusion.
 """
 
+import pytest
+
 from repro.eval.runner import run_spec
 
+pytestmark = pytest.mark.slow
 
-def test_lips_target(once):
-    run = once(run_spec, "nreverse", "faithful")
+
+def test_lips_target():
+    run = run_spec("nreverse", "faithful")
     klips = run.lips / 1000.0
     print(f"\nmodelled PSI speed on nreverse(30): {klips:.1f} KLIPS "
           f"(paper target: 30K LIPS)")
@@ -21,9 +25,9 @@ def test_lips_target(once):
     assert run.cache.stats.hit_ratio > 90.0
 
 
-def test_machines_comparable_on_lips_benchmark(once):
+def test_machines_comparable_on_lips_benchmark():
     psi = run_spec("nreverse", "faithful")
-    dec = once(run_spec, "nreverse", "baseline")
+    dec = run_spec("nreverse", "baseline")
     ratio = dec.time_ms / psi.time_ms
     print(f"\nnreverse DEC/PSI ratio: {ratio:.2f} (paper: 0.70)")
     # DEC wins nreverse, but within the same order of magnitude.

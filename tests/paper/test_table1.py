@@ -1,4 +1,4 @@
-"""Benchmark harness for Table 1: PSI vs DEC-2060 execution time.
+"""Paper-shape checks for Table 1: PSI vs DEC-2060 execution time.
 
 Regenerates every row of Table 1 and checks the reproduced *shape*:
 DEC wins the compiler-friendly programs (nreverse, slow reverse, LCP),
@@ -6,11 +6,15 @@ PSI wins the runtime-heavy ones (BUP, harmonizer), and the headline
 conclusion — overall comparable performance — holds.
 """
 
+import pytest
+
 from repro.eval import table1
 
+pytestmark = pytest.mark.slow
 
-def test_table1_full(once):
-    rows = once(table1.generate)
+
+def test_table1_full():
+    rows = table1.generate()
     print()
     print(table1.render(rows))
 

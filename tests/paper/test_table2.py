@@ -1,4 +1,4 @@
-"""Benchmark harness for Table 2: interpreter module step ratios.
+"""Paper-shape checks for Table 2: interpreter module step ratios.
 
 Shape checks, mirroring §3.2's observations:
 * BUP and HARMONIZER are unification-dominated (largest module);
@@ -9,12 +9,16 @@ Shape checks, mirroring §3.2's observations:
   the paper's "a lot of time is spent for execution control" point.
 """
 
+import pytest
+
 from repro.core.micro import Module
 from repro.eval import table2
 
+pytestmark = pytest.mark.slow
 
-def test_table2(once):
-    rows = once(table2.generate)
+
+def test_table2():
+    rows = table2.generate()
     print()
     print(table2.render(rows))
     by_name = {row.program: row for row in rows}

@@ -1,15 +1,19 @@
-"""Benchmark harness for Table 3: cache command rates.
+"""Paper-shape checks for Table 3: cache command rates.
 
 Shape checks from §4.2: roughly one in five steps carries a cache
 command; reads outnumber writes about 3:1; the specialised Write-stack
 command carries 50-75% of all writes.
 """
 
+import pytest
+
 from repro.eval import table3
 
+pytestmark = pytest.mark.slow
 
-def test_table3(once):
-    rows = once(table3.generate)
+
+def test_table3():
+    rows = table3.generate()
     print()
     print(table3.render(rows))
 

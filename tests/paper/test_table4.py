@@ -1,4 +1,4 @@
-"""Benchmark harness for Table 4: per-area access frequency.
+"""Paper-shape checks for Table 4: per-area access frequency.
 
 Shape checks from §4.2: heap accesses (mostly instruction fetch) are
 the single largest share (~30-55%); WINDOW's heap share is boosted by
@@ -7,12 +7,16 @@ program dependent (structure-heavy programs push the global stack up,
 plain-variable programs the local stack).
 """
 
+import pytest
+
 from repro.core.memory import Area
 from repro.eval import table4
 
+pytestmark = pytest.mark.slow
 
-def test_table4(once):
-    rows = once(table4.generate)
+
+def test_table4():
+    rows = table4.generate()
     print()
     print(table4.render(rows))
     by_name = {row.program: row for row in rows}

@@ -1,4 +1,4 @@
-"""Benchmark harness for Table 5: per-area cache hit ratios.
+"""Paper-shape checks for Table 5: per-area cache hit ratios.
 
 Shape checks from §4.2: the production cache achieves very high hit
 ratios — "most of hit ratios are higher than 96% except for WINDOWs";
@@ -6,11 +6,15 @@ the process-switching WINDOW variants are the worst cases; Prolog
 execution has strong memory-access locality.
 """
 
+import pytest
+
 from repro.eval import table5
 
+pytestmark = pytest.mark.slow
 
-def test_table5(once):
-    rows = once(table5.generate)
+
+def test_table5():
+    rows = table5.generate()
     print()
     print(table5.render(rows))
     by_name = {row.program: row for row in rows}

@@ -1,4 +1,4 @@
-"""Benchmark harness for Table 6: work file access mode frequencies.
+"""Paper-shape checks for Table 6: work file access mode frequencies.
 
 Shape checks from §4.3: direct addressing (WF00-0F / WF10-3F /
 constants) covers >=90% of WF accesses; Source-1 is the dominant field;
@@ -7,12 +7,16 @@ most); the trail buffer (@WFAR2) and @WFCBR are nearly idle; >=90% of
 WFAR indirect accesses use auto increment.
 """
 
+import pytest
+
 from repro.core.micro import WFMode
 from repro.eval import table6
 
+pytestmark = pytest.mark.slow
 
-def test_table6(once):
-    result = once(table6.generate)
+
+def test_table6():
+    result = table6.generate()
     print()
     print(table6.render(result))
 

@@ -1,4 +1,4 @@
-"""Benchmark harness for Table 7: branch operation frequencies.
+"""Paper-shape checks for Table 7: branch operation frequencies.
 
 Shape checks from §4.4: roughly 80% of steps carry a branch operation;
 conditional branches are the biggest group (paper: 35-39% of steps);
@@ -6,12 +6,16 @@ multi-way tag dispatches account for over a tenth of steps (paper:
 13-14%, "every eighth step"); indirect branching via JR is rare.
 """
 
+import pytest
+
 from repro.core.micro import BranchOp
 from repro.eval import table7
 
+pytestmark = pytest.mark.slow
 
-def test_table7(once):
-    result = once(table7.generate)
+
+def test_table7():
+    result = table7.generate()
     print()
     print(table7.render(result))
 

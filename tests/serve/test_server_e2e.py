@@ -10,6 +10,7 @@ run of this module.
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,6 +30,9 @@ from repro.serve.protocol import (
 WORKLOADS = ("nreverse", "qsort", "queens-one")
 
 WORKERS = 2
+
+#: Client threads of the served-registry test.
+CLIENTS = 4
 
 READY_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 
@@ -60,6 +64,27 @@ def server():
     assert proc.wait(timeout=60) == 0, "server exited uncleanly after drain"
 
 
+def _assert_matches_local(name, spec, served):
+    """A served solve equals a local ``run_spec`` of the same job:
+    canonical answer multiset and counter snapshot."""
+    from repro.engine.answers import answer_multiset
+    from repro.eval.runner import run_spec
+    from repro.eval.specs import get_spec
+
+    assert served["succeeded"], f"{spec} {name} failed server-side"
+    assert served["spec"] == spec
+    assert served["engine"] == get_spec(spec).engine
+    local = run_spec(name, spec, record_trace=False)
+    served_answers = [tuple(tuple(pair) for pair in answer)
+                      for answer in served["answers"]]
+    assert (answer_multiset(served_answers)
+            == answer_multiset(local.answers)), \
+        f"served {spec} answers diverged for {name}"
+    assert served["counters"] == dict(local.counters), \
+        f"served {spec} counters diverged for {name}"
+    return local
+
+
 def test_ping_and_workloads(server):
     host, port = server
     with ServeClient(host, port) as client:
@@ -70,10 +95,6 @@ def test_ping_and_workloads(server):
 
 def test_concurrent_solves_match_local_engines(server):
     """Served answers == locally-run answers, as canonical multisets."""
-    from repro.engine.answers import answer_multiset
-    from repro.eval.runner import run_spec
-    from repro.eval.specs import get_spec
-
     host, port = server
     jobs = [(name, spec) for name in WORKLOADS
             for spec in ("faithful", "baseline")]
@@ -87,16 +108,33 @@ def test_concurrent_solves_match_local_engines(server):
         results = list(executor.map(solve, jobs))
 
     for (name, spec), served in zip(jobs, results):
-        assert served["succeeded"], f"{spec} {name} failed server-side"
-        assert served["spec"] == spec
-        assert served["engine"] == get_spec(spec).engine
-        local = run_spec(name, spec, record_trace=False)
-        served_answers = [tuple(tuple(pair) for pair in answer)
-                          for answer in served["answers"]]
-        assert (answer_multiset(served_answers)
-                == answer_multiset(local.answers)), \
-            f"served {spec} answers diverged for {name}"
-        assert served["counters"] == dict(local.counters)
+        _assert_matches_local(name, spec, served)
+
+
+@pytest.mark.slow
+def test_served_registry_matches_local_engines(server):
+    """Every registry workload, served under ``faithful`` and
+    ``indexed`` (and ``baseline`` unless ``psi_only``) from concurrent
+    clients over a seed-shuffled job list, equals a local run."""
+    from repro.workloads import all_workloads
+
+    host, port = server
+    jobs = [(workload.name, spec) for workload in all_workloads().values()
+            for spec in ("faithful", "indexed",
+                         *(() if workload.psi_only else ("baseline",)))]
+    random.Random(1987).shuffle(jobs)
+    slices = [jobs[i::CLIENTS] for i in range(CLIENTS)]
+
+    def solve_slice(slice_jobs):
+        with ServeClient(host, port) as client:
+            return [client.solve(name, spec=spec) for name, spec in slice_jobs]
+
+    with ThreadPoolExecutor(max_workers=CLIENTS) as executor:
+        results = list(executor.map(solve_slice, slices))
+
+    for slice_jobs, served_slice in zip(slices, results):
+        for (name, spec), served in zip(slice_jobs, served_slice):
+            _assert_matches_local(name, spec, served)
 
 
 def test_psi_solve_reports_run_shape(server):
@@ -166,21 +204,10 @@ def test_indexed_spec_solve_matches_local_indexed_engine(server):
     """A ``spec: indexed`` request equals a local indexed-spec run —
     same answers, same counters (including the indexing counters that
     distinguish it from the faithful spec)."""
-    from repro.engine.answers import answer_multiset
-    from repro.eval.runner import run_spec
-
     host, port = server
     with ServeClient(host, port) as client:
         served = client.solve("qsort", spec="indexed")
-    assert served["succeeded"]
-    assert served["spec"] == "indexed"
-    assert served["engine"] == "psi"
-    local = run_spec("qsort", "indexed", record_trace=False)
-    served_answers = [tuple(tuple(pair) for pair in answer)
-                      for answer in served["answers"]]
-    assert (answer_multiset(served_answers)
-            == answer_multiset(local.answers))
-    assert served["counters"] == dict(local.counters)
+    local = _assert_matches_local("qsort", "indexed", served)
     assert served["steps"] == local.steps
 
 
