@@ -4,6 +4,7 @@ DEC-2060 cost model (the comparison system of Table 1)."""
 from repro.baseline.isa import COSTS_NS, DYNAMIC_COSTS_NS, Instr, Op
 from repro.baseline.machine import (
     BaselineConfig,
+    BaselineRun,
     BaselineSolution,
     BaselineSolver,
     BaselineStats,
@@ -11,7 +12,7 @@ from repro.baseline.machine import (
 )
 
 __all__ = [
-    "WAMMachine", "BaselineConfig", "BaselineStats",
+    "WAMMachine", "BaselineConfig", "BaselineRun", "BaselineStats",
     "BaselineSolver", "BaselineSolution",
     "Op", "Instr", "COSTS_NS", "DYNAMIC_COSTS_NS",
 ]

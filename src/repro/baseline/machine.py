@@ -33,6 +33,7 @@ from repro.baseline.compiler import (
     patch_out_clause,
 )
 from repro.baseline.isa import COSTS_NS, DYNAMIC_COSTS_NS, Instr, Op, X, Y
+from repro.engine.answers import Answer
 from repro.engine.frontend import Frontend
 from repro.errors import ExistenceError, MachineError, ResourceLimitExceeded
 from repro.prolog.reader import parse_term
@@ -83,6 +84,43 @@ class BaselineStats:
     def lips(self) -> float:
         seconds = self.time_ns / 1e9
         return self.inferences / seconds if seconds else 0.0
+
+
+@dataclass
+class BaselineRun:
+    """One workload's baseline execution: stats plus captured answers.
+
+    The captured answers and counters feed the workloads' ``expected``
+    checks and the differential crosscheck; timing consumers read the
+    stats through the delegating properties.  With no machine and no
+    trace, the run is its own picklable summary (run cache, workers).
+    """
+
+    stats: BaselineStats
+    answers: tuple[Answer, ...] = ()
+    counters: dict[str, int] = field(default_factory=dict)
+    succeeded: bool = True
+
+    @property
+    def time_ms(self) -> float:
+        return self.stats.time_ms
+
+    @property
+    def time_ns(self) -> int:
+        return self.stats.time_ns
+
+    @property
+    def lips(self) -> float:
+        return self.stats.lips
+
+    @property
+    def inferences(self) -> int:
+        return self.stats.inferences
+
+    def to_summary(self) -> "BaselineRun":
+        return self
+
+    to_collected_run = to_summary
 
 
 class Environment:

@@ -53,8 +53,8 @@ Usage::
 
 Workload runs are cached persistently under ``.psi-cache/`` (keyed by
 workload content + run-spec fingerprint + simulator code version), so
-repeated invocations skip re-interpretation — for every spec, faithful
-and indexed alike.  ``--jobs N`` executes independent workloads on
+repeated invocations skip re-interpretation — for every spec, the
+baseline WAM included.  ``--jobs N`` executes independent workloads on
 ``N`` processes; outputs are byte-identical to the serial path.
 ``--spec NAME`` sets the run spec (:mod:`repro.eval.specs`) the
 spec-agnostic targets execute under; ``fidelity`` refuses to score any

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from repro.eval import paper_data
 from repro.eval.report import format_table
-from repro.eval.runner import run_spec
-from repro.tools.pmms import FIGURE1_CAPACITIES, SweepPoint, capacity_sweep
+from repro.eval.runner import cache_stats
+from repro.tools.pmms import FIGURE1_CAPACITIES, SweepPoint, sweep_configs, sweep_points
 
 WORKLOAD = "window-1"
 
@@ -32,9 +32,9 @@ class Figure1Result:
 
 
 def generate(workload: str = WORKLOAD, capacities=FIGURE1_CAPACITIES) -> Figure1Result:
-    run = run_spec(workload, record_trace=True)
-    points = capacity_sweep(run.trace, run.steps, capacities)
-    return Figure1Result(points)
+    configs = sweep_configs(capacities)
+    run, stats = cache_stats(workload, configs)
+    return Figure1Result(sweep_points(run.steps, configs, stats))
 
 
 def render(result: Figure1Result) -> str:

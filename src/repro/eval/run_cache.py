@@ -4,23 +4,23 @@ Re-interpreting a workload is by far the most expensive step of the
 evaluation pipeline (minutes for the practical-scale programs), yet its
 outcome is fully determined by the workload definition, the machine
 configuration and the simulator code itself.  This module memoises
-:class:`~repro.tools.collect.RunSummary` objects under ``.psi-cache/``
-so repeated ``psi-eval`` invocations skip interpretation entirely.
+:class:`~repro.tools.collect.RunSummary` and :class:`~repro.baseline.BaselineRun`
+objects under ``.psi-cache/`` so repeated ``psi-eval`` invocations
+skip interpretation entirely.
 
 Keying and integrity:
 
 * The cache **key** is a SHA-256 content hash over the workload source,
-  goal, setup goals, solution mode, the machine and cache
-  configurations, and a **code version** hash covering every simulator
-  source file that can influence a run (``repro.core``,
-  ``repro.engine``, ``repro.memsys``, ``repro.prolog``,
-  ``repro.workloads``, ``repro.tools``).  Editing any of those files
-  changes the key, so
+  goal, setup goals, solution mode, the run-spec fingerprint, and a
+  **code version** hash covering every source file that can influence
+  a run (``repro.baseline``, ``repro.core``, ``repro.engine``,
+  ``repro.memsys``, ``repro.prolog``, ``repro.workloads``,
+  ``repro.tools``).  Editing any of those files changes the key, so
   stale entries are never *matched* — they simply become garbage that
   ``psi-eval cache clear`` removes.
 * Each entry file has two sections after its header: a **summary**
-  section (the pickled :class:`RunSummary`, trace dropped) and a raw
-  **trace** section (the packed int64 memory trace, not pickled)::
+  section (the pickled summary, trace dropped) and a raw **trace**
+  section (the packed int64 memory trace, not pickled)::
 
       psi-run-cache
       <key>
@@ -70,6 +70,7 @@ try:
 except ImportError:          # pragma: no cover - non-POSIX fallback
     fcntl = None
 
+from repro.baseline import BaselineRun
 from repro.tools.collect import RunSummary
 
 logger = logging.getLogger(__name__)
@@ -83,7 +84,7 @@ FORMAT_VERSION = 3
 
 _MAGIC = b"psi-run-cache\n"
 
-_CODE_PACKAGES = ("core", "engine", "memsys", "prolog", "workloads", "tools")
+_CODE_PACKAGES = ("baseline", "core", "engine", "memsys", "prolog", "workloads", "tools")
 
 _code_version: str | None = None
 
@@ -111,20 +112,17 @@ def code_version() -> str:
 
 
 def run_key(*, source: str, goal: str, setup_goals: tuple[str, ...],
-            all_solutions: bool, machine_config: object,
-            cache_config: object, spec_fingerprint: str = "") -> str:
+            all_solutions: bool, spec_fingerprint: str) -> str:
     """Content hash identifying one deterministic run.
 
     ``spec_fingerprint`` is the :class:`~repro.eval.specs.RunSpec`
-    content hash — two specs that differ in any result-affecting field
-    get disjoint keys, while aliases of one configuration share
-    entries.  The machine/cache configs still participate directly so
-    pre-spec callers keep well-defined keys.
+    content hash (engine, machine and cache configurations, options) —
+    two specs that differ in any result-affecting field get disjoint
+    keys, while aliases of one configuration share entries.
     """
     digest = hashlib.sha256()
     for part in (code_version(), source, goal, repr(tuple(setup_goals)),
-                 repr(bool(all_solutions)), repr(machine_config),
-                 repr(cache_config), spec_fingerprint):
+                 repr(bool(all_solutions)), spec_fingerprint):
         digest.update(part.encode())
         digest.update(b"\x00")
     return digest.hexdigest()
@@ -144,7 +142,7 @@ def _parse_section(line: bytes) -> tuple[str, int]:
     return digest, int(length)
 
 
-def _read_entry(fp, key: str, trace: bool) -> RunSummary:
+def _read_entry(fp, key: str, trace: bool) -> RunSummary | BaselineRun:
     """Parse and verify one open entry file (see the module docstring).
 
     The trace section is read into its final ``array('q')`` and hashed
@@ -169,8 +167,8 @@ def _read_entry(fp, key: str, trace: bool) -> RunSummary:
     if hashlib.sha256(payload).hexdigest() != summary_digest:
         raise ValueError("summary digest mismatch")
     summary = pickle.loads(payload)
-    if not isinstance(summary, RunSummary):
-        raise ValueError("payload is not a RunSummary")
+    if not isinstance(summary, (RunSummary, BaselineRun)):
+        raise ValueError("payload is not a RunSummary or BaselineRun")
     if trace and trace_digest != "-":
         data = array("q", [0]) * (trace_len // itemsize)
         if fp.readinto(memoryview(data).cast("B")) != trace_len:
@@ -186,7 +184,7 @@ def default_root() -> pathlib.Path:
 
 
 class RunCache:
-    """Content-addressed store of pickled :class:`RunSummary` objects."""
+    """Content-addressed store of pickled run summaries."""
 
     def __init__(self, root: pathlib.Path | str | None = None):
         self.root = pathlib.Path(root) if root is not None else default_root()
@@ -194,7 +192,8 @@ class RunCache:
     def _path(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.run"
 
-    def load(self, key: str, trace: bool = True) -> RunSummary | None:
+    def load(self, key: str,
+             trace: bool = True) -> RunSummary | BaselineRun | None:
         """Return the cached summary for ``key``, or None.
 
         With ``trace=False`` the trace section is neither read nor
@@ -224,7 +223,7 @@ class RunCache:
             return None
         return summary
 
-    def store(self, key: str, summary: RunSummary, *,
+    def store(self, key: str, summary: RunSummary | BaselineRun, *,
               label: str = "") -> None:
         """Persist ``summary`` under ``key`` (atomic rename).
 
@@ -232,12 +231,15 @@ class RunCache:
         integrity and matching ride on the key, which already folds in
         the spec fingerprint).  It lets ``cache info`` group entries
         per spec without unpickling payloads.  The trace is written
-        straight from ``summary.trace_bytes``, never copied.
+        straight from ``summary.trace_bytes``, never copied; a
+        :class:`BaselineRun` has none.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(dataclasses.replace(summary, trace_bytes=None),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        trace = summary.trace_bytes
+        trace = getattr(summary, "trace_bytes", None)
+        payload = pickle.dumps(
+            summary if trace is None
+            else dataclasses.replace(summary, trace_bytes=None),
+            protocol=pickle.HIGHEST_PROTOCOL)
         trace_line = b"- 0\n" if trace is None else _section_line(trace)
         path = self._path(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")

@@ -2,31 +2,34 @@
 
 Every run is parameterized by a :class:`~repro.eval.specs.RunSpec` —
 a named (engine, machine config, cache config, options) bundle — and
-flows through one path, :func:`run_spec`, with three cache tiers
+flows through one path, :func:`run_spec`, for both engines (the spec's
+engine only picks the machine that executes), with three cache tiers
 keeping re-interpretation (minutes per practical-scale workload) off
 the hot path:
 
 * **per-process**: Table 3, Table 4 and Table 5 analyse the same seven
   programs; within one ``psi-eval`` invocation each executes once per
   spec (memo dictionaries are keyed by spec fingerprint),
-* **on disk**: collected runs persist under ``.psi-cache/`` keyed by a
-  content hash of (workload source, goal, setup goals, spec
-  fingerprint, code version), so *repeated* invocations skip
-  interpretation too — for every PSI spec, faithful and indexed alike
-  (``--no-disk-cache`` bypasses, ``psi-eval cache clear`` purges; see
-  :mod:`repro.eval.run_cache` for the integrity story),
+* **on disk**: runs persist under ``.psi-cache/`` keyed by a content
+  hash of (workload source, goal, setup goals, spec fingerprint, code
+  version), so *repeated* invocations skip interpretation too — for
+  every spec, baseline included (``--no-disk-cache`` bypasses,
+  ``psi-eval cache clear`` purges; see :mod:`repro.eval.run_cache` for
+  the integrity story),
 * **across processes**: :func:`run_many` fans independent workloads
   over a ``ProcessPoolExecutor``; workers ship back picklable
-  :class:`~repro.tools.collect.RunSummary` objects that rebuild into
+  summaries (:class:`~repro.tools.collect.RunSummary`, or the
+  :class:`~repro.baseline.BaselineRun` itself) that rebuild into
   table-ready runs.  The spec object itself is picklable and travels
   with the task, so unregistered ad-hoc specs parallelize too.
 
 Tables 1–7 ask for trace-free runs (``record_trace=False``): every
 number they print comes from the stats counters and the run's online
-production-cache result.  Only trace replays — Figure 1, the
-ablations, serve replays, Table 5 under another cache configuration —
-ask for the trace, which a warm disk tier serves from the stored
-entry's trace section.
+production-cache result.  Every cache study — Table 5, Figure 1, the
+ablations, serve replays — takes its statistics from
+:func:`cache_stats`, which loads the trace (from a warm disk tier, the
+stored entry's trace section) only for configurations the stored
+result does not answer.
 
 ``clear_cache`` exists for tests that need isolation.  ``CACHE_EVENTS``
 counts hits/misses/upgrades so callers (and tests) can observe what the
@@ -40,14 +43,14 @@ import dataclasses
 import logging
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from repro import obs
-from repro.baseline import BaselineStats, WAMMachine
-from repro.engine.answers import Answer, canonical_answer, check_expected
+from repro.baseline import BaselineRun, BaselineStats, WAMMachine
+from repro.engine.answers import canonical_answer, check_expected
 from repro.eval.run_cache import RunCache, run_key
 from repro.eval.specs import RunSpec, get_spec
-from repro.tools.collect import CollectedRun, collect
+from repro.tools.collect import CollectedRun, _totals_from_stats, collect
+from repro.tools.pmms import simulate_many
 from repro.workloads import Workload, get
 
 logger = logging.getLogger(__name__)
@@ -94,13 +97,55 @@ def _spec_all_solutions(workload: Workload, spec: RunSpec) -> bool:
             else spec.all_solutions)
 
 
-def _spec_run_key(workload: Workload, spec: RunSpec) -> str:
-    return run_key(source=workload.source, goal=workload.goal,
-                   setup_goals=workload.setup_goals,
-                   all_solutions=_spec_all_solutions(workload, spec),
-                   machine_config=spec.machine_config,
-                   cache_config=spec.cache_config,
-                   spec_fingerprint=spec.fingerprint)
+def _machine(spec: RunSpec, record_trace: bool):
+    """``(execute, record_trace)`` for ``spec``: the one place the
+    engine is consulted.  The WAM records no trace, so a baseline run
+    serves every caller and never enters a trace upgrade."""
+    if spec.engine == "baseline":
+        return _run_wam, False
+    return _run_psi, record_trace
+
+
+def _run_psi(workload: Workload, spec: RunSpec,
+             record_trace: bool) -> CollectedRun:
+    # Always record the trace (unless the spec opts out): the deferred
+    # cache replay needs it anyway, and the stored run then serves every
+    # later ``record_trace=True`` caller without a trace upgrade.
+    # Configs are copied so a live machine never aliases (and corrupts)
+    # the registry's mutable config instances.
+    run = collect(workload.source, workload.goal,
+                  all_solutions=_spec_all_solutions(workload, spec),
+                  record_trace=spec.record_trace or record_trace,
+                  with_cache=spec.with_cache,
+                  cache_config=dataclasses.replace(spec.cache_config),
+                  machine_config=dataclasses.replace(spec.machine_config),
+                  setup_goals=workload.setup_goals)
+    if not run.succeeded:
+        raise RuntimeError(f"workload {workload.name} failed on the PSI "
+                           f"model (spec {spec.name!r})")
+    return run
+
+
+def _run_wam(workload: Workload, spec: RunSpec,
+             record_trace: bool) -> BaselineRun:
+    if workload.psi_only:
+        raise ValueError(f"workload {workload.name} uses KL0-only builtins")
+    machine = WAMMachine()
+    machine.consult(workload.source)
+    for setup in workload.setup_goals:
+        if machine.solve(setup).next() is None:
+            raise RuntimeError(f"setup goal failed on the baseline: {setup}")
+    # Fresh stats so measurement excludes setup, mirroring collect().
+    machine.stats = BaselineStats()
+    solver = machine.solve(workload.goal)
+    all_solutions = _spec_all_solutions(workload, spec)
+    solutions = solver.all() if all_solutions else solver.all(1)
+    if not solutions:
+        raise RuntimeError(f"workload {workload.name} failed on the baseline")
+    return BaselineRun(stats=machine.stats,
+                       answers=tuple(canonical_answer(s.bindings)
+                                     for s in solutions),
+                       counters=dict(machine.counters))
 
 
 def run_spec(name: str, spec: RunSpec | str | None = None,
@@ -113,12 +158,10 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
     ``None`` for the process default
     (:func:`~repro.eval.specs.default_spec`, settable with the CLI's
     ``--spec``).  PSI specs return a :class:`CollectedRun`; the
-    baseline engine returns a :class:`BaselineRun` (memoised per
-    process, no disk tier — baseline runs are cheap and carry no
-    trace).
+    baseline engine returns a :class:`BaselineRun` (no trace) through
+    the same tiers.
 
-    Cache semantics for PSI specs (see :mod:`repro.eval.run_cache` for
-    the format):
+    Cache semantics (see :mod:`repro.eval.run_cache` for the format):
 
     * The disk key is a content hash over the workload source, goal,
       setup goals, solution mode, the spec fingerprint, and the
@@ -126,7 +169,7 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
       a spec's configuration silently invalidates only the affected
       entries.  The cache directory is ``.psi-cache/`` or
       ``$PSI_CACHE_DIR``.
-    * The trace is always recorded on a real execution (unless the
+    * The trace is always recorded on a real PSI execution (unless the
       spec opts out), so the stored entry satisfies later
       ``record_trace=True`` callers without a second run.
     * Disk loads read the entry's trace section only when
@@ -140,30 +183,28 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
       does the workload execute again — counted in
       ``CACHE_EVENTS["trace_upgrade"]`` and logged, since it is
       otherwise silent double work.
+    * Every run, fresh or loaded, is checked against the workload's
+      declared ``expected`` results.
 
     Observability (:mod:`repro.obs`) is orthogonal: cached runs carry
     no observation (obs artifacts are derived data and never stored);
-    a fresh execution with obs enabled attaches one to the returned
-    run, merges its metrics into the process-global registry, and
-    bumps the spec-labelled counter ``psi.run.spec.<name>``.
+    a fresh execution with obs enabled attaches one to a PSI run,
+    merges its metrics into the process-global registry, and bumps the
+    spec-labelled counter ``psi.run.spec.<name>``.
     """
     spec = get_spec(spec)
-    if spec.engine == "baseline":
-        return _run_baseline_spec(name, spec)
-
+    machine, record_trace = _machine(spec, record_trace)
     memo = _memo(spec)
     cached = memo.get(name)
-    if cached is not None and (cached.trace is not None or not record_trace):
+    if cached is not None and (not record_trace or cached.trace is not None):
         _event("memory_hit", spec)
         return cached
     # A trace-free run of this key is already held; executing again is
     # double work, made visible in execute().
     untraced = cached is not None
-
     workload = get(name)
-    all_solutions = _spec_all_solutions(workload, spec)
 
-    def execute() -> CollectedRun:
+    def execute():
         if untraced:
             _event("trace_upgrade", spec)
             logger.warning(
@@ -171,57 +212,40 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
                 "record one (keep the disk cache enabled and the spec's "
                 "record_trace on to avoid the double execution)",
                 name, spec.name)
-        # Always record the trace on a real execution (unless the spec
-        # opts out): the packed trace is the memory system's only
-        # sink, which the deferred cache replay needs anyway, so
-        # recording costs almost nothing — and the cached run then
-        # serves every later ``record_trace=True`` caller without the
-        # trace-upgrade double execution.
-        # Configs are copied: MachineConfig/CacheConfig are plain
-        # mutable dataclasses, and a live machine aliasing the
-        # registry's instances would silently corrupt the spec (and
-        # its fingerprint stability).
-        run = collect(workload.source, workload.goal,
-                      all_solutions=all_solutions,
-                      record_trace=spec.record_trace or record_trace,
-                      with_cache=spec.with_cache,
-                      cache_config=dataclasses.replace(spec.cache_config),
-                      machine_config=dataclasses.replace(spec.machine_config),
-                      setup_goals=workload.setup_goals)
-        if not run.succeeded:
-            raise RuntimeError(f"workload {name} failed on the PSI model "
-                               f"(spec {spec.name!r})")
-        _check_expected(name, spec.name, workload, run.answers, run.counters)
+        run = machine(workload, spec, record_trace)
+        _check_expected(workload, spec, run)
         if obs.enabled():
             obs.global_metrics().counter(f"psi.run.spec.{spec.name}").inc()
         return run
 
     if not _DISK_CACHE_ENABLED:
-        run = execute()
-        memo[name] = run
+        memo[name] = run = execute()
         return run
 
     # Disk tier, behind the per-key file lock: when several processes
     # (serve workers, ``run_many`` workers, parallel CLI invocations)
     # miss the same key at once, exactly one computes inside the lock
     # and the rest load its stored entry ("wait_hit").
-    computed: list[CollectedRun] = []
+    computed = []
 
-    def compute() -> "RunSummary":
+    def compute():
         run = execute()
         computed.append(run)
         return run.to_summary()
 
     def usable(summary) -> bool:
         nonlocal untraced
-        if summary.trace_bytes is None and record_trace:
+        if record_trace and summary.trace_bytes is None:
             untraced = True         # stored without a trace
             return False
         return True
 
+    key = run_key(source=workload.source, goal=workload.goal,
+                  setup_goals=workload.setup_goals,
+                  all_solutions=_spec_all_solutions(workload, spec),
+                  spec_fingerprint=spec.fingerprint)
     summary, outcome = RunCache().load_or_compute(
-        _spec_run_key(workload, spec), compute, usable=usable,
-        label=spec.name, trace=record_trace)
+        key, compute, usable=usable, label=spec.name, trace=record_trace)
     if outcome == "hit":
         _event("disk_hit", spec)
     else:
@@ -232,7 +256,7 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
         run = computed[0]       # the live run (keeps the machine handle)
     else:
         run = summary.to_collected_run()
-        _check_expected(name, spec.name, workload, run.answers, run.counters)
+        _check_expected(workload, spec, run)
     memo[name] = run
     return run
 
@@ -242,59 +266,56 @@ def _collect_summary(name: str, record_trace: bool, disk_cache: bool,
     """Worker-process entry point: run one workload, return its summary.
 
     ``obs_config`` is the parent's :class:`~repro.obs.ObsConfig` when
-    observability is enabled there (workers are fresh processes, so the
-    flag must travel explicitly), and ``spec`` the parent's resolved
-    :class:`RunSpec` (shipped as a value — the worker does not need the
-    parent's registry).  The worker attaches its run's metrics snapshot
-    to the shipped summary — the one obs artifact that crosses the
-    process boundary; traces and profiles stay worker-local.
+    observability is enabled there, and ``spec`` the parent's resolved
+    :class:`RunSpec` (shipped as a value).  With obs on, the worker also
+    returns what this task added to its process-global metrics — the
+    one obs artifact that crosses the process boundary.
     """
     set_disk_cache(disk_cache)
     if obs_config is not None:
+        obs.global_metrics().clear()
         obs.enable(obs_config)
     run = run_spec(name, spec, record_trace=record_trace)
-    summary = run.to_summary()
-    if run.observation is not None:
-        summary.metrics = run.observation.metrics_snapshot
-    return name, summary
+    metrics = obs.global_metrics().snapshot() if obs_config else None
+    return name, run.to_summary(), metrics
 
 
 def run_many(names, jobs: int | None = None, record_trace: bool = True,
-             spec: RunSpec | str | None = None) -> dict[str, CollectedRun]:
+             spec: RunSpec | str | None = None) -> dict:
     """Run several workloads under one spec, optionally across processes.
 
     Returns ``{name: run}`` in first-seen input order.  Cache tiers are
     consulted first; only workloads that actually need execution are
-    fanned out over ``jobs`` processes.  Results land in the spec's
-    per-process memo, so subsequent :func:`run_spec` calls (the table
-    generators) are free.  Baseline-engine specs run serially in the
-    parent — baseline execution is cheap and its runs carry no
-    summary form worth shipping.
+    fanned out over ``jobs`` processes, for either engine.  Results
+    land in the spec's per-process memo, so subsequent :func:`run_spec`
+    calls (the table generators) are free.
 
     Execution order never affects results — every workload runs on a
     fresh machine — so the parallel path renders byte-identical tables
     and figures to the serial one.  That extends to observability:
-    workers ship per-run metrics snapshots back with their summaries
-    and the parent merges them, so the process-global metrics equal a
-    serial run's (merging is commutative; runs served from a cache tier
-    contribute no metrics on either path).
+    workers ship their metrics back with their summaries and the parent
+    merges them, so the process-global metrics equal a serial run's
+    (merging is commutative; runs served from a cache tier contribute
+    no metrics on either path).
     """
     spec = get_spec(spec)
+    _, record_trace = _machine(spec, record_trace)
     ordered = list(dict.fromkeys(names))
-    if spec.engine == "baseline":
-        return {name: run_spec(name, spec) for name in ordered}
-
     memo = _memo(spec)
     pending = []
     for name in ordered:
         cached = memo.get(name)
-        if cached is not None and (cached.trace is not None or not record_trace):
+        if cached is not None and (not record_trace or cached.trace is not None):
             continue
         if _DISK_CACHE_ENABLED:
-            summary = RunCache().load(_spec_run_key(get(name), spec),
-                                      trace=record_trace)
-            if summary is not None and (summary.trace_bytes is not None
-                                        or not record_trace):
+            workload = get(name)
+            key = run_key(source=workload.source, goal=workload.goal,
+                          setup_goals=workload.setup_goals,
+                          all_solutions=_spec_all_solutions(workload, spec),
+                          spec_fingerprint=spec.fingerprint)
+            summary = RunCache().load(key, trace=record_trace)
+            if summary is not None and (not record_trace
+                                        or summary.trace_bytes is not None):
                 _event("disk_hit", spec)
                 memo[name] = summary.to_collected_run()
                 continue
@@ -309,103 +330,47 @@ def run_many(names, jobs: int | None = None, record_trace: bool = True,
                                    _DISK_CACHE_ENABLED, obs_config, spec)
                        for name in pending]
             for future in futures:
-                name, summary = future.result()
-                if summary.metrics is not None:
-                    obs.merge_snapshot(summary.metrics)
-                    # A shipped snapshot means the worker really
-                    # executed with obs on; mirror the spec-labelled
-                    # counter the serial path bumps (the worker's
-                    # process-global registry stays worker-local).
-                    obs.global_metrics().counter(
-                        f"psi.run.spec.{spec.name}").inc()
-                run = summary.to_collected_run()
+                name, summary, metrics = future.result()
+                if metrics:
+                    obs.merge_snapshot(metrics)
                 # Workers store their own disk entries; the parent only
                 # needs the in-process tier.
-                memo[name] = run
-    else:
-        for name in pending:
-            run_spec(name, spec, record_trace=record_trace)
-
+                memo[name] = summary.to_collected_run()
     return {name: run_spec(name, spec, record_trace=record_trace)
             for name in ordered}
 
 
-@dataclass
-class BaselineRun:
-    """One workload's baseline execution: stats plus captured answers.
-
-    The captured answers and counters feed the workloads' ``expected``
-    checks and the differential crosscheck; timing consumers read the
-    stats through the delegating properties.
-    """
-
-    stats: BaselineStats
-    answers: tuple[Answer, ...] = ()
-    counters: dict[str, int] = field(default_factory=dict)
-    succeeded: bool = True
-
-    @property
-    def time_ms(self) -> float:
-        return self.stats.time_ms
-
-    @property
-    def time_ns(self) -> int:
-        return self.stats.time_ns
-
-    @property
-    def lips(self) -> float:
-        return self.stats.lips
-
-    @property
-    def inferences(self) -> int:
-        return self.stats.inferences
-
-
-def _check_expected(name: str, engine: str, workload: Workload,
-                    answers: tuple[Answer, ...],
-                    counters: dict[str, int]) -> None:
+def _check_expected(workload: Workload, spec: RunSpec, run) -> None:
     """Raise if a workload's declared ``expected`` results don't hold."""
-    problems = check_expected(workload.expected, answers=answers,
-                              counters=counters)
+    problems = check_expected(workload.expected, answers=run.answers,
+                              counters=run.counters)
     if problems:
         raise RuntimeError(
-            f"workload {name} produced wrong results on the {engine} "
-            f"engine: " + "; ".join(problems))
+            f"workload {workload.name} produced wrong results on the "
+            f"{spec.name} engine: " + "; ".join(problems))
 
 
-def _run_baseline_spec(name: str, spec: RunSpec) -> BaselineRun:
-    memo = _memo(spec)
-    cached = memo.get(name)
-    if cached is not None:
-        _event("memory_hit", spec)
-        return cached
-    workload = get(name)
-    if workload.psi_only:
-        raise ValueError(f"workload {name} uses KL0-only builtins")
-    machine = WAMMachine()
-    machine.consult(workload.source)
-    for setup in workload.setup_goals:
-        if machine.solve(setup).next() is None:
-            raise RuntimeError(f"setup goal failed on the baseline: {setup}")
-    # Fresh stats so measurement excludes setup, mirroring collect().
-    machine.stats = BaselineStats()
-    solver = machine.solve(workload.goal)
-    if _spec_all_solutions(workload, spec):
-        solutions = solver.all()
-    else:
-        first = solver.next()
-        solutions = [first] if first is not None else []
-    if not solutions:
-        raise RuntimeError(f"workload {name} failed on the baseline")
-    run = BaselineRun(stats=machine.stats,
-                      answers=tuple(canonical_answer(s.bindings)
-                                    for s in solutions),
-                      counters=dict(machine.counters))
-    _check_expected(name, spec.name, workload, run.answers, run.counters)
-    if obs.enabled():
-        obs.global_metrics().counter(f"psi.run.spec.{spec.name}").inc()
-    memo[name] = run
-    return run
+def cache_stats(name: str, configs,
+                spec: RunSpec | str | None = None) -> tuple:
+    """``(run, stats)``: a run's cache statistics under each of ``configs``.
+
+    The one replay decision behind every cache study.  A config equal
+    to the run's stored :class:`~repro.memsys.CacheResult` geometry is
+    answered from it (the same kernel, trace and totals produced it).
+    The rest share one :func:`~repro.tools.pmms.simulate_many` call
+    with the run's own access totals standing in for a counting pass;
+    only then is the trace loaded.  ``run`` is the trace-free run whose
+    stored result answered (its ``steps`` price the stats).
+    """
+    run = run_spec(name, spec, record_trace=False)
+    stored = run.cache
+    reuse = [stored is not None and config == stored.config
+             for config in configs]
+    todo = [config for config, hit in zip(configs, reuse) if not hit]
+    fresh = iter(simulate_many(run_spec(name, spec).trace, todo,
+                               totals=_totals_from_stats(run.stats))
+                 if todo else ())
+    return run, [stored.stats if hit else next(fresh) for hit in reuse]
 
 
 def clear_cache(disk: bool = False) -> None:

@@ -68,8 +68,8 @@ class RunSpec:
 
     name: str
     #: Which machine executes: ``"psi"`` (the microcoded interpreter)
-    #: or ``"baseline"`` (the DEC-10 WAM).  Baseline runs carry no
-    #: trace/cache model, so they skip the disk tier.
+    #: or ``"baseline"`` (the DEC-10 WAM).  Both take the same cache
+    #: tiers; baseline runs carry no trace/cache model.
     engine: str = "psi"
     machine_config: MachineConfig = field(default_factory=MachineConfig)
     cache_config: CacheConfig = field(default_factory=CacheConfig)

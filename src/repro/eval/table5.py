@@ -4,8 +4,9 @@ Each hardware-evaluation program's hit ratios come from the PSI
 production cache (8KW, 2-way, 4-word blocks, store-in, write-stack)
 that COLLECT already simulates for every run: the run's own
 :class:`~repro.memsys.CacheResult`, read without touching the memory
-trace.  Only for another ``config`` is the trace loaded and replayed
-through the PMMS cache simulator."""
+trace (:func:`~repro.eval.runner.cache_stats`).  Only for another
+``config`` is the trace loaded and replayed through the PMMS cache
+simulator."""
 
 from __future__ import annotations
 
@@ -14,11 +15,10 @@ from dataclasses import dataclass
 from repro.core.memory import Area
 from repro.eval import paper_data
 from repro.eval.report import format_table
-from repro.eval.runner import run_spec
+from repro.eval.runner import cache_stats
 from repro.eval.table3 import HARDWARE_PROGRAMS
 from repro.eval.table4 import AREA_ORDER
 from repro.memsys import CacheConfig
-from repro.tools.pmms import simulate_many
 
 
 @dataclass(frozen=True)
@@ -31,22 +31,9 @@ class Table5Row:
 
 def generate(programs: dict[str, str] | None = None,
              config: CacheConfig | None = None) -> list[Table5Row]:
-    cfg = config or CacheConfig()
     rows = []
     for paper_name, workload_name in (programs or HARDWARE_PROGRAMS).items():
-        run = run_spec(workload_name, record_trace=False)
-        if run.cache is not None and run.cache.config == cfg:
-            # The run already carries this exact configuration's stats
-            # (collect's deferred replay of the same trace), so the
-            # trace is neither loaded nor replayed again.
-            stats = run.cache.stats
-        else:
-            # Packed batched replay — bit-identical to the per-access
-            # reference (pinned by tests/tools/test_collect_and_pmms.py)
-            # but never decodes the trace or rebuilds CacheCmd objects.
-            # A warm disk cache serves the trace from the stored entry.
-            run = run_spec(workload_name, record_trace=True)
-            stats = simulate_many(run.trace, [cfg])[0]
+        _, (stats,) = cache_stats(workload_name, [config or CacheConfig()])
         rows.append(Table5Row(
             program=paper_name,
             ratios={area: stats.area_hit_ratio(area) for area in AREA_ORDER},

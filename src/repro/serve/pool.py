@@ -106,39 +106,31 @@ def worker_replay(name: str, spec_name: str, configs: list[dict]) -> dict:
     """Replay one workload's recorded trace through many cache configs.
 
     The trace comes from the ``spec_name`` run (any PSI spec — the
-    server rejects baseline specs, which record no trace).  A config
-    equal to the geometry the run was already replayed under is
-    answered from the run's stored :class:`~repro.memsys.CacheResult`:
-    the same kernel over the same trace and totals produced it, so the
-    statistics are the ones a fresh pass would give.  The remaining
-    configs share one ``simulate_many`` call — one kernel pass each, no
-    matter how many client requests were coalesced into ``configs`` —
-    with the run's own access totals standing in for a counting pass.
+    server rejects baseline specs, which record no trace), through
+    :func:`repro.eval.runner.cache_stats`: configs equal to the run's
+    stored geometry are answered from its stored result, the rest
+    share one ``simulate_many`` call — one kernel pass each, no matter
+    how many client requests were coalesced into ``configs``.
     Statistics are bit-identical to a per-config ``simulate``
     (re-asserted end-to-end by ``tests/serve/test_server_e2e.py``).
     ``configs_simulated`` counts the kernel passes actually run and
     ``configs_reused`` the configs answered from the stored result.
     """
-    from repro.eval.runner import run_spec
-    from repro.tools.collect import _totals_from_stats
-    from repro.tools.pmms import simulate_many
+    from repro.eval.runner import cache_stats
 
-    run = run_spec(name, spec_name, record_trace=True)
-    wanted = [cache_config_from_json(config) for config in configs]
-    own = run.cache.config if run.cache is not None else None
-    todo = [config for config in wanted if config != own]
-    fresh = iter(simulate_many(run.trace, todo,
-                               totals=_totals_from_stats(run.stats))
-                 if todo else ())
-    stats = [run.cache.stats if config == own else next(fresh)
-             for config in wanted]
+    run, stats = cache_stats(
+        name, [cache_config_from_json(config) for config in configs],
+        spec_name)
+    reused = sum(run.cache is not None and s is run.cache.stats
+                 for s in stats)
     return {
         "workload": name,
         "spec": spec_name,
-        "trace_entries": len(run.trace),
+        # One trace entry per billed memory access.
+        "trace_entries": sum(run.stats.mem_counts.values()),
         "stats": [cache_stats_to_json(s) for s in stats],
-        "configs_simulated": len(todo),
-        "configs_reused": len(wanted) - len(todo),
+        "configs_simulated": len(stats) - reused,
+        "configs_reused": reused,
         "worker_pid": os.getpid(),
     }
 

@@ -160,12 +160,6 @@ class RunSummary:
     answer_marks: tuple[int, ...] = ()
     #: Clause-selection counters (see :attr:`CollectedRun.index_stats`).
     index_stats: dict[str, int] = field(default_factory=dict)
-    #: Observability metrics snapshot (plain dict) when the producing
-    #: process ran with obs enabled.  Set only on summaries shipped
-    #: from ``run_many`` workers to the parent — :meth:`to_summary`
-    #: leaves it ``None``, so the persistent run cache (which stores
-    #: ``to_summary()`` output) never contains derived obs data.
-    metrics: dict | None = None
 
     def to_collected_run(self) -> CollectedRun:
         """Rebuild a table-ready :class:`CollectedRun` (``machine=None``)."""

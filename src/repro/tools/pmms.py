@@ -13,6 +13,10 @@ that over a :class:`~repro.core.memory.TraceRecorder`:
 * :func:`capacity_sweep` — Figure 1's 8-word → 8K-word sweep,
 * :func:`compare_associativity` — the 1-set vs 2-set 4KW study,
 * :func:`compare_write_policy` — the store-in vs store-through study.
+
+Each study is also split into its configs and a result built from
+their stats, which the evaluation takes from
+:func:`repro.eval.runner.cache_stats`.
 """
 
 from __future__ import annotations
@@ -103,26 +107,35 @@ def performance_improvement(trace, steps: int,
     return improvement_from_stats(steps, stats), stats
 
 
-def capacity_sweep(trace, steps: int,
-                   capacities=FIGURE1_CAPACITIES,
-                   base: CacheConfig | None = None) -> list[SweepPoint]:
+def sweep_configs(capacities=FIGURE1_CAPACITIES,
+                  base: CacheConfig | None = None) -> list[CacheConfig]:
     """Vary capacity with other parameters fixed at the PSI values.
 
     For capacities too small to hold one two-way set of 4-word blocks
     the way count is reduced to keep the geometry legal (the smallest
     point, 8 words, is two 4-word blocks in one set — as in the paper,
     which swept down to 8 words).
-
-    All capacities replay through one :func:`simulate_many` call.
     """
     base = base or CacheConfig()
-    configs = []
-    for capacity in capacities:
-        ways = min(base.ways, max(1, capacity // base.block_words))
-        configs.append(replace(base, capacity_words=capacity, ways=ways))
-    return [SweepPoint(capacity, stats.hit_ratio,
-                       improvement_from_stats(steps, stats))
-            for capacity, stats in zip(capacities, simulate_many(trace, configs))]
+    return [replace(base, capacity_words=capacity,
+                    ways=min(base.ways, max(1, capacity // base.block_words)))
+            for capacity in capacities]
+
+
+def sweep_points(steps: int, configs, stats) -> list[SweepPoint]:
+    """Figure 1's points from each swept config's replayed stats."""
+    return [SweepPoint(config.capacity_words, s.hit_ratio,
+                       improvement_from_stats(steps, s))
+            for config, s in zip(configs, stats)]
+
+
+def capacity_sweep(trace, steps: int,
+                   capacities=FIGURE1_CAPACITIES,
+                   base: CacheConfig | None = None) -> list[SweepPoint]:
+    """Figure 1's sweep (:func:`sweep_configs`) over ``trace``, all
+    capacities in one :func:`simulate_many` call."""
+    configs = sweep_configs(capacities, base)
+    return sweep_points(steps, configs, simulate_many(trace, configs))
 
 
 @dataclass(frozen=True)
@@ -144,28 +157,37 @@ class ComparisonResult:
         return 100.0 * (self.improvement_a - self.improvement_b) / self.improvement_a
 
 
-def _compare(trace, steps: int, label_a: str, config_a: CacheConfig,
-             label_b: str, config_b: CacheConfig) -> ComparisonResult:
-    stats_a, stats_b = simulate_many(trace, [config_a, config_b])
+def comparison(pair, steps: int, stats) -> ComparisonResult:
+    """A ``(label, config)`` pair's improvements from its replayed stats."""
+    (label_a, _), (label_b, _) = pair
     return ComparisonResult(label_a, label_b,
-                            improvement_from_stats(steps, stats_a),
-                            improvement_from_stats(steps, stats_b))
+                            *(improvement_from_stats(steps, s) for s in stats))
+
+
+def associativity_pair(set_capacity_words: int = 4096):
+    """Two 4KW sets vs one 4KW set (§4.2: one set was only ~3% lower)."""
+    return (("two 4KW sets", CacheConfig(capacity_words=2 * set_capacity_words,
+                                         ways=2)),
+            ("one 4KW set", CacheConfig(capacity_words=set_capacity_words,
+                                        ways=1)))
+
+
+def write_policy_pair(base: CacheConfig | None = None):
+    """Store-in vs store-through (§4.2: store-in ~8% higher)."""
+    base = base or CacheConfig()
+    return (("store-in", replace(base, policy=WritePolicy.STORE_IN)),
+            ("store-through", replace(base, policy=WritePolicy.STORE_THROUGH)))
 
 
 def compare_associativity(trace, steps: int,
                           set_capacity_words: int = 4096) -> ComparisonResult:
-    """Two 4KW sets vs one 4KW set (§4.2: one set was only ~3% lower)."""
-    two_set = CacheConfig(capacity_words=2 * set_capacity_words, ways=2)
-    one_set = CacheConfig(capacity_words=set_capacity_words, ways=1)
-    return _compare(trace, steps, "two 4KW sets", two_set,
-                    "one 4KW set", one_set)
+    """:func:`associativity_pair` over ``trace``."""
+    pair = associativity_pair(set_capacity_words)
+    return comparison(pair, steps, simulate_many(trace, [c for _, c in pair]))
 
 
 def compare_write_policy(trace, steps: int,
                          base: CacheConfig | None = None) -> ComparisonResult:
-    """Store-in vs store-through (§4.2: store-in ~8% higher)."""
-    base = base or CacheConfig()
-    store_in = replace(base, policy=WritePolicy.STORE_IN)
-    store_through = replace(base, policy=WritePolicy.STORE_THROUGH)
-    return _compare(trace, steps, "store-in", store_in,
-                    "store-through", store_through)
+    """:func:`write_policy_pair` over ``trace``."""
+    pair = write_policy_pair(base)
+    return comparison(pair, steps, simulate_many(trace, [c for _, c in pair]))

@@ -10,17 +10,22 @@ import pathlib
 
 import pytest
 
-from repro.eval import figure1, runner, table2, table3, table4, table5
+from repro.baseline import WAMMachine
+from repro.eval import (ablations, figure1, run_cache, runner, table1, table2,
+                        table3, table4, table5)
 from repro.eval.run_cache import RunCache, run_key
 from repro.eval.specs import get_spec
 from repro.eval.table4 import AREA_ORDER
 from repro.memsys import Cache, CacheConfig, CacheResult
+from repro.memsys import cache as cache_module
+from repro.tools import pmms
 from repro.tools.collect import RunSummary
 from repro.tools.pmms import simulate_many
 
 FAST_PROGRAMS = {"bup": "bup-1", "lcp": "lcp-1", "lcp2": "lcp-2"}
 FIGURE1_WORKLOAD = "lcp-2"
 FIGURE1_CAPACITIES = (8, 256, 8192)
+BASELINE_PROGRAMS = ["nreverse", "qsort", "lcp-1"]
 
 
 def render_everything() -> str:
@@ -134,13 +139,13 @@ class TestDiskCache:
 
     def test_key_depends_on_inputs(self):
         base = dict(source="p.", goal="p", setup_goals=(), all_solutions=False,
-                    machine_config="m", cache_config="c")
+                    spec_fingerprint="f")
         key = run_key(**base)
         assert key != run_key(**{**base, "goal": "q"})
         assert key != run_key(**{**base, "source": "p2."})
         assert key != run_key(**{**base, "setup_goals": ("s",)})
         assert key != run_key(**{**base, "all_solutions": True})
-        assert key != run_key(**{**base, "machine_config": "m2"})
+        assert key != run_key(**{**base, "spec_fingerprint": "f2"})
         assert key == run_key(**base)
 
     def test_fresh_runs_always_record_no_upgrade_needed(self, fresh):
@@ -296,6 +301,99 @@ class TestTable5FromStoredCacheStats:
             [row.total for row in production]
 
 
+class TestBaselineDiskTier:
+    """Baseline (WAM) runs take the same memo → run cache → execute
+    path as PSI runs."""
+
+    def test_warm_table1_executes_no_wam_run(self, fresh, monkeypatch):
+        cold = table1.generate(BASELINE_PROGRAMS)
+        assert runner.CACHE_EVENTS["disk_compute:baseline"] == \
+            len(BASELINE_PROGRAMS)
+        runner.clear_cache()
+
+        def no_wam(self, text):
+            raise AssertionError("a warm table1 executed a WAM run")
+
+        monkeypatch.setattr(WAMMachine, "consult", no_wam)
+        assert table1.generate(BASELINE_PROGRAMS) == cold
+        assert runner.CACHE_EVENTS["disk_compute:baseline"] == 0
+        assert runner.CACHE_EVENTS["disk_hit:baseline"] == \
+            len(BASELINE_PROGRAMS)
+        assert RunCache().info_by_spec()["baseline"]["entries"] == \
+            len(BASELINE_PROGRAMS)
+
+    def test_trace_request_never_upgrades(self, fresh):
+        runner.set_disk_cache(False)
+        first = runner.run_spec("lcp-1", "baseline", record_trace=True)
+        assert runner.run_spec("lcp-1", "baseline", record_trace=True) \
+            is first
+        assert runner.CACHE_EVENTS["trace_upgrade"] == 0
+
+    def test_run_many_parallel_matches_serial(self, fresh):
+        parallel = runner.run_many(BASELINE_PROGRAMS, jobs=2, spec="baseline")
+        runner.clear_cache()
+        runner.set_disk_cache(False)
+        serial = runner.run_many(BASELINE_PROGRAMS, spec="baseline")
+        assert list(parallel) == list(serial) == BASELINE_PROGRAMS
+        for name in BASELINE_PROGRAMS:
+            assert parallel[name].answers == serial[name].answers
+            assert parallel[name].stats.total_instructions == \
+                serial[name].stats.total_instructions
+
+    def test_code_version_covers_baseline(self, tmp_path, monkeypatch):
+        import shutil
+
+        import repro
+
+        source = pathlib.Path(repro.__file__).parent
+        copy = tmp_path / "repro"
+        for package in run_cache._CODE_PACKAGES:
+            shutil.copytree(source / package, copy / package)
+        monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
+        monkeypatch.setattr(run_cache, "_code_version", None)
+        before = run_cache.code_version()
+        with open(copy / "baseline" / "machine.py", "a") as fp:
+            fp.write("# edited\n")
+        monkeypatch.setattr(run_cache, "_code_version", None)
+        assert run_cache.code_version() != before
+
+
+@pytest.mark.slow
+class TestSingleReplayDecision:
+    """Figure 1 and the ablations answer the production geometry from
+    each run's stored result and never count the trace again."""
+
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        figure1.generate()
+        ablations.generate()
+        runner.clear_cache()            # warm disk, empty memo
+        calls = []
+        replay = Cache.access_many_packed
+
+        def counted(self, data, totals=None):
+            calls.append(self.config)
+            return replay(self, data, totals)
+
+        def no_count(data):
+            raise AssertionError("a study made a counting pass")
+
+        monkeypatch.setattr(Cache, "access_many_packed", counted)
+        monkeypatch.setattr(cache_module, "count_entries_packed", no_count)
+        monkeypatch.setattr(pmms, "count_entries_packed", no_count)
+        return calls
+
+    def test_figure1_replays_ten_of_eleven(self, passes):
+        figure1.generate()
+        assert len(passes) == 10
+        assert CacheConfig() not in passes
+
+    def test_ablations_replay_four_of_eight(self, passes):
+        ablations.generate()
+        assert len(passes) == 4
+        assert CacheConfig() not in passes
+
+
 def _entry_sections(path: pathlib.Path) -> tuple[int, int, int]:
     """(header, summary, trace) byte lengths of one stored entry."""
     with open(path, "rb") as fp:
@@ -354,3 +452,26 @@ class TestEntrySections:
         entry.write_bytes(blob[:header + summary_len + trace_len // 2])
         assert RunCache().load(entry.stem, trace=False) is None
         assert not entry.exists()
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_damaged_baseline_entry_recomputed(self, fresh, damage, caplog):
+        first = runner.run_spec("lcp-1", "baseline")
+        (path,) = RunCache().entries()
+        header, summary_len, trace_len = _entry_sections(path)
+        assert trace_len == 0
+        blob = bytearray(path.read_bytes())
+        if damage == "flip":
+            blob[header + summary_len // 2] ^= 0xFF
+        else:
+            del blob[header + summary_len // 2:]
+        path.write_bytes(bytes(blob))
+        runner.clear_cache()
+        with caplog.at_level("WARNING", logger="repro.eval.run_cache"):
+            rerun = runner.run_spec("lcp-1", "baseline")
+        assert any("discarding invalid entry" in message
+                   for message in caplog.messages)
+        assert runner.CACHE_EVENTS["disk_compute:baseline"] == 1
+        assert rerun.answers == first.answers
+        assert rerun.stats.total_instructions == \
+            first.stats.total_instructions
+        assert RunCache().load(path.stem) is not None
