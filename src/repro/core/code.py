@@ -392,76 +392,62 @@ class CodeSerializer:
         proc.descriptor_base = base
 
     def _load_clause(self, clause: Clause) -> None:
-        nodes: list[tuple[CTerm | Goal, Word]] = []
-        self._collect_clause(clause, nodes)
-        base = self.mem.grow(Area.HEAP, 0)
-        cursor = base
+        """Lay out one clause in pre-order: its header word, the head
+        arguments, then each goal's header word and arguments."""
+        base = self.mem.top(Area.HEAP)
+        words: list[Word] = [(Tag.FUNC, 0)]     # clause header: functor descriptor
         # Packing state: the current packed word's address and how many
         # 8-bit operands it holds.  Interior nodes (list cells, structure
         # headers, goal headers) do not interrupt a packing run — the
         # loader compacts small operands across them; any other leaf
-        # (variable, atom, large integer) ends the run.
+        # (atom, large integer) ends the run.
         pack_addr = -1
         pack_fill = 0
-        for node, word in nodes:
+        pending: list[CTerm | Goal] = [*reversed(clause.body), *reversed(clause.head_args)]
+        pop = pending.pop
+        push = pending.append
+        extend = pending.extend
+        while pending:
+            node = pop()
+            kind = type(node)
             # 8-bit packable operands: small integer constants and
             # variable slot numbers (all slots fit in 8 bits).
-            packable = ((word[0] == Tag.INT and 0 <= word[1] <= 255
-                         and isinstance(node, CConst))
-                        or isinstance(node, (CVar, CVoid)))
+            if kind is CConst:
+                word = node.word
+                packable = word[0] == Tag.INT and 0 <= word[1] <= 255
+                if not packable:
+                    pack_fill = 0
+            elif kind is CVar or kind is CVoid:
+                word = (Tag.UNDEF, 0)
+                packable = True
+            else:
+                packable = False
+                if kind is CList:
+                    word = (Tag.LIST, 0)
+                    push(node.tail)
+                    push(node.head)
+                elif kind is CStruct:
+                    word = (Tag.STRUCT, node.functor_id)
+                    extend(reversed(node.args))
+                elif isinstance(node, Goal):
+                    word = (Tag.FUNC, 0)
+                    extend(reversed(node.args))
+                else:
+                    raise TypeError(f"unexpected code node {node!r}")
             if packable:
                 if 0 < pack_fill < self.PACK_LIMIT:
                     node.addr = pack_addr
                     node.packed = True
                     pack_fill += 1
                     continue
-                pack_addr = cursor
+                pack_addr = base + len(words)
                 pack_fill = 1
-            elif not isinstance(node, (CList, CStruct, Goal, _HeaderNode)):
-                pack_fill = 0
-            node.addr = cursor
-            self.mem.grow(Area.HEAP, 1)
-            self.mem.poke(Area.HEAP, cursor, word)
-            cursor += 1
+            node.addr = base + len(words)
+            words.append(word)
+        # One reservation per clause; loading is not billed.
+        self.mem.grow(Area.HEAP, len(words))
+        poke = self.mem.poke
+        for offset, word in enumerate(words, base):
+            poke(Area.HEAP, offset, word)
         clause.heap_base = base
-        clause.heap_size = cursor - base
-
-    def _collect_clause(self, clause: Clause, out: list) -> None:
-        # Clause header: its functor descriptor.
-        header = _HeaderNode()
-        out.append((header, (Tag.FUNC, 0)))
-        for arg in clause.head_args:
-            self._collect_term(arg, out)
-        for goal in clause.body:
-            self._collect_goal(goal, out)
-
-    def _collect_goal(self, goal: Goal, out: list) -> None:
-        out.append((goal, (Tag.FUNC, 0)))
-        for arg in goal.args:
-            self._collect_term(arg, out)
-
-    def _collect_term(self, term: CTerm, out: list) -> None:
-        if isinstance(term, CConst):
-            out.append((term, term.word))
-        elif isinstance(term, (CVar, CVoid)):
-            out.append((term, (Tag.UNDEF, 0)))
-        elif isinstance(term, CList):
-            out.append((term, (Tag.LIST, 0)))
-            self._collect_term(term.head, out)
-            self._collect_term(term.tail, out)
-        elif isinstance(term, CStruct):
-            out.append((term, (Tag.STRUCT, term.functor_id)))
-            for arg in term.args:
-                self._collect_term(arg, out)
-        else:
-            raise TypeError(f"unexpected code node {term!r}")
-
-
-class _HeaderNode:
-    """Placeholder owner for clause/goal header words."""
-
-    __slots__ = ("addr", "packed")
-
-    def __init__(self) -> None:
-        self.addr = -1
-        self.packed = False
+        clause.heap_size = len(words)

@@ -317,7 +317,9 @@ def run_many(names, jobs: int | None = None, record_trace: bool = True,
             if summary is not None and (not record_trace
                                         or summary.trace_bytes is not None):
                 _event("disk_hit", spec)
-                memo[name] = summary.to_collected_run()
+                run = summary.to_collected_run()
+                _check_expected(workload, spec, run)
+                memo[name] = run
                 continue
         pending.append(name)
 

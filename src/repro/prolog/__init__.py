@@ -6,7 +6,7 @@ compiled baseline in :mod:`repro.baseline`) consume the term AST
 produced here.
 """
 
-from repro.prolog.reader import Reader, iter_clauses, parse_program, parse_term
+from repro.prolog.reader import Reader, parse_program, parse_term
 from repro.prolog.terms import (
     NIL,
     Atom,
@@ -28,6 +28,6 @@ __all__ = [
     "Atom", "Var", "Struct", "Term", "NIL",
     "cons", "make_list", "is_cons", "is_nil", "list_elements",
     "term_variables", "clause_parts", "flatten_conjunction",
-    "Reader", "parse_term", "parse_program", "iter_clauses",
+    "Reader", "parse_term", "parse_program",
     "term_to_string",
 ]

@@ -1,27 +1,43 @@
 """Operator-precedence reader for Prolog source text.
 
 Implements the standard Edinburgh operator-precedence grammar over the
-token stream from :mod:`repro.prolog.tokens`.  The default operator
-table matches DEC-10 Prolog (which both the PSI's KL0 front end and the
+token stream from :mod:`repro.prolog.tokens`.  The operator table
+matches DEC-10 Prolog (which both the PSI's KL0 front end and the
 baseline compiler accept).
+
+The table is declared once, as :data:`DEFAULT_OPERATORS`, and turned at
+import into the per-name lookups the parser and the writer consult:
+:data:`INFIX_OPS` and :data:`PREFIX_OPS` (priority and argument
+priority limits), :data:`ATOM_PRIORITY` (the priority a bare operator
+atom carries) and the names that cannot start a term.  One recursive
+method parses a term of bounded priority (primary, then infix
+operators); each nesting level of arguments, operands, list elements
+and parentheses is one Python frame, and :data:`MAX_DEPTH` bounds them
+so that deep input fails as a :class:`~repro.errors.PrologSyntaxError`.
 
 Entry points:
 
 * :func:`parse_term` — one term from a string
 * :func:`parse_program` — a whole program: list of clause terms
-* :class:`Reader` — incremental reading with a custom operator table
+* :class:`Reader` — clause-by-clause reading of one text
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import PrologSyntaxError
-from repro.prolog.terms import Atom, Struct, Term, Var, make_list
-from repro.prolog.tokens import Token, TokenKind, tokenize
+from repro.prolog.terms import NIL, Atom, Struct, Term, Var, make_list
+from repro.prolog.tokens import (
+    ATOM, END, EOF, INT, OPEN_CT, PUNCT, STRING, VAR, Token, tokenize)
 
 MAX_PRIORITY = 1200
+
+#: Deepest nesting the reader accepts, counted in recursion frames: an
+#: argument, operand or parenthesised term adds one level, a list
+#: element two.  The bound keeps the reader well inside Python's
+#: default recursion limit of 1000 frames.
+MAX_DEPTH = 500
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,32 +46,6 @@ class Op:
 
     priority: int
     type: str
-
-    @property
-    def is_prefix(self) -> bool:
-        return self.type in ("fy", "fx")
-
-    @property
-    def is_infix(self) -> bool:
-        return self.type in ("xfx", "xfy", "yfx")
-
-    @property
-    def is_postfix(self) -> bool:
-        return self.type in ("xf", "yf")
-
-    @property
-    def left_max(self) -> int:
-        """Maximum priority of a left argument."""
-        if self.type in ("xfx", "xfy", "xf"):
-            return self.priority - 1
-        return self.priority  # yfx, yf
-
-    @property
-    def right_max(self) -> int:
-        """Maximum priority of a right argument."""
-        if self.type in ("xfx", "yfx", "fx"):
-            return self.priority - 1
-        return self.priority  # xfy, fy
 
 
 #: The DEC-10 Prolog operator table (the subset our workloads use).
@@ -82,25 +72,57 @@ _add_op(200, "xfy", "^")
 _add_op(200, "fy", "-", "+", "\\")
 
 
-class Reader:
-    """Parses a token stream into terms using an operator table."""
+def _operator_tables(operators: dict[str, list[Op]]) -> tuple[dict, dict, dict]:
+    """The per-name lookups of one operator table.  A name's first infix
+    and first prefix definition count (DEC-10 declares at most one of each)."""
+    infix: dict[str, tuple[int, int, int]] = {}
+    prefix: dict[str, tuple[int, int]] = {}
+    atom_priority: dict[str, int] = {}
+    for name, ops in operators.items():
+        for op in ops:
+            left_max = op.priority - (op.type in ("xfx", "xfy", "xf"))
+            right_max = op.priority - (op.type in ("xfx", "yfx", "fx"))
+            if op.type in ("xfx", "xfy", "yfx"):
+                infix.setdefault(name, (op.priority, left_max, right_max))
+            elif op.type in ("fy", "fx"):
+                prefix.setdefault(name, (op.priority, right_max))
+        atom_priority[name] = min(op.priority for op in ops)
+    return infix, prefix, atom_priority
 
-    def __init__(self, text: str, operators: dict[str, list[Op]] | None = None):
+
+#: Built once, at import: ``INFIX_OPS`` maps a name to (priority, left
+#: argument max, right argument max), ``PREFIX_OPS`` to (priority,
+#: argument max), ``ATOM_PRIORITY`` to the priority the name carries as
+#: a bare atom (its lowest operator priority).
+INFIX_OPS, PREFIX_OPS, ATOM_PRIORITY = _operator_tables(DEFAULT_OPERATORS)
+
+#: Operator names with no prefix definition: as atoms they cannot start
+#: a term unless parenthesised.
+_NO_TERM_START = frozenset(DEFAULT_OPERATORS) - frozenset(PREFIX_OPS)
+#: Punctuation that acts as an infix operator: ',' is the conjunction,
+#: '|' acts as ';' at 1100.
+_PUNCT_OPS = {",": ",", "|": ";"}
+_TERM_START_KINDS = frozenset({INT, VAR, STRING, OPEN_CT})
+
+
+class Reader:
+    """Parses the clause-terminated terms of one source text."""
+
+    def __init__(self, text: str):
         self._tokens = tokenize(text)
         self._index = 0
-        self._operators = operators if operators is not None else DEFAULT_OPERATORS
         self._anon_counter = 0
 
     # -- public API --------------------------------------------------------
 
     def read_term(self) -> Term | None:
         """Read the next clause-terminated term, or None at end of input."""
-        if self._peek().kind is TokenKind.EOF:
+        if self._tokens[self._index].kind is EOF:
             return None
-        term = self._parse(MAX_PRIORITY)
+        term = self._parse(MAX_PRIORITY, 1)
         token = self._next()
-        if token.kind is not TokenKind.END:
-            raise self._error(token, "operator expected or missing '.'")
+        if token.kind is not END:
+            raise _error(token, "operator expected or missing '.'")
         return term
 
     def read_all(self) -> list[Term]:
@@ -109,175 +131,141 @@ class Reader:
             terms.append(term)
         return terms
 
-    # -- token stream ------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    # -- operator-precedence parser -----------------------------------------
 
     def _next(self) -> Token:
         token = self._tokens[self._index]
-        if token.kind is not TokenKind.EOF:
+        if token.kind is not EOF:
             self._index += 1
         return token
 
-    def _error(self, token: Token, message: str) -> PrologSyntaxError:
-        return PrologSyntaxError(f"{message} (found {token.text!r})", token.line, token.column)
-
-    # -- operator-precedence parser -----------------------------------------
-
-    def _ops(self, name: str) -> list[Op]:
-        return self._operators.get(name, [])
-
-    def _parse(self, max_priority: int) -> Term:
-        left, left_priority = self._parse_primary(max_priority)
-        return self._parse_infix(left, left_priority, max_priority)
-
-    def _parse_infix(self, left: Term, left_priority: int, max_priority: int) -> Term:
-        while True:
-            token = self._peek()
-            name = self._infix_name(token)
-            if name is None:
-                return left
-            candidates = [op for op in self._ops(name)
-                          if op.is_infix and op.priority <= max_priority
-                          and left_priority <= op.left_max]
-            if not candidates:
-                return left
-            op = candidates[0]
-            self._next()
-            right = self._parse(op.right_max)
-            left = Struct(name, (left, right))
-            left_priority = op.priority
-        return left
-
-    def _infix_name(self, token: Token) -> str | None:
-        """The operator name if ``token`` can start an infix operator."""
-        if token.kind is TokenKind.ATOM and self._ops(token.text):
-            return token.text
-        if token.kind is TokenKind.PUNCT and token.text in (",", "|"):
-            # ',' is the conjunction operator; '|' acts as ';' at 1100.
-            return "," if token.text == "," else ";"
-        return None
-
-    def _parse_primary(self, max_priority: int) -> tuple[Term, int]:
-        token = self._next()
+    def _parse(self, max_priority: int, depth: int) -> Term:
+        """One term of priority at most ``max_priority``, ``depth`` levels deep."""
+        tokens = self._tokens
+        token = tokens[self._index]
+        if depth > MAX_DEPTH:
+            raise _error(token, "term nested too deeply")
         kind = token.kind
+        self._index += 1
+        depth += 1
 
-        if kind is TokenKind.INT:
-            return token.value, 0
-
-        if kind is TokenKind.VAR:
-            return self._make_var(token.text), 0
-
-        if kind is TokenKind.STRING:
-            return make_list([ord(ch) for ch in token.value]), 0
-
-        if kind is TokenKind.OPEN_CT:
-            args = self._parse_arglist()
-            return Struct(token.value, tuple(args)), 0
-
-        if kind is TokenKind.PUNCT:
-            if token.text == "(":
-                term = self._parse(MAX_PRIORITY)
-                self._expect_punct(")")
-                return term, 0
-            if token.text == "[":
-                return self._parse_list(), 0
-            if token.text == "{":
-                if self._peek().kind is TokenKind.PUNCT and self._peek().text == "}":
-                    self._next()
-                    return Atom("{}"), 0
-                term = self._parse(MAX_PRIORITY)
+        # -- primary ---------------------------------------------------------
+        priority = 0
+        if kind is OPEN_CT:
+            args = [self._parse(999, depth)]
+            while True:
+                close = self._next()
+                if close.kind is PUNCT and close.text == ",":
+                    args.append(self._parse(999, depth))
+                elif close.kind is PUNCT and close.text == ")":
+                    break
+                else:
+                    raise _error(close, "',' or ')' expected in argument list")
+            left = Struct(token.value, tuple(args))
+        elif kind is ATOM:
+            name = token.text
+            following = tokens[self._index]
+            op = PREFIX_OPS.get(name)
+            if name == "-" and following.kind is INT:
+                # Negative number literal: '-' immediately before an integer.
+                self._index += 1
+                left = -following.value
+            elif op is not None and op[0] <= max_priority and _can_start_term(following):
+                left = Struct(name, (self._parse(op[1], depth),))
+                priority = op[0]
+            else:
+                # A bare atom; if it is also an operator it carries its priority.
+                left = Atom(name)
+                priority = ATOM_PRIORITY.get(name, 0)
+        elif kind is VAR:
+            left = self._make_var(token.text)
+        elif kind is INT:
+            left = token.value
+        elif kind is PUNCT and token.text == "(":
+            left = self._parse(MAX_PRIORITY, depth)
+            self._expect_punct(")")
+        elif kind is PUNCT and token.text == "[":
+            left = self._parse_list(depth)
+        elif kind is PUNCT and token.text == "{":
+            following = tokens[self._index]
+            if following.kind is PUNCT and following.text == "}":
+                self._index += 1
+                left = Atom("{}")
+            else:
+                left = Struct("{}", (self._parse(MAX_PRIORITY, depth),))
                 self._expect_punct("}")
-                return Struct("{}", (term,)), 0
-            raise self._error(token, "unexpected punctuation")
+        elif kind is STRING:
+            left = make_list([ord(ch) for ch in token.value])
+        elif kind is PUNCT:
+            raise _error(token, "unexpected punctuation")
+        else:
+            raise _error(token, "term expected")
 
-        if kind is TokenKind.ATOM:
-            return self._parse_atom_primary(token, max_priority)
+        # -- infix operators -------------------------------------------------
+        while True:
+            token = tokens[self._index]
+            if token.kind is ATOM:
+                name = token.text
+            elif token.kind is PUNCT:
+                name = _PUNCT_OPS.get(token.text)
+            else:
+                return left
+            op = INFIX_OPS.get(name)
+            if op is None or op[0] > max_priority or priority > op[1]:
+                return left
+            self._index += 1
+            left = Struct(name, (left, self._parse(op[2], depth)))
+            priority = op[0]
 
-        raise self._error(token, "term expected")
-
-    def _parse_atom_primary(self, token: Token, max_priority: int) -> tuple[Term, int]:
-        name = token.text
-        # Negative number literals: '-' immediately before an integer.
-        if name == "-" and self._peek().kind is TokenKind.INT:
-            value = self._next().value
-            assert isinstance(value, int)
-            return -value, 0
-        prefix_ops = [op for op in self._ops(name) if op.is_prefix]
-        if prefix_ops and self._can_start_term(self._peek()):
-            op = next((o for o in prefix_ops if o.priority <= max_priority), None)
-            if op is not None:
-                operand = self._parse(op.right_max)
-                return Struct(name, (operand,)), op.priority
-        # A bare atom; if it is also an operator it carries its priority.
-        all_ops = self._ops(name)
-        priority = min((op.priority for op in all_ops), default=0)
-        return Atom(name), priority
-
-    def _can_start_term(self, token: Token) -> bool:
-        if token.kind in (TokenKind.INT, TokenKind.VAR, TokenKind.STRING,
-                          TokenKind.OPEN_CT):
-            return True
-        if token.kind is TokenKind.PUNCT:
-            return token.text in ("(", "[", "{")
-        if token.kind is TokenKind.ATOM:
-            # An atom that is exclusively an infix operator cannot start a term
-            # unless parenthesised.
-            ops = self._ops(token.text)
-            if ops and all(op.is_infix or op.is_postfix for op in ops):
-                return False
-            return True
-        return False
-
-    def _parse_arglist(self) -> list[Term]:
-        """Arguments after an OPEN_CT token, consuming the closing ')'."""
-        args = [self._parse_arg()]
+    def _parse_list(self, depth: int) -> Term:
+        """The rest of a list after its '[' (arguments parse at 999, so ','
+        separates elements)."""
+        token = self._tokens[self._index]
+        if token.kind is PUNCT and token.text == "]":
+            self._index += 1
+            return NIL
+        depth += 1          # this method's own frame
+        items = [self._parse(999, depth)]
+        tail: Term = NIL
         while True:
             token = self._next()
-            if token.kind is TokenKind.PUNCT and token.text == ")":
-                return args
-            if token.kind is TokenKind.PUNCT and token.text == ",":
-                args.append(self._parse_arg())
-                continue
-            raise self._error(token, "',' or ')' expected in argument list")
-
-    def _parse_arg(self) -> Term:
-        # Arguments parse at priority 999 so ',' separates arguments.
-        return self._parse(999)
-
-    def _parse_list(self) -> Term:
-        token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.text == "]":
-            self._next()
-            return Atom("[]")
-        items = [self._parse_arg()]
-        tail: Term = Atom("[]")
-        while True:
-            token = self._next()
-            if token.kind is TokenKind.PUNCT and token.text == "]":
+            if token.kind is PUNCT and token.text == ",":
+                items.append(self._parse(999, depth))
+            elif token.kind is PUNCT and token.text == "]":
                 break
-            if token.kind is TokenKind.PUNCT and token.text == ",":
-                items.append(self._parse_arg())
-                continue
-            if token.kind is TokenKind.PUNCT and token.text == "|":
-                tail = self._parse_arg()
+            elif token.kind is PUNCT and token.text == "|":
+                tail = self._parse(999, depth)
                 self._expect_punct("]")
                 break
-            raise self._error(token, "',', '|' or ']' expected in list")
+            else:
+                raise _error(token, "',', '|' or ']' expected in list")
         return make_list(items, tail)
 
     def _expect_punct(self, text: str) -> None:
         token = self._next()
-        if token.kind is not TokenKind.PUNCT or token.text != text:
-            raise self._error(token, f"{text!r} expected")
+        if token.kind is not PUNCT or token.text != text:
+            raise _error(token, f"{text!r} expected")
 
     def _make_var(self, name: str) -> Var:
         if name == "_":
             self._anon_counter += 1
             return Var(f"_G${self._anon_counter}")
         return Var(name)
+
+
+def _can_start_term(token: Token) -> bool:
+    kind = token.kind
+    if kind is ATOM:
+        # An atom that is exclusively an infix operator cannot start a term
+        # unless parenthesised.
+        return token.text not in _NO_TERM_START
+    if kind is PUNCT:
+        return token.text in ("(", "[", "{")
+    return kind in _TERM_START_KINDS
+
+
+def _error(token: Token, message: str) -> PrologSyntaxError:
+    return PrologSyntaxError(f"{message} (found {token.text!r})", token.line, token.column)
 
 
 def parse_term(text: str) -> Term:
@@ -294,10 +282,3 @@ def parse_term(text: str) -> Term:
 def parse_program(text: str) -> list[Term]:
     """Parse all clause terms in ``text``."""
     return Reader(text).read_all()
-
-
-def iter_clauses(text: str) -> Iterator[Term]:
-    """Lazily yield clause terms from ``text``."""
-    reader = Reader(text)
-    while (term := reader.read_term()) is not None:
-        yield term

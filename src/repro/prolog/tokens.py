@@ -6,22 +6,31 @@ reader.  The token classes follow classic Edinburgh syntax:
 * atoms: lowercase identifiers, quoted atoms, symbolic atoms built from
   the symbol-char set, and the solo atoms ``! ; [] {}``
 * variables: identifiers starting with an uppercase letter or ``_``
-* integers: decimal, ``0'c`` character codes
+* integers: ASCII decimal digits, ``0'c`` character codes
 * strings: ``"..."`` read as lists of character codes
 * punctuation: ``( ) [ ] { } , |`` and the clause-terminating ``.``
 
 Comments (``% ...`` and ``/* ... */``) are skipped.
+
+The scanner is one compiled master pattern: a layout prefix (blanks
+and comments) followed by one named alternative per token class.  Each
+``match`` consumes the layout and one token, the match's ``lastgroup``
+names the class, and line and column come from counting newlines over
+the span since the previous token.  Inputs no class accepts match one
+of the error alternatives (an unterminated comment, quote or string,
+or a character outside the syntax) and raise
+:class:`~repro.errors.PrologSyntaxError` at that token's position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
+from typing import NamedTuple
 
 from repro.errors import PrologSyntaxError
 
 SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&$")
-SOLO_CHARS = set("!,;|")
 
 
 class TokenKind(Enum):
@@ -35,8 +44,7 @@ class TokenKind(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     value: object = None
@@ -47,195 +55,131 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r})"
 
 
+_SYMBOL_RUN = f"[{re.escape(''.join(sorted(SYMBOL_CHARS)))}]+"
+
+_MASTER = re.compile(r"""
+    (?:[ \t\r\n]+ | %[^\n]* | /\*.*?\*/)*       # layout
+    (?:                                         # first match wins:
+        (?P<PUNCT>[()\[\],|{}])
+      | (?P<NAME>[^\W\d]\w*)                    # '_' or a letter first
+      | (?P<OPEN_COMMENT>/\*)                   # before SYMBOL
+      | (?P<SYMBOL>""" + _SYMBOL_RUN + r""")
+      | (?P<CHAR>0'\\?.)                        # before INT
+      | (?P<OPEN_CHAR>0')
+      | (?P<INT>[0-9]+)
+      | (?P<SOLO>[!;])
+      | (?P<QUOTED>'(?:[^'\\]|''|\\.)*')
+      | (?P<OPEN_QUOTE>')
+      | (?P<STRING>"(?:[^"\\]|\\.)*")
+      | (?P<OPEN_STRING>")
+      | (?P<EOF>\Z)
+      | (?P<BAD>.)
+    )""", re.VERBOSE | re.DOTALL)
+
+_ESCAPES = {"n": 10, "t": 9, "r": 13, "a": 7, "b": 8, "f": 12, "v": 11,
+            "\\": 92, "'": 39, '"': 34, "`": 96, "0": 0}
+#: Escapes inside a quoted atom (which also doubles its quote) and a string.
+_QUOTED_ESCAPES = re.compile(r"\\(.)|''", re.DOTALL)
+_STRING_ESCAPES = re.compile(r"\\(.)", re.DOTALL)
+
+_UNTERMINATED = {
+    "OPEN_COMMENT": "unterminated block comment",
+    "OPEN_QUOTE": "unterminated quoted atom",
+    "OPEN_STRING": "unterminated string",
+    "OPEN_CHAR": "unterminated character code",
+}
+
+#: The kinds as module constants (cheaper to reach than enum attributes).
+ATOM, VAR, INT, STRING, PUNCT, OPEN_CT, END, EOF = TokenKind
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text`` into a list ending with an ``EOF`` token."""
-    return list(_Tokenizer(text).run())
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def run(self):
-        while True:
-            self._skip_layout()
-            if self.pos >= len(self.text):
-                yield self._token(TokenKind.EOF, "")
-                return
-            yield self._next_token()
-
-    # -- low-level helpers -------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        chunk = self.text[self.pos:self.pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return chunk
-
-    def _token(self, kind: TokenKind, text: str, value: object = None) -> Token:
-        return Token(kind, text, value, self.line, self.column)
-
-    def _error(self, message: str) -> PrologSyntaxError:
-        return PrologSyntaxError(message, self.line, self.column)
-
-    def _skip_layout(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "%":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
-            else:
-                return
-
-    # -- token scanners ----------------------------------------------------
-
-    def _next_token(self) -> Token:
-        ch = self._peek()
-        if ch.isdigit():
-            return self._scan_number()
-        if ch == "_" or ch.isalpha():
-            return self._scan_name()
-        if ch == "'":
-            return self._scan_quoted_atom()
-        if ch == '"':
-            return self._scan_string()
-        if ch in "()[]{}":
-            token = self._token(TokenKind.PUNCT, ch)
-            self._advance()
-            return token
-        if ch in SOLO_CHARS:
-            self._advance()
-            if ch in "!;":
-                return self._token(TokenKind.ATOM, ch, ch)
-            return self._token(TokenKind.PUNCT, ch)
-        if ch in SYMBOL_CHARS:
-            return self._scan_symbol()
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _scan_number(self) -> Token:
-        start = self.pos
-        line, column = self.line, self.column
-        if self._peek() == "0" and self._peek(1) == "'":
-            self._advance(2)
-            ch = self._peek()
-            if ch == "\\":
-                self._advance()
-                code = self._scan_escape()
-            elif ch == "":
-                raise self._error("unterminated character code")
-            else:
-                self._advance()
-                code = ord(ch)
-            return Token(TokenKind.INT, self.text[start:self.pos], code, line, column)
-        while self._peek().isdigit():
-            self._advance()
-        text = self.text[start:self.pos]
-        return Token(TokenKind.INT, text, int(text), line, column)
-
-    def _scan_name(self) -> Token:
-        start = self.pos
-        line, column = self.line, self.column
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.text[start:self.pos]
-        if text[0] == "_" or text[0].isupper():
-            return Token(TokenKind.VAR, text, text, line, column)
-        if self._peek() == "(":
-            self._advance()
-            return Token(TokenKind.OPEN_CT, text, text, line, column)
-        return Token(TokenKind.ATOM, text, text, line, column)
-
-    def _scan_quoted_atom(self) -> Token:
-        line, column = self.line, self.column
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise self._error("unterminated quoted atom")
-            if ch == "'":
-                if self._peek(1) == "'":
-                    self._advance(2)
-                    chars.append("'")
-                    continue
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                chars.append(chr(self._scan_escape()))
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    count = text.count
+    new = tuple.__new__       # Token(...) without the Python-level __new__
+    pos = 0
+    line = 1
+    line_start = 0      # offset of the first character of ``line``
+    last = 0            # start of the previous token; newlines are counted from it
+    while True:
+        m = match(text, pos)
+        group = m.lastgroup
+        start = m.start(group)
+        pos = m.end()
+        if count("\n", last, start):
+            line += count("\n", last, start)
+            line_start = text.rindex("\n", last, start) + 1
+        last = start
+        column = start - line_start + 1
+        if group == "PUNCT":
+            append(new(Token, (PUNCT, text[start], None, line, column)))
+            continue
+        if group == "NAME":
+            name = text[start:pos]
+            first = name[0]
+            if first == "_" or first.isupper():
+                append(new(Token, (VAR, name, name, line, column)))
                 continue
-            self._advance()
-            chars.append(ch)
-        name = "".join(chars)
-        if self._peek() == "(":
-            self._advance()
-            return Token(TokenKind.OPEN_CT, name, name, line, column)
-        return Token(TokenKind.ATOM, name, name, line, column)
-
-    def _scan_string(self) -> Token:
-        line, column = self.line, self.column
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise self._error("unterminated string")
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                chars.append(chr(self._scan_escape()))
+            if not first.isalpha():
+                raise PrologSyntaxError(f"unexpected character {first!r}", line, column)
+        elif group == "SYMBOL":
+            name = text[start:pos]
+                                                # A lone '.' followed by layout or EOF terminates a clause.
+            if name == "." and text[pos:pos + 1] in ("", " ", "\t", "\r", "\n", "%"):
+                append(new(Token, (END, ".", None, line, column)))
                 continue
-            self._advance()
-            chars.append(ch)
-        return Token(TokenKind.STRING, "".join(chars), "".join(chars), line, column)
+        elif group == "INT":
+            digits = text[start:pos]
+            append(new(Token, (INT, digits, int(digits), line, column)))
+            continue
+        elif group == "SOLO":
+            name = text[start]
+            append(new(Token, (ATOM, name, name, line, column)))
+            continue
+        elif group == "QUOTED":
+            name = text[start + 1:pos - 1]
+            if "\\" in name or "''" in name:
+                name = _unescape(_QUOTED_ESCAPES, name, line, column)
+        elif group == "STRING":
+            body = text[start + 1:pos - 1]
+            if "\\" in body:
+                body = _unescape(_STRING_ESCAPES, body, line, column)
+            append(new(Token, (STRING, body, body, line, column)))
+            continue
+        elif group == "CHAR":
+            raw = text[start:pos]
+            code = _escape_code(raw[3:], line, column) if raw[2] == "\\" else ord(raw[2])
+            append(new(Token, (INT, raw, code, line, column)))
+            continue
+        elif group == "EOF":
+            append(new(Token, (EOF, "", None, line, column)))
+            return tokens
+        elif group == "BAD":
+            raise PrologSyntaxError(f"unexpected character {text[start]!r}", line, column)
+        else:
+            raise PrologSyntaxError(_UNTERMINATED[group], line, column)
+        # An atom name (identifier, symbol run or quoted) opens a
+                                                # compound term when '(' follows with no layout between.
+        if text.startswith("(", pos):
+            pos += 1
+            append(new(Token, (OPEN_CT, name, name, line, column)))
+        else:
+            append(new(Token, (ATOM, name, name, line, column)))
 
-    _ESCAPES = {"n": 10, "t": 9, "r": 13, "a": 7, "b": 8, "f": 12, "v": 11,
-                "\\": 92, "'": 39, '"': 34, "`": 96, "0": 0}
 
-    def _scan_escape(self) -> int:
-        ch = self._peek()
-        if ch in self._ESCAPES:
-            self._advance()
-            return self._ESCAPES[ch]
-        raise self._error(f"unknown escape sequence \\{ch}")
+def _escape_code(char: str, line: int, column: int) -> int:
+    """The character code of the escape sequence ``\\`` + ``char``."""
+    code = _ESCAPES.get(char)
+    if code is None:
+        raise PrologSyntaxError(f"unknown escape sequence \\{char}", line, column)
+    return code
 
-    def _scan_symbol(self) -> Token:
-        start = self.pos
-        line, column = self.line, self.column
-        while self._peek() in SYMBOL_CHARS:
-            self._advance()
-        text = self.text[start:self.pos]
-        # A lone '.' followed by layout or EOF terminates a clause.
-        if text == ".":
-            nxt = self._peek()
-            if nxt == "" or nxt in " \t\r\n%":
-                return Token(TokenKind.END, ".", None, line, column)
-        if self._peek() == "(":
-            self._advance()
-            return Token(TokenKind.OPEN_CT, text, text, line, column)
-        return Token(TokenKind.ATOM, text, text, line, column)
+
+def _unescape(pattern: re.Pattern, body: str, line: int, column: int) -> str:
+    def replace(m: re.Match) -> str:
+        char = m.group(1)
+        return "'" if char is None else chr(_escape_code(char, line, column))
+    return pattern.sub(replace, body)

@@ -9,7 +9,7 @@ anonymous-variable renaming), which the property tests exercise.
 
 from __future__ import annotations
 
-from repro.prolog.reader import DEFAULT_OPERATORS, MAX_PRIORITY, Op
+from repro.prolog.reader import ATOM_PRIORITY, INFIX_OPS, MAX_PRIORITY, PREFIX_OPS
 from repro.prolog.terms import Atom, Struct, Term, Var, is_cons, is_nil
 from repro.prolog.tokens import SYMBOL_CHARS
 
@@ -43,20 +43,6 @@ def _write_atom(name: str, quoted: bool) -> str:
     return name
 
 
-def _infix_op(functor: str) -> Op | None:
-    for op in DEFAULT_OPERATORS.get(functor, []):
-        if op.is_infix:
-            return op
-    return None
-
-
-def _prefix_op(functor: str) -> Op | None:
-    for op in DEFAULT_OPERATORS.get(functor, []):
-        if op.is_prefix:
-            return op
-    return None
-
-
 def _write(term: Term, max_priority: int, quoted: bool) -> str:
     if isinstance(term, int):
         return str(term)
@@ -65,9 +51,7 @@ def _write(term: Term, max_priority: int, quoted: bool) -> str:
     if isinstance(term, Atom):
         text = _write_atom(term.name, quoted)
         # A bare operator atom in argument position must be parenthesised.
-        ops = DEFAULT_OPERATORS.get(term.name, [])
-        priority = min((op.priority for op in ops), default=0)
-        if priority > max_priority:
+        if ATOM_PRIORITY.get(term.name, 0) > max_priority:
             return f"({text})"
         return text
     assert isinstance(term, Struct)
@@ -75,25 +59,27 @@ def _write(term: Term, max_priority: int, quoted: bool) -> str:
         return _write_list(term, quoted)
     if term.functor == "{}" and term.arity == 1:
         return "{" + _write(term.args[0], MAX_PRIORITY, quoted) + "}"
-    if term.arity == 2 and (op := _infix_op(term.functor)) is not None:
-        left = _write(term.args[0], op.left_max, quoted)
-        right = _write(term.args[1], op.right_max, quoted)
+    if term.arity == 2 and (op := INFIX_OPS.get(term.functor)) is not None:
+        priority, left_max, right_max = op
+        left = _write(term.args[0], left_max, quoted)
+        right = _write(term.args[1], right_max, quoted)
         name = term.functor
         text = f"{left},{right}" if name == "," else f"{left} {name} {right}"
-        if op.priority > max_priority:
+        if priority > max_priority:
             return f"({text})"
         return text
-    if term.arity == 1 and (op := _prefix_op(term.functor)) is not None:
+    if term.arity == 1 and (op := PREFIX_OPS.get(term.functor)) is not None:
+        priority, right_max = op
         # '-'/'+' applied to a literal integer would read back as a signed
         # number, so use functional notation for those.
         if term.functor in ("-", "+") and isinstance(term.args[0], int):
             return f"{term.functor}({term.args[0]})"
-        operand = _write(term.args[0], op.right_max, quoted)
+        operand = _write(term.args[0], right_max, quoted)
         symbolic = all(c in SYMBOL_CHARS for c in term.functor)
         needs_space = (not symbolic) or (operand[:1] in SYMBOL_CHARS) or operand[:1].isdigit()
         space = " " if needs_space else ""
         text = f"{term.functor}{space}{operand}"
-        if op.priority > max_priority:
+        if priority > max_priority:
             return f"({text})"
         return text
     args = ",".join(_write(arg, 999, quoted) for arg in term.args)

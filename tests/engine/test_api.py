@@ -9,6 +9,7 @@ from repro.engine.api import (
     WAMEngine,
     create_engine,
 )
+from repro.errors import PrologSyntaxError
 from repro.eval.specs import get_spec, spec_names
 
 PROGRAM = """
@@ -59,6 +60,16 @@ class TestSolve:
         engine.solve("tally")
         assert engine.counters.get("n") == 2
         assert "done" in "".join(engine.output)
+
+
+class TestLoadErrors:
+    @pytest.mark.parametrize("text", [
+        "a :- " + ",".join(["b"] * 600) + ".",
+        "p(" + "f(" * 2000 + "x" + ")" * 2000 + ").",
+    ])
+    def test_too_deep_source_is_a_syntax_error(self, engine, text):
+        with pytest.raises(PrologSyntaxError):
+            engine.load(text)
 
 
 class TestStatsFacade:

@@ -6,6 +6,7 @@ a damaged or stale cache entry is detected and recomputed, never
 trusted.  Fast workloads keep the whole module in seconds.
 """
 
+import dataclasses
 import pathlib
 
 import pytest
@@ -21,6 +22,7 @@ from repro.memsys import cache as cache_module
 from repro.tools import pmms
 from repro.tools.collect import RunSummary
 from repro.tools.pmms import simulate_many
+from repro.workloads import registry
 
 FAST_PROGRAMS = {"bup": "bup-1", "lcp": "lcp-1", "lcp2": "lcp-2"}
 FIGURE1_WORKLOAD = "lcp-2"
@@ -299,6 +301,28 @@ class TestTable5FromStoredCacheStats:
         production = table5.generate(FAST_PROGRAMS)
         assert [row.total for row in rows] != \
             [row.total for row in production]
+
+
+class TestWarmRunsAreChecked:
+    """A run loaded from the disk tier is checked against the workload's
+    ``expected`` results on every path that loads it."""
+
+    @pytest.fixture()
+    def wrong_expected(self, fresh, monkeypatch):
+        runner.run_spec("bup-1", "faithful")        # warm the disk tier
+        runner.clear_cache()
+        workload = registry.get("bup-1")
+        monkeypatch.setitem(registry._REGISTRY, "bup-1", dataclasses.replace(
+            workload, expected={"parses_min": 10**6}))
+
+    def test_run_spec_rejects_warm_run(self, wrong_expected):
+        with pytest.raises(RuntimeError, match="bup-1 produced wrong results"):
+            runner.run_spec("bup-1", "faithful")
+
+    def test_run_many_rejects_warm_run(self, wrong_expected):
+        with pytest.raises(RuntimeError, match="bup-1 produced wrong results"):
+            runner.run_many(["bup-1", "lcp-1"], jobs=2)
+        assert runner.CACHE_EVENTS["disk_hit:faithful"] == 1
 
 
 class TestBaselineDiskTier:

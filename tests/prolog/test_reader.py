@@ -148,3 +148,24 @@ class TestErrorMessages:
     def test_unbalanced_bracket(self):
         with pytest.raises(PrologSyntaxError):
             parse_term("[a, b")
+
+    def test_error_column_is_the_offending_token(self):
+        with pytest.raises(PrologSyntaxError) as info:
+            parse_program("foo(a,, b).")
+        assert (info.value.line, info.value.column) == (1, 7)
+
+    @pytest.mark.parametrize("text", [
+        "X = \u00b2.",                                     # not an ASCII digit
+        "a :- " + ",".join(["b"] * 600) + ".",             # a long conjunction
+        "p(" + "f(" * 2000 + "x" + ")" * 2000 + ").",      # deep arguments
+        "p(" + "[" * 2000 + "]" * 2000 + ").",             # deep lists
+        "p(" + "- " * 2000 + "x).",                        # deep prefix operators
+    ])
+    def test_bad_input_raises_syntax_error_with_location(self, text):
+        with pytest.raises(PrologSyntaxError) as info:
+            parse_program(text)
+        assert info.value.line == 1 and info.value.column is not None
+
+    def test_long_conjunction_within_bound_parses(self):
+        clause = parse_program("a :- " + ",".join(["b"] * 400) + ".")[0]
+        assert clause.functor == ":-"

@@ -122,6 +122,19 @@ class TestClauseEnd:
         assert tokens[1].line == 2
         assert tokens[1].column == 3
 
+    def test_solo_and_punct_tokens_carry_their_own_column(self):
+        assert [t.column for t in tokenize("a,b")] == [1, 2, 3, 4]
+        tokens = tokenize("[H|T] :- !;\n  x, y.")
+        assert [(t.text, t.line, t.column) for t in tokens] == [
+            ("[", 1, 1), ("H", 1, 2), ("|", 1, 3), ("T", 1, 4), ("]", 1, 5),
+            (":-", 1, 7), ("!", 1, 10), (";", 1, 11),
+            ("x", 2, 3), (",", 2, 4), ("y", 2, 6), (".", 2, 7), ("", 2, 8)]
+
+    def test_columns_after_multiline_tokens(self):
+        tokens = tokenize("'a\nb' c /* x\n y */ d\n\"s\" e")
+        assert [(t.text, t.line, t.column) for t in tokens][1:] == [
+            ("c", 2, 4), ("d", 3, 7), ("s", 4, 1), ("e", 4, 5), ("", 4, 6)]
+
 
 class TestErrorCases:
     def test_unexpected_character(self):
@@ -131,3 +144,15 @@ class TestErrorCases:
     def test_unknown_escape(self):
         with pytest.raises(PrologSyntaxError):
             tokenize(r"'\q'")
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("X = \u00b2.", 1, 5),             # a digit, but not ASCII [0-9]
+        ("a.\n  '\\q'", 2, 3),
+        ("a /* oops", 1, 3),
+        ("p(0'", 1, 3),
+        ('x = "abc', 1, 5),
+    ])
+    def test_errors_carry_line_and_column(self, text, line, column):
+        with pytest.raises(PrologSyntaxError) as info:
+            tokenize(text)
+        assert (info.value.line, info.value.column) == (line, column)
