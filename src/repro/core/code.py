@@ -336,26 +336,56 @@ class Program:
         return CallGoal(goal.name, goal.arity, compiled)
 
     def _build(self, term: Term, info: dict[str, VarInfo]) -> CTerm:
+        """Compile one argument term into code nodes.
+
+        Atoms and functors are interned, and first variable occurrences
+        marked, in pre-order (interning order fixes the symbol numbers
+        in the heap image).  The walk keeps a stack of open compounds,
+        each with its argument iterator and finished argument nodes;
+        a compound argument suspends its parent until it is built, so
+        nesting depth costs no Python frames.
+        """
+        if not isinstance(term, Struct):
+            return self._build_leaf(term, info)
+        leaf = self._build_leaf
+        functor = self.symbols.functor
+        name, args = term.functor, term.args
+        # functor id None marks a list cell
+        fid = None if name == "." and len(args) == 2 else \
+            functor(name, len(args))
+        frames = [(iter(args), [], name, fid)]
+        while True:
+            pending, done, name, fid = frames[-1]
+            for term in pending:
+                if isinstance(term, Struct):
+                    name, args = term.functor, term.args
+                    fid = None if name == "." and len(args) == 2 else \
+                        functor(name, len(args))
+                    frames.append((iter(args), [], name, fid))
+                    break
+                done.append(leaf(term, info))
+            else:
+                frames.pop()
+                node = CList(*done) if fid is None else \
+                    CStruct(fid, name, tuple(done))
+                if not frames:
+                    return node
+                frames[-1][1].append(node)
+
+    def _build_leaf(self, term: Term, info: dict[str, VarInfo]) -> CTerm:
         if isinstance(term, int):
             return CConst((Tag.INT, term))
         if isinstance(term, Atom):
             if term.name == "[]":
                 return CConst(NIL_WORD)
             return CConst((Tag.ATOM, self.symbols.atom(term.name)))
-        if isinstance(term, Var):
-            entry = info[term.name]
-            if entry.slot == VOID_SLOT:
-                return CVoid()
-            is_first = not entry.seen
-            entry.seen = True
-            return CVar(term.name, entry.slot, entry.is_global, is_first)
-        assert isinstance(term, Struct)
-        if term.functor == "." and term.arity == 2:
-            return CList(self._build(term.args[0], info),
-                         self._build(term.args[1], info))
-        functor_id = self.symbols.functor(term.functor, term.arity)
-        args = tuple(self._build(arg, info) for arg in term.args)
-        return CStruct(functor_id, term.functor, args)
+        assert isinstance(term, Var)
+        entry = info[term.name]
+        if entry.slot == VOID_SLOT:
+            return CVoid()
+        is_first = not entry.seen
+        entry.seen = True
+        return CVar(term.name, entry.slot, entry.is_global, is_first)
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,9 @@ class StatsCollector:
         #: (``functor/arity``), published by the machine at call,
         #: proceed and backtrack boundaries.  The base collector only
         #: stores it; the observability layer
-        #: (:class:`repro.obs.session.ObservedStatsCollector`) reads it
-        #: on every emission to attribute microsteps per predicate.
+        #: (:class:`repro.obs.session.ObservedStatsCollector`) switches
+        #: to that predicate's count table on each store, which is how
+        #: it attributes microsteps per predicate.
         self.predicate: str = "(startup)"
         self.inferences = 0                            # user-predicate calls (LIPS)
         self.builtin_calls = 0

@@ -67,14 +67,34 @@ class VarInfo:
 
 
 def scan_term(term: Term, info: dict[str, VarInfo], nested: bool) -> None:
-    """Accumulate variable occurrence data over one argument term."""
+    """Accumulate variable occurrence data over one argument term.
+
+    Walks the term in pre-order (the first-occurrence order slot
+    assignment depends on) with a stack of argument iterators, so a
+    long list literal or a deeply nested argument costs no Python
+    frames: a compound argument suspends its parent's iterator until
+    its own arguments are done.
+    """
     if isinstance(term, Var):
         entry = info.setdefault(term.name, VarInfo())
         entry.occurrences += 1
         entry.nested = entry.nested or nested
-    elif isinstance(term, Struct):
-        for arg in term.args:
-            scan_term(arg, info, True)
+        return
+    if not isinstance(term, Struct):
+        return
+    # Everything below the argument itself is a nested occurrence.
+    pending = [iter(term.args)]
+    while pending:
+        for term in pending[-1]:
+            if isinstance(term, Var):
+                entry = info.setdefault(term.name, VarInfo())
+                entry.occurrences += 1
+                entry.nested = True
+            elif isinstance(term, Struct):
+                pending.append(iter(term.args))
+                break
+        else:
+            pending.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,12 @@ every microstep of a run to a ``(predicate, module)`` pair:
 * **module** — the firmware interpreter module (Table 2's axis:
   control / unify / trail / get_arg / cut / built).
 
-Attribution happens inside
-:class:`~repro.obs.session.ObservedStatsCollector` on the routine
-*emission* path, weighted by each routine's precomputed step count, so
-it is exact: the profile total equals ``stats.total_steps`` (under
-test in ``tests/obs/test_profile.py``).  ``sample_interval > 1``
-switches to statistical sampling — every Nth emission is attributed
-with weight N — for minimum-overhead always-on profiling; totals then
-approximate rather than equal the step count.
+Attribution comes from
+:class:`~repro.obs.session.ObservedStatsCollector`, which counts every
+routine emission into its predicate's table and, when the run ends,
+weights the counts by each routine's precomputed step count, so it is
+exact: the profile total equals ``stats.total_steps`` (under test in
+``tests/obs/test_profile.py``).
 
 Outputs:
 
@@ -46,25 +44,14 @@ UNATTRIBUTED = "(startup)"
 class MicroProfile:
     """Microstep attribution to (predicate, module) pairs."""
 
-    def __init__(self, sample_interval: int = 1):
-        if sample_interval < 1:
-            raise ValueError("sample_interval must be >= 1")
-        self.sample_interval = sample_interval
+    def __init__(self):
         self.samples: _Counter = _Counter()   # (predicate, module) -> steps
-        self._tick = 0                        # emission counter for sampling
 
     # -- recording (called from ObservedStatsCollector) -----------------------
 
     def add(self, predicate: str, module: Module, steps: int) -> None:
-        """Attribute ``steps`` microsteps (exact mode)."""
+        """Attribute ``steps`` microsteps."""
         self.samples[(predicate, module)] += steps
-
-    def add_sampled(self, predicate: str, module: Module, steps: int) -> None:
-        """Attribute every Nth emission with weight N (sampling mode)."""
-        self._tick += 1
-        if self._tick >= self.sample_interval:
-            self._tick = 0
-            self.samples[(predicate, module)] += steps * self.sample_interval
 
     # -- views ----------------------------------------------------------------
 
@@ -91,19 +78,22 @@ class MicroProfile:
 
     def to_dict(self) -> dict:
         """Plain-data snapshot: sorted ``[predicate, module, steps]``
-        triples plus the total, losslessly invertible by :meth:`from_dict`."""
+        triples plus the total, losslessly invertible by :meth:`from_dict`.
+
+        ``sample_interval`` is always 1 (every step is attributed); the
+        field stays so snapshot files keep their bytes and shape."""
         samples = sorted(
             ([predicate, module.value, steps]
              for (predicate, module), steps in self.samples.items() if steps),
         )
         return {"kind": "micro_profile", "schema": 1,
-                "sample_interval": self.sample_interval,
+                "sample_interval": 1,
                 "total_steps": self.total_steps,
                 "samples": samples}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MicroProfile":
-        profile = cls(data.get("sample_interval", 1))
+        profile = cls()
         for predicate, module_value, steps in data["samples"]:
             profile.samples[(predicate, Module(module_value))] += steps
         return profile
@@ -138,7 +128,12 @@ class MicroProfile:
         return len(lines)
 
     def top_table(self, top: int = 10) -> str:
-        """Text report: top-N predicates by steps, with module split."""
+        """Text report: top-N predicates by steps, with module split.
+
+        A predicate's split names its three busiest modules; modules
+        with equal steps appear in :class:`~repro.core.micro.Module`
+        order.
+        """
         total = self.total_steps
         if not total:
             return "no samples"
@@ -152,9 +147,10 @@ class MicroProfile:
         lines = [f"{'predicate':<{width}}  {'steps':>12}  {'%':>6}  modules"]
         for predicate, modules in ranked[:top]:
             steps = sum(modules.values())
-            split = ", ".join(
-                f"{module.value} {100.0 * n / steps:.0f}%"
-                for module, n in modules.most_common(3))
+            busiest = sorted(modules.items(),
+                             key=lambda item: (-item[1], item[0].idx))[:3]
+            split = ", ".join(f"{module.value} {100.0 * n / steps:.0f}%"
+                              for module, n in busiest)
             lines.append(f"{predicate:<{width}}  {steps:>12}  "
                          f"{100.0 * steps / total:>5.1f}%  {split}")
         shown = sum(sum(m.values()) for _, m in ranked[:top])

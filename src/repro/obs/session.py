@@ -8,9 +8,10 @@ attachment points :func:`repro.tools.collect.collect` uses:
 
 * :attr:`ObsSession.collector` — an :class:`ObservedStatsCollector`
   (drop-in for :class:`~repro.core.stats.StatsCollector`) that keeps a
-  deterministic microstep clock, attributes every emission to the
-  machine's current ``(predicate, module)`` context, traces predicate
-  slices and sampled microroutine emissions;
+  deterministic microstep clock, counts every emission into one table
+  per predicate (attribution happens per predicate switch, not per
+  emission), traces predicate slices and sampled microroutine
+  emissions;
 * :meth:`ObsSession.cache_sampler` — a sampler that, driven by the
   collector's billing path, records only where each fixed window of
   accounted accesses ends in the run's packed cache feed; the cache's
@@ -18,13 +19,16 @@ attachment points :func:`repro.tools.collect.collect` uses:
 * :attr:`ObsSession.stack_observer` — a
   :class:`~repro.core.memory.MemorySystem` observer logging stack-area
   reclaim events (the PSI reclaims stacks by truncation on
-  proceed/TRO/backtrack — it has no garbage collector) as bounded raw
-  records, turned into trace events when the session finishes.
+  proceed/TRO/backtrack — it has no garbage collector) as compact
+  counter samples in the ``stacks`` ring buffer.
 
 Live, a session records only what must be known while the run
 executes; everything else is derived once afterwards, so an observed
 run keeps the memory system on the same packed-trace path as a plain
-one.  When observability is disabled none of this is
+one.  Per emission the collector adds only a clock advance and a
+sampling countdown to the base counting; the ``(predicate, module)``
+profile is read off the per-predicate tables when the run closes.
+When observability is disabled none of this is
 constructed: the machine runs on the plain collector and the only
 residue of the subsystem is a handful of attribute stores per *call*
 (never per step).  The cost of leaving it on is perfbench's
@@ -41,13 +45,20 @@ boundary, to be merged into the parent's registry).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import IO
 
+from repro.core import micro as _micro
 from repro.core.memory import Area
 from repro.core.stats import N_AREAS, StatsCollector
-from repro.core.micro import MEM_PAIR_BASE, MEM_STEPS, Module
+from repro.core.micro import (
+    MEM_PAIR_BASE,
+    MEM_STEPS,
+    MODULE_BY_INDEX,
+    N_MODULES,
+    Module,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import MicroProfile
 from repro.obs.trace import (
@@ -81,76 +92,93 @@ class ObservedStatsCollector(StatsCollector):
     Counting goes through the same flat per-id lists as the base
     collector, so an observed run bills identically to a plain one
     (``tests/core/test_stream_equivalence.py`` pins this).  Profiler
-    attribution is *buffered*: consecutive emissions under the same
-    ``(predicate, module)`` identity accumulate into one pending sample
-    that is flushed when either changes (and in :meth:`close`), cutting
-    per-emission obs work to a couple of attribute compares.  The flush
-    points never move steps between profile buckets — only the number
-    of ``profile.add`` calls changes.
+    attribution happens per predicate switch, not per emission: the
+    collector keeps one flat pair-count table per predicate label, and
+    storing :attr:`predicate` (the machine does so a few times per
+    call) makes that predicate's table the active ``_pair_counts``.
+    Emissions then count into the right table with the base
+    collector's own increment, and per emission the only obs work left
+    is advancing the clock and the micro-sample and cache-window ticks.
+    :meth:`close` derives the ``(predicate, module)`` profile from the
+    tables and folds them into one flat list, after which every
+    reporting view reads the run's totals.  Before :meth:`close` the
+    views see only the active predicate's counts.
+
+    A predicate's slice on the ``calls`` track opens at its first
+    emission, as if the collector watched every emission: a store
+    commits the previously stored predicate's slice only when the
+    clock has moved since that store, so a predicate that is stored
+    but never emits opens no slice (A, B, A with no emission under B
+    keeps one slice for A).
     """
 
-    __slots__ = ("tracer", "profile", "_now_base", "_open_pred",
-                 "_micro_interval", "_micro_tick",
-                 "_buf_pred", "_buf_module", "_buf_steps",
-                 "_cache_sampler", "_win_n", "_win_limit")
+    __slots__ = ("tracer", "profile", "now", "_pred", "_since",
+                 "_open_pred", "_tables", "_micro_interval", "_micro_left",
+                 "_cache_sampler", "_win_left")
 
-    #: window-counter sentinel when no cache sampler is attached: the
-    #: per-access tick compares against it and never fires
+    #: window countdown when no cache sampler is attached: the
+    #: per-access tick never reaches zero
     _NO_WINDOW = 1 << 62
 
     def __init__(self, tracer: Tracer, profile: MicroProfile,
                  micro_sample_interval: int = 512):
+        self._tables: dict[str, list[int]] | None = None
         super().__init__()
+        # The first predicate's table is the base collector's own list.
+        self._tables = {self._pred: self._pair_counts}
         self.tracer = tracer
         self.profile = profile
-        self._now_base = 0
+        self.now = 0
+        self._since = 0
         self._open_pred: str | None = None
         self._micro_interval = micro_sample_interval
-        self._micro_tick = 0
-        self._buf_pred: str | None = None
-        self._buf_module = None
-        self._buf_steps = 0
+        #: emissions left until the next ``micro`` sample
+        self._micro_left = micro_sample_interval
         self._cache_sampler = None
-        self._win_n = 0
-        self._win_limit = self._NO_WINDOW
+        #: accounted accesses left until the next cache-window cut
+        self._win_left = self._NO_WINDOW
 
     def attach_cache_sampler(self, sampler: "CacheWindowSampler") -> None:
         """Drive ``sampler`` from this collector's accounted accesses."""
         self._cache_sampler = sampler
-        self._win_limit = sampler.window
-        self._win_n = 0
+        self._win_left = sampler.window
+
+    # -- predicate context ------------------------------------------------------
 
     @property
-    def now(self) -> int:
-        """The deterministic clock: cumulative microsteps billed so far.
+    def predicate(self) -> str:
+        return self._pred
 
-        Derived as folded base + pending buffer so the hot paths never
-        maintain a separate counter; every read point sees exactly the
-        value an eagerly-updated clock would hold.
+    @predicate.setter
+    def predicate(self, label: str) -> None:
+        tables = self._tables
+        if tables is None:              # closed: counting only
+            self._pred = label
+            return
+        self.sync()
+        self._since = self.now
+        self._pred = label
+        table = tables.get(label)
+        if table is None:
+            table = tables[label] = [0] * _micro.pair_space()
+        self._pair_counts = table
+
+    def sync(self) -> None:
+        """Open the current predicate's slice if it has emitted.
+
+        The clock has moved since the predicate was stored once it has
+        billed steps, and it began billing at the clock of that store.
+        Slices open lazily, at the next store; a track whose first
+        event is recorded meanwhile would otherwise take its place in
+        the tracer's buffer order (the tie order of
+        :meth:`~repro.obs.trace.Tracer.events`) ahead of ``calls``, so
+        the sampled tracks call this before they record.
         """
-        return self._now_base + self._buf_steps
+        if self._pred is not self._open_pred and self.now != self._since:
+            self._open_pred = self._pred
+            self.tracer.begin_slice(TRACK_CALLS, self._pred, self._since)
 
     # -- recording overrides ---------------------------------------------------
-    #
-    # The fast path of every override is: fold the count, then either
-    # grow the pending buffer (two identity compares, one add) when the
-    # (predicate, module) context is unchanged, or roll the buffer.
-    # Rolling also opens the predicate slice when the predicate moved,
-    # which keeps the invariant the fast path relies on: whenever
-    # ``pred is self._buf_pred``, the slice for ``pred`` is already
-    # open, so the hot path never has to re-check ``_open_pred``.
-
-    def _roll_buffer(self, pred, module, steps: int) -> None:
-        buffered = self._buf_steps
-        if buffered:
-            self.profile.add(self._buf_pred, self._buf_module, buffered)
-            self._now_base += buffered
-        self._buf_pred = pred
-        self._buf_module = module
-        self._buf_steps = steps
-        if pred is not self._open_pred:
-            self._open_pred = pred
-            self.tracer.begin_slice(TRACK_CALLS, pred, self._now_base)
 
     def emit(self, routine, times: int = 1) -> None:
         module = self.module
@@ -161,18 +189,14 @@ class ObservedStatsCollector(StatsCollector):
             self._grow_pairs(index)
             self._pair_counts[index] += times
         steps = routine.n_steps * times
-        pred = self.predicate
-        if pred is self._buf_pred and module is self._buf_module:
-            self._buf_steps += steps
+        self.now += steps
+        left = self._micro_left - times
+        if left > 0:
+            self._micro_left = left
         else:
-            self._roll_buffer(pred, module, steps)
-        tick = self._micro_tick + times
-        if tick < self._micro_interval:
-            self._micro_tick = tick
-        else:
-            self._micro_tick = 0
-            self.tracer.complete(TRACK_MICRO, routine.name,
-                                 self._now_base + self._buf_steps - steps,
+            self._micro_left = self._micro_interval
+            self.sync()
+            self.tracer.complete(TRACK_MICRO, routine.name, self.now - steps,
                                  steps, {"module": module.value})
 
     def emit_in(self, module, routine, times: int = 1) -> None:
@@ -182,57 +206,40 @@ class ObservedStatsCollector(StatsCollector):
         except IndexError:
             self._grow_pairs(index)
             self._pair_counts[index] += times
-        steps = routine.n_steps * times
-        pred = self.predicate
-        if pred is self._buf_pred and module is self._buf_module:
-            self._buf_steps += steps
-        else:
-            self._roll_buffer(pred, module, steps)
+        self.now += routine.n_steps * times
 
     def mem_access(self, cmd, area) -> None:
         code = cmd.code
         self._mem_counts[code * N_AREAS + area] += 1
-        module = self.module
-        index = MEM_PAIR_BASE[code] + module.idx
+        index = MEM_PAIR_BASE[code] + self.module.idx
         try:
             self._pair_counts[index] += 1
         except IndexError:
             self._grow_pairs(index)
             self._pair_counts[index] += 1
-        steps = MEM_STEPS[code]
-        pred = self.predicate
-        if pred is self._buf_pred and module is self._buf_module:
-            self._buf_steps += steps
+        self.now += MEM_STEPS[code]
+        left = self._win_left - 1
+        if left:
+            self._win_left = left
         else:
-            self._roll_buffer(pred, module, steps)
-        n = self._win_n + 1
-        if n < self._win_limit:
-            self._win_n = n
-        else:
-            self._win_n = 0
+            self._win_left = self._cache_sampler.window
             self._cache_sampler.sample()
 
     def mem_access_n(self, cmd, area, times: int) -> None:
         code = cmd.code
         self._mem_counts[code * N_AREAS + area] += times
-        module = self.module
-        index = MEM_PAIR_BASE[code] + module.idx
+        index = MEM_PAIR_BASE[code] + self.module.idx
         try:
             self._pair_counts[index] += times
         except IndexError:
             self._grow_pairs(index)
             self._pair_counts[index] += times
-        steps = MEM_STEPS[code] * times
-        pred = self.predicate
-        if pred is self._buf_pred and module is self._buf_module:
-            self._buf_steps += steps
+        self.now += MEM_STEPS[code] * times
+        left = self._win_left - times
+        if left > 0:
+            self._win_left = left
         else:
-            self._roll_buffer(pred, module, steps)
-        n = self._win_n + times
-        if n < self._win_limit:
-            self._win_n = n
-        else:
-            self._win_n = 0
+            self._win_left = self._cache_sampler.window
             self._cache_sampler.sample()
 
     def emit_fused(self, fused) -> None:
@@ -241,34 +248,41 @@ class ObservedStatsCollector(StatsCollector):
         The machine's fused dispatch is gated on the *exact* base
         collector class, so observed runs normally never see this call;
         it exists so a superinstruction applied to any collector kind
-        lands in identical buckets (profile attribution included —
-        replay goes through :meth:`emit_in`/:meth:`mem_access_n`, whose
-        run-length buffering never moves steps between (predicate,
-        module) slices).
+        lands in identical buckets (the replay's bills count into the
+        active predicate's table like any other emission).
         """
         fused.replay(self)
 
     def emit_fused_dyn(self, fused) -> None:
         fused.replay(self)
 
-    def _flush_profile(self) -> None:
-        buffered = self._buf_steps
-        if buffered:
-            self.profile.add(self._buf_pred, self._buf_module, buffered)
-            self._now_base += buffered
-            self._buf_pred = None
-            self._buf_module = None
-            self._buf_steps = 0
-
     def close(self) -> None:
-        """Flush pending attribution, end the open predicate slice."""
-        self._flush_profile()
+        """End the open predicate slice; derive the profile; fold the
+        per-predicate tables into the run's flat counts."""
+        tables = self._tables
+        if tables is None:
+            return
+        self.sync()
         self.tracer.finish(self.now)
         self._open_pred = None
+        self._tables = None
+        routines = _micro.routines_by_rid()
+        add = self.profile.add
+        totals = [0] * max(map(len, tables.values()))
+        for label, table in tables.items():
+            by_module = [0] * N_MODULES
+            for index in compress(range(len(table)), table):
+                n = table[index]
+                totals[index] += n
+                module, rid = index % N_MODULES, index // N_MODULES
+                by_module[module] += routines[rid].n_steps * n
+            for module in compress(range(N_MODULES), by_module):
+                add(label, MODULE_BY_INDEX[module], by_module[module])
+        self._pair_counts = totals
 
 
-#: ``stacks`` counter name per area, e.g. ``top.local``
-_TOP_NAMES = {area: f"top.{area.name.lower()}" for area in Area}
+#: ``stacks`` counter name per area value, e.g. ``top.local``
+_TOP_NAMES = tuple(f"top.{area.name.lower()}" for area in Area)
 
 
 class StackObserver:
@@ -279,40 +293,31 @@ class StackObserver:
     shrinks an area is one "GC-free" deallocation event: a counter
     sample of the new top on the ``stacks`` track.
 
-    Live, an event is one raw ``(area, now, offset)`` record in a log
-    with the ring buffer's semantics: it keeps the newest
+    Live, an event is one compact counter sample (the
+    :meth:`~repro.obs.trace.Tracer.counter` form) appended straight to
+    the ``stacks`` ring buffer, which keeps the newest
     ``trace_capacity`` records and counts the rest as dropped, so a
-    long run holds O(capacity) records.  :meth:`materialise` turns the
-    log into trace events after the run.
+    long run holds O(capacity) records and nothing is left to convert
+    when the session finishes.
     """
 
-    __slots__ = ("tracer", "collector", "log", "logged")
+    __slots__ = ("tracer", "collector", "log")
 
     def __init__(self, tracer: Tracer, collector: ObservedStatsCollector):
         self.tracer = tracer
         self.collector = collector
-        self.log: deque = deque(maxlen=tracer.capacity)
-        self.logged = 0
+        #: the ``stacks`` ring buffer, from the first record on
+        self.log = ()
 
     def on_settop(self, area, offset: int, old_top: int) -> None:
         if offset < old_top:
-            if not self.logged:
+            if not self.log:
                 # The track takes its place in the tracer's buffer
                 # order (the tie order of ``events()``) at its first
-                # live record, as if the event had been traced now.
-                self.tracer.buffer(TRACK_STACKS)
-            self.logged += 1
-            self.log.append((area, self.collector.now, offset))
-
-    def materialise(self) -> None:
-        """Move the logged records onto the ``stacks`` track."""
-        if not self.logged:
-            return
-        counter = self.tracer.counter
-        for area, ts, offset in self.log:
-            counter(TRACK_STACKS, _TOP_NAMES[area], ts, offset)
-        self.tracer.buffer(TRACK_STACKS).dropped += \
-            self.logged - len(self.log)
+                # record.
+                self.collector.sync()
+                self.log = self.tracer.buffer(TRACK_STACKS)
+            self.log.append((self.collector.now, _TOP_NAMES[area], offset))
 
 
 class CacheWindowSampler:
@@ -347,7 +352,8 @@ class CacheWindowSampler:
 
     def sample(self) -> None:
         if not self.cuts:
-            self.tracer.buffer(TRACK_CACHE)     # see StackObserver
+            self.collector.sync()               # see StackObserver
+            self.tracer.buffer(TRACK_CACHE)
         self.cuts.append((len(self.feed), self.collector.now))
 
     def replay(self, cache, totals) -> None:
@@ -431,7 +437,6 @@ class ObsSession:
         """
         collector = self.collector
         collector.close()
-        self.stack_observer.materialise()
         metrics = self.metrics
         metrics.counter("psi.runs").inc()
         metrics.counter("psi.microsteps").inc(collector.total_steps)

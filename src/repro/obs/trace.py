@@ -24,7 +24,9 @@ phases so the export is mechanical):
 Events are buffered per track in fixed-capacity :class:`RingBuffer`\\ s
 so tracing arbitrarily long runs is O(capacity) memory; overflow drops
 the *oldest* events and counts them (``dropped``), which a trailing
-``metadata`` record reports.
+``metadata`` record reports.  Counter samples, most of a run's events,
+are buffered as plain ``(ts, name, value)`` tuples and become
+:class:`TraceEvent` objects only when :meth:`Tracer.events` is read.
 
 Exports:
 
@@ -40,6 +42,7 @@ Exports:
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 from repro.memsys.timing import CYCLE_NS
@@ -156,7 +159,6 @@ class Tracer:
         self.capacity = capacity
         self._buffers: dict[str, RingBuffer] = {}
         self._open: dict[str, tuple[int, str, dict | None]] = {}
-        self.enabled_tracks: set[str] | None = None   # None = all tracks
 
     # -- recording -----------------------------------------------------------
 
@@ -181,8 +183,14 @@ class Tracer:
         self.buffer(track).append(TraceEvent(ts, 0, "i", track, name, args))
 
     def counter(self, track: str, name: str, ts: int, value: float) -> None:
-        self.buffer(track).append(
-            TraceEvent(ts, 0, "C", track, name, {"value": value}))
+        """Record a counter sample.
+
+        Counter samples are stored compact, as ``(ts, name, value)``
+        tuples; :meth:`events` reads them as ``"C"`` events with
+        ``args`` ``{"value": value}``, and the exports format them
+        directly.
+        """
+        self.buffer(track).append((ts, name, value))
 
     def begin_slice(self, track: str, name: str, ts: int,
                     args: dict | None = None) -> None:
@@ -214,10 +222,21 @@ class Tracer:
         """Live events, oldest-first (one track, or all tracks by ts)."""
         if track is not None:
             buffer = self._buffers.get(track)
-            return list(buffer) if buffer is not None else []
-        merged = [event for buffer in self._buffers.values()
-                  for event in buffer]
-        merged.sort(key=lambda e: e.ts)
+            return ([_event(track, record) for record in buffer]
+                    if buffer is not None else [])
+        return [_event(track, record) for _, track, record in self._merged()]
+
+    def _merged(self) -> list[tuple]:
+        """Every live record as ``(ts, track, record)``, sorted by ts.
+
+        The sort is stable, so ties keep track creation order, then
+        record order.
+        """
+        merged = [(record[0] if type(record) is tuple else record.ts,
+                   track, record)
+                  for track, buffer in self._buffers.items()
+                  for record in buffer]
+        merged.sort(key=itemgetter(0))
         return merged
 
     @property
@@ -244,59 +263,123 @@ class Tracer:
 
         The first line is a ``{"meta": {...}}`` header (schema version,
         clock definition, drop counts); each following line is one
-        :meth:`TraceEvent.to_dict` record.  Returns the event count.
+        :meth:`TraceEvent.to_dict` record, keys sorted, no spaces.
+        Lines are assembled from a per-(track, name, phase) fragment
+        plus the event's numbers; no record dict is built.  Returns the
+        event count.
         """
-        events = self.events()
+        merged = self._merged()
         encode = _JSONL_ENCODER.encode
+        fragments: dict = {}
         lines = [json.dumps({"meta": self.metadata()}, separators=(",", ":"))]
-        lines.extend(encode(event.to_dict()) for event in events)
-        lines.append("")
+        append = lines.append
+        for ts, track, record in merged:
+            compact = type(record) is tuple      # a counter sample
+            name, ph = (record[1], "C") if compact else (record.name,
+                                                         record.ph)
+            key = (track, name, ph)
+            fragment = fragments.get(key)
+            if fragment is None:
+                fragment = fragments[key] = (
+                    f'"name":{encode(name)},"ph":{encode(ph)},'
+                    f'"track":{encode(track)},"ts":')
+            if compact:
+                value = record[2]
+                if type(value) is not int:
+                    value = encode(value)
+                append(f'{{"args":{{"value":{value}}},{fragment}{ts}}}')
+                continue
+            if ph == "X":
+                fragment = f'"dur":{record.dur},{fragment}'
+            if record.args:
+                append(f'{{"args":{encode(record.args)},{fragment}{ts}}}')
+            else:
+                append(f'{{{fragment}{ts}}}')
+        append("")
         fp.write("\n".join(lines))
-        return len(events)
+        return len(merged)
 
     def to_chrome(self, fp: IO[str], process_name: str = "PSI") -> int:
         """Write a Chrome ``trace_event`` JSON object for Perfetto.
 
         Each track becomes one thread of pid 0 (named via ``M``
         metadata events); microstep timestamps convert to microseconds
-        of modelled time (``STEP_NS`` per step).  Returns the event
-        count (excluding metadata events).
+        of modelled time (``STEP_NS`` per step, rounded to 3 places).
+        The text is what ``json.dumps`` makes of the records, built
+        like :meth:`to_jsonl`'s lines.  Returns the event count
+        (excluding metadata events).
         """
-        scale = STEP_NS / 1000.0     # steps -> trace microseconds
-        track_tids = {}
-        trace_events: list[dict] = [{
-            "ph": "M", "pid": 0, "tid": 0, "name": "process_name",
-            "args": {"name": process_name},
-        }]
-        events = self.events()
-        for event in events:
-            tid = track_tids.get(event.track)
-            if tid is None:
-                tid = track_tids[event.track] = len(track_tids) + 1
-                trace_events.append({
-                    "ph": "M", "pid": 0, "tid": tid, "name": "thread_name",
-                    "args": {"name": event.track},
-                })
-            record = {
-                "ph": event.ph,
-                "pid": 0, "tid": tid,
-                "ts": round(event.ts * scale, 3),
-                "name": event.name,
-                "cat": event.track,
-            }
-            if event.ph == "X":
-                record["dur"] = round(max(event.dur, 1) * scale, 3)
-            elif event.ph == "i":
-                record["s"] = "t"
-            if event.args:
-                record["args"] = event.args
-            trace_events.append(record)
-        # ``json.dumps`` encodes in C; ``json.dump`` would stream through
-        # the pure-Python encoder.
-        fp.write(json.dumps({"traceEvents": trace_events,
-                             "displayTimeUnit": "ms",
-                             "metadata": self.metadata()}))
-        return len(events)
+        dumps = json.dumps
+        tids: dict[str, int] = {}
+        fragments: dict = {}
+        records = ['{"ph": "M", "pid": 0, "tid": 0, "name": "process_name", '
+                   f'"args": {{"name": {dumps(process_name)}}}}}']
+        append = records.append
+        merged = self._merged()
+        for ts, track, record in merged:
+            compact = type(record) is tuple      # a counter sample
+            name, ph = (record[1], "C") if compact else (record.name,
+                                                         record.ph)
+            key = (track, name, ph)
+            fragment = fragments.get(key)
+            if fragment is None:
+                tid = tids.get(track)
+                if tid is None:
+                    tid = tids[track] = len(tids) + 1
+                    append('{"ph": "M", "pid": 0, "tid": %d, '
+                           '"name": "thread_name", "args": {"name": %s}}'
+                           % (tid, dumps(track)))
+                fragment = fragments[key] = (
+                    f'{{"ph": {dumps(ph)}, "pid": 0, "tid": {tid}, "ts": ',
+                    f', "name": {dumps(name)}, "cat": {dumps(track)}'
+                    + (', "s": "t"' if ph == "i" else ""))
+            head, middle = fragment
+            if compact:
+                value = record[2]
+                if type(value) is not int:
+                    value = dumps(value)
+                append(f'{head}{_micros(ts)}{middle}, '
+                       f'"args": {{"value": {value}}}}}')
+                continue
+            if ph == "X":
+                middle = f'{middle}, "dur": {_micros(max(record.dur, 1))}'
+            if record.args:
+                append(f'{head}{_micros(ts)}{middle}, '
+                       f'"args": {dumps(record.args)}}}')
+            else:
+                append(f'{head}{_micros(ts)}{middle}}}')
+        fp.write(f'{{"traceEvents": [{", ".join(records)}], '
+                 f'"displayTimeUnit": "ms", "metadata": '
+                 f'{dumps(self.metadata())}}}')
+        return len(merged)
+
+
+def _event(track: str, record) -> TraceEvent:
+    """A buffered record as a :class:`TraceEvent` (counter samples are
+    stored compact; see :meth:`Tracer.counter`)."""
+    if type(record) is tuple:
+        ts, name, value = record
+        return TraceEvent(ts, 0, "C", track, name, {"value": value})
+    return record
+
+
+#: ``_FRACTION[r]``: the digits ``repr`` prints after the point of a
+#: float with ``r`` thousandths
+_FRACTION = tuple(f"{r:03d}".rstrip("0") or "0" for r in range(1000))
+
+#: Below this many steps a Chrome timestamp has at most 14 significant
+#: digits, so the nearest float prints as the exact decimal.
+_EXACT_STEPS = 10 ** 14 // STEP_NS
+
+
+def _micros(steps: int) -> str:
+    """The Chrome-trace text of ``steps`` microsteps in microseconds:
+    ``repr(round(steps * STEP_NS / 1000, 3))``, as ``json.dumps`` prints
+    that float, formatted from integers where that is exact."""
+    if type(steps) is int and 0 <= steps < _EXACT_STEPS:
+        whole, part = divmod(steps * STEP_NS, 1000)
+        return f"{whole}.{_FRACTION[part]}"
+    return repr(round(steps * (STEP_NS / 1000.0), 3))
 
 
 def read_jsonl(lines: Iterable[str]) -> tuple[dict, list[TraceEvent]]:

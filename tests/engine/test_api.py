@@ -71,6 +71,14 @@ class TestLoadErrors:
         with pytest.raises(PrologSyntaxError):
             engine.load(text)
 
+    @pytest.mark.parametrize("text", [
+        "p([" + ",".join(["1"] * 1000) + "]).",
+        # 498 levels under p/1 is the deepest term the reader accepts
+        "p(" + "f(" * 498 + "x" + ")" * 498 + ").",
+    ], ids=["list-1000", "compound-498"])
+    def test_long_list_and_deep_compound_load(self, engine, text):
+        engine.load(text)
+
 
 class TestStatsFacade:
     def test_facade_shape(self, engine):

@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.core.micro import Module
 from repro.obs.profile import MicroProfile
 
@@ -17,17 +15,6 @@ class TestAttribution:
         assert profile.total_steps == 18
         assert profile.by_predicate()["a/1"] == 18
         assert profile.by_module()[Module.CONTROL] == 15
-
-    def test_sampled_mode_weights_every_nth(self):
-        profile = MicroProfile(sample_interval=4)
-        for _ in range(8):
-            profile.add_sampled("a/1", Module.CONTROL, 2)
-        # Emissions 4 and 8 are attributed, each weighted x4.
-        assert profile.total_steps == 2 * 2 * 4
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            MicroProfile(sample_interval=0)
 
     def test_merge(self):
         a, b = MicroProfile(), MicroProfile()
@@ -73,6 +60,14 @@ class TestTopTable:
 
     def test_empty(self):
         assert MicroProfile().top_table() == "no samples"
+
+    def test_module_split_breaks_ties_in_module_order(self):
+        profile = MicroProfile()
+        profile.add("p/1", Module.BUILT, 4)
+        profile.add("p/1", Module.GET_ARG, 3)
+        profile.add("p/1", Module.TRAIL, 3)
+        row = profile.top_table().splitlines()[1]
+        assert row.endswith("built 40%, trail 30%, get_arg 30%")
 
 
 def test_observed_run_attribution_sums_to_total_steps():

@@ -139,3 +139,53 @@ class TestRecordingFootprint:
             run = _collect("nreverse")
         assert run.machine.mem._packed_append is None
         assert run.machine.mem.observer is None
+
+
+class TestPredicateTables:
+    """Attribution per predicate switch: slices open at a predicate's
+    first emission, and the profile is read off per-predicate tables."""
+
+    @staticmethod
+    def _collector():
+        from repro.obs.profile import MicroProfile
+        from repro.obs.session import ObservedStatsCollector
+        from repro.obs.trace import Tracer
+
+        return ObservedStatsCollector(Tracer(), MicroProfile())
+
+    @staticmethod
+    def _routine():
+        from repro.core.micro import routines_by_rid
+
+        return routines_by_rid()[0]
+
+    def test_store_without_emission_opens_no_slice(self):
+        stats, routine = self._collector(), self._routine()
+        stats.predicate = "a/1"
+        stats.emit(routine)
+        stats.predicate = "b/2"          # never emits
+        stats.predicate = "a/1"
+        stats.emit(routine, 2)
+        stats.predicate = "c/3"
+        stats.emit(routine)
+        stats.close()
+        step = routine.n_steps
+        slices = [(e.name, e.ts, e.dur)
+                  for e in stats.tracer.events("calls")]
+        assert slices == [("a/1", 0, 3 * step), ("c/3", 3 * step, step)]
+        assert stats.profile.by_predicate() == {"a/1": 3 * step,
+                                                "c/3": step}
+
+    def test_close_folds_tables_into_plain_counts(self):
+        stats, routine = self._collector(), self._routine()
+        reference = StatsCollector()
+        for label in ("a/1", "b/2", "a/1"):
+            for collector in (stats, reference):
+                collector.predicate = label
+                collector.emit(routine, 3)
+        stats.close()
+        assert stats.routine_counts == reference.routine_counts
+        assert stats.total_steps == stats.now == reference.total_steps
+        stats.predicate = "d/4"          # after close: counting only
+        stats.emit(routine)
+        assert stats.total_steps == reference.total_steps + routine.n_steps

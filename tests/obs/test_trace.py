@@ -149,3 +149,14 @@ def test_dropped_counts_survive_metadata():
     assert tracer.dropped == {"stacks": 3}
     assert tracer.metadata()["dropped"] == {"stacks": 3}
     assert len(tracer) == 2
+
+
+def test_chrome_timestamps_print_as_rounded_floats():
+    """The integer formatting of Chrome timestamps is the text
+    ``json.dumps`` gives the rounded float, near zero and far out."""
+    from repro.obs.trace import _micros
+
+    steps = [*range(2000), 10 ** 9 + 7, 123456789012, 10 ** 14 // STEP_NS,
+             10 ** 15]
+    for n in steps:
+        assert _micros(n) == json.dumps(round(n * STEP_NS / 1000.0, 3))
