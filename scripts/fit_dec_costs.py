@@ -14,17 +14,13 @@ import sys
 
 from repro.baseline import WAMMachine, isa
 from repro.baseline.isa import Op
+from repro.eval.paper_data import TABLE1
 from repro.tools import collect
 from repro.workloads import get
 
 NAMES = ["nreverse", "qsort", "tree", "lisp-fib", "lisp-nreverse",
          "queens-one", "reverse-function", "slow-reverse", "bup-1", "bup-2",
          "harmonizer-1", "harmonizer-2", "lcp-2", "lcp-3"]
-PAPER = {"nreverse": 0.70, "qsort": 0.96, "tree": 1.18, "lisp-fib": 1.09,
-         "lisp-nreverse": 1.12, "queens-one": 1.01, "reverse-function": 1.09,
-         "slow-reverse": 0.90, "bup-1": 1.21, "bup-2": 1.40,
-         "harmonizer-1": 1.58, "harmonizer-2": 1.42, "lcp-2": 0.77,
-         "lcp-3": 0.78}
 
 BASE_COSTS = dict(isa.COSTS_NS)
 BASE_DYN = dict(isa.DYNAMIC_COSTS_NS)
@@ -79,8 +75,9 @@ def main() -> int:
         wam.consult(w.source)
         assert wam.run(w.goal) is not None, name
         ratio = wam.stats.time_ms / psi_ms[name]
-        err += (math.log(ratio) - math.log(PAPER[name])) ** 2
-        print(f"{name:18s} measured {ratio:5.2f}  paper {PAPER[name]:5.2f}")
+        paper = TABLE1[name][2]     # the paper's DEC/PSI ratio
+        err += (math.log(ratio) - math.log(paper)) ** 2
+        print(f"{name:18s} measured {ratio:5.2f}  paper {paper:5.2f}")
     print(f"params={params} log-ratio error={err:.4f}")
     return 0
 

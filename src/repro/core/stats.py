@@ -340,37 +340,6 @@ class StatsCollector:
         noop = sum(counts.get(op, 0) for op in NO_OPERATION_OPS)
         return 100.0 * (total - noop) / total
 
-    # -- checkpoint hook -------------------------------------------------------------
-
-    def state(self) -> dict:
-        """Portable plain-data snapshot of the collector (JSON-safe).
-
-        The state-log header (:mod:`repro.obs.statelog`) embeds this so
-        a recorded debugging session carries the run's aggregate
-        context — total steps, inferences, per-module step split —
-        alongside the per-checkpoint machine states.  Keys are strings
-        (``"module:routine"`` / ``"command:area"``), values ints, so
-        the dict round-trips through JSON without custom coding.
-        """
-        from repro.core.memory import AREAS
-        return {
-            "module": self.module.value,
-            "predicate": self.predicate,
-            "inferences": self.inferences,
-            "builtin_calls": self.builtin_calls,
-            "total_steps": self.total_steps,
-            "routine_counts": {
-                f"{module.value}:{routine.name}": n
-                for (module, routine), n in sorted(
-                    self.routine_counts.items(),
-                    key=lambda item: (item[0][0].value, item[0][1].name))},
-            "mem_counts": {
-                f"{cmd.value}:{AREAS[area].label}": n
-                for (cmd, area), n in sorted(
-                    self.mem_counts.items(),
-                    key=lambda item: (item[0][0].code, int(item[0][1])))},
-        }
-
     # -- misc ------------------------------------------------------------------------
 
     def merge(self, other: "StatsCollector") -> None:

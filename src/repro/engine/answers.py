@@ -37,19 +37,36 @@ def canonical_term(term: Term, renaming: dict[str, Var]) -> Term:
 
     ``renaming`` maps original (engine-specific) variable names to the
     shared canonical :class:`Var` objects; passing the same dict across
-    the bindings of one answer preserves aliasing.
+    the bindings of one answer preserves aliasing.  The walk keeps a
+    stack of (compound, argument iterator, rewritten arguments) frames,
+    so a long list or a deep term costs no Python frames; variables are
+    met left to right, which is the pre-order numbering.
     """
-    if isinstance(term, Var):
+    def leaf(term: Term) -> Term:
+        if not isinstance(term, Var):
+            return term
         canonical = renaming.get(term.name)
         if canonical is None:
             canonical = Var(f"_G{len(renaming)}")
             renaming[term.name] = canonical
         return canonical
-    if isinstance(term, Struct):
-        return Struct(term.functor,
-                      tuple(canonical_term(arg, renaming)
-                            for arg in term.args))
-    return term
+
+    if not isinstance(term, Struct):
+        return leaf(term)
+    pending = [(term, iter(term.args), [])]
+    while True:
+        struct, args, rewritten = pending[-1]
+        for arg in args:
+            if isinstance(arg, Struct):
+                pending.append((arg, iter(arg.args), []))
+                break
+            rewritten.append(leaf(arg))
+        else:
+            pending.pop()
+            done = Struct(struct.functor, tuple(rewritten))
+            if not pending:
+                return done
+            pending[-1][2].append(done)
 
 
 def canonical_answer(bindings: dict[str, Term]) -> Answer:

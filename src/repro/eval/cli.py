@@ -18,12 +18,7 @@ Usage::
     psi-eval fidelity                # paper-drift score, all tables
     psi-eval fidelity table2 figure1 --json
     psi-eval fidelity --max-drift 30 # exit 1 when overall drift exceeds 30
-    psi-eval fidelity --append-history
-    psi-eval history show --last 10  # the run-history time series
-    psi-eval history compare -2 -1   # fidelity deltas between entries
-    psi-eval history export out.csv  # flatten the series for plotting
     psi-eval diff a.profile.json b.profile.json   # differential profile
-    psi-eval diff -2 -1              # same verbs on two history entries
     psi-eval report --html           # self-contained dashboard (psi-report.html)
     psi-eval crosscheck --all        # every shared workload under the
                                      # faithful and baseline specs, fail
@@ -250,8 +245,7 @@ def _fidelity(args):
 
     Exits non-zero when overall drift exceeds ``--max-drift`` — the CI
     fidelity gate.  ``--json`` emits the machine-readable document
-    (schema in ``docs/OBSERVABILITY.md``); ``--append-history`` stores
-    the bounded digest as a run-history entry.
+    (schema in ``docs/OBSERVABILITY.md``).
     """
     import json
 
@@ -268,65 +262,27 @@ def _fidelity(args):
                               threshold=args.max_drift
                               if args.max_drift is not None
                               else fidelity.DEFAULT_MAX_DRIFT)
-    if args.append_history:
-        from repro.eval.history import HistoryStore
-        store = HistoryStore()
-        store.append("fidelity", {"fidelity": report.history_digest()})
-        print(f"appended fidelity entry to {store.path}", file=sys.stderr)
     text = (json.dumps(report.to_dict(), indent=2, sort_keys=True)
             if args.json else report.render())
     return text, 0 if report.passed else 1
 
 
-def _history(args) -> str:
-    """``psi-eval history show|compare|export``."""
-    from repro.eval import export
-    from repro.eval.history import HistoryStore
-
-    store = HistoryStore()
-    action, *rest = args.programs or ["show"]
-    if action == "show":
-        return store.render(last=args.last)
-    if action == "compare":
-        base = rest[0] if rest else "-2"
-        current = rest[1] if len(rest) > 1 else "-1"
-        try:
-            return store.compare(base, current)
-        except LookupError as exc:
-            raise SystemExit(f"psi-eval history compare: {exc}")
-    if action == "export":
-        if not rest:
-            raise SystemExit("psi-eval history export needs an output path")
-        rows = export.history_to_rows(store.entries())
-        export.write_csv(rows, rest[0])
-        return f"wrote {len(rows)} history row(s) to {rest[0]}"
-    raise SystemExit(f"unknown history action {action!r} "
-                     "(use: show, compare, export)")
-
-
 def _diff(args) -> str:
     """``psi-eval diff A B``: differential profile between two saved
-    profile snapshots, or fidelity deltas between two history
-    entries — whichever the operands name."""
+    profile snapshots."""
     from repro.obs import diffprof
 
     operands = args.programs or []
     if len(operands) != 2:
         raise SystemExit("psi-eval diff needs exactly two operands: two "
                          "profile snapshot files (psi-eval profile writes "
-                         "<name>.profile.json) or two history entry specs")
-    base, current = operands
-    if diffprof.is_snapshot_file(base) and diffprof.is_snapshot_file(current):
-        return diffprof.diff_snapshot_files(base, current)
-    from repro.eval.history import HistoryStore, render_entry_diff
-    store = HistoryStore()
-    try:
-        return render_entry_diff(store.resolve(base), store.resolve(current),
-                                 base_label=str(base),
-                                 current_label=str(current))
-    except LookupError as exc:
-        raise SystemExit(f"psi-eval diff: {exc} (operands must both be "
-                         "profile snapshot files or history entry specs)")
+                         "<name>.profile.json)")
+    not_snapshots = [path for path in operands
+                     if not diffprof.is_snapshot_file(path)]
+    if not_snapshots:
+        raise SystemExit(f"psi-eval diff: not a profile snapshot file: "
+                         f"{', '.join(not_snapshots)}")
+    return diffprof.diff_snapshot_files(*operands)
 
 
 def _report(args):
@@ -345,14 +301,12 @@ def _report(args):
     if not args.html:
         return report.render(), status
 
-    from repro.eval.history import HistoryStore
     from repro.eval.htmlreport import build_dashboard
 
     wants_figure1 = "figure1" in (selected or fidelity.TABLES)
     figure1_result = figure1.generate() if wants_figure1 else None
     html = build_dashboard(
         report, figure1_result=figure1_result,
-        history_entries=HistoryStore().entries(),
         generated=time.strftime("%Y-%m-%dT%H:%M:%S"))
     out = pathlib.Path(args.output)
     out.write_text(html)
@@ -544,7 +498,6 @@ _TARGETS = {
     "profile": _profile_workload,
     "cache": _cache_admin,
     "fidelity": _fidelity,
-    "history": _history,
     "diff": _diff,
     "report": _report,
     "crosscheck": _crosscheck,
@@ -553,8 +506,8 @@ _TARGETS = {
 }
 
 #: Targets ``psi-eval all`` does not expand to (admin/meta commands).
-_NON_ALL = ("run", "profile", "cache", "fidelity", "history", "diff",
-            "report", "crosscheck", "debug", "serve")
+_NON_ALL = ("run", "profile", "cache", "fidelity", "diff", "report",
+            "crosscheck", "debug", "serve")
 
 
 def _target_workloads(target: str, args) -> list[str]:
@@ -636,17 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'fidelity'/'report': score only these tables "
                              "(table1..table7, figure1; same as the "
                              "positional form)")
-    parser.add_argument("--append-history", action="store_true",
-                        help="'fidelity': append the scored digest to the "
-                             "run-history store (results/history/)")
     parser.add_argument("--html", action="store_true",
                         help="'report': write the self-contained HTML "
                              "dashboard to --output")
     parser.add_argument("--output", default="psi-report.html", metavar="FILE",
                         help="'report --html' output path "
                              "(default: psi-report.html)")
-    parser.add_argument("--last", type=int, default=None, metavar="N",
-                        help="'history show': only the newest N entries")
     parser.add_argument("--all", action="store_true",
                         help="'crosscheck': sweep the default "
                              "workload set instead of named workloads "

@@ -23,8 +23,7 @@ typography and document skeleton stay in lockstep:
   rendering;
 * :func:`round_bar` — the horizontal bar mark (square baseline,
   rounded data-end, native ``<title>`` tooltip);
-* :func:`legend` — the series legend strip;
-* :func:`sparkline` — a small inline trend line.
+* :func:`legend` — the series legend strip.
 
 Extracted from :mod:`repro.eval.htmlreport` verbatim; the dashboard's
 output is byte-identical to the pre-extraction builder (pinned by
@@ -164,35 +163,3 @@ def legend(entries) -> str:
         f'<span><span class="key" style="background:{color}">'
         f"</span>{esc(label)}</span>" for label, color in entries)
     return f'<div class="legend">{keys}</div>'
-
-
-def sparkline(values: list[float], label: str, unit: str = "") -> str:
-    """A tile with a small trend line over the last 24 values."""
-    if not values:
-        return ""
-    shown = values[-24:]
-    width, height, pad = 220, 48, 6
-    low, high = min(shown), max(shown)
-    span = (high - low) or 1.0
-    step = (width - 2 * pad) / max(len(shown) - 1, 1)
-
-    def xy(i: int, value: float) -> tuple[float, float]:
-        return (pad + i * step,
-                pad + (height - 2 * pad) * (1 - (value - low) / span))
-
-    coords = [xy(i, v) for i, v in enumerate(shown)]
-    polyline = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
-    x_end, y_end = coords[-1]
-    return (
-        f'<div class="tile"><div class="label">{esc(label)}</div>'
-        f'<svg role="img" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" aria-label="{esc(label)}">'
-        f'<polyline points="{polyline}" fill="none" stroke="var(--muted)" '
-        f'stroke-width="2" stroke-linejoin="round" '
-        f'stroke-linecap="round"/>'
-        f'<circle cx="{x_end:.1f}" cy="{y_end:.1f}" r="4" '
-        f'fill="var(--measured)" stroke="var(--surface-1)" '
-        f'stroke-width="2"/></svg>'
-        f'<div class="detail">latest {fmt(shown[-1])}{unit} '
-        f"over {len(shown)} entr{'y' if len(shown) == 1 else 'ies'}</div>"
-        f"</div>")

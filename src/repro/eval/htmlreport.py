@@ -10,9 +10,7 @@ external ``src=``/``href=`` references).  Sections:
 * per table, **paper-vs-measured bar pairs** for the worst-drifting
   cells, with the full cell set behind a table view;
 * the **Figure 1 cache sweep** as a line chart with the paper's
-  saturation capacity marked;
-* **history sparklines** — fidelity score and benchmark wall-clock
-  over the run-history entries.
+  saturation capacity marked.
 
 Charts follow fixed mark specs (thin bars with rounded data-ends, 2px
 lines, hairline solid gridlines, 2px surface gaps/rings, a legend for
@@ -37,7 +35,6 @@ from repro.eval.htmlbase import (
     legend as _base_legend,
     page as _page,
     round_bar as _round_bar,
-    sparkline as _sparkline,
 )
 
 
@@ -189,21 +186,7 @@ def _figure1_section(result, paper_saturation: int) -> str:
         f"</details></div>")
 
 
-def _history_section(entries: list[dict]) -> str:
-    scores = [((e.get("fidelity") or {}).get("overall") or {}).get("score")
-              for e in entries]
-    scores = [s for s in scores if isinstance(s, (int, float))]
-    sparks = _sparkline(scores, "fidelity score")
-    if not sparks:
-        return ""
-    return (f'<div class="card"><h2 style="margin-top:0">history</h2>'
-            f'<p class="sub">trajectory over the run-history entries '
-            f"(results/history)</p>"
-            f'<div class="tiles">{sparks}</div></div>')
-
-
 def build_dashboard(report, figure1_result=None,
-                    history_entries: list[dict] | None = None,
                     generated: str | None = None) -> str:
     """Assemble the full dashboard document as one HTML string."""
     from repro.eval import paper_data
@@ -229,8 +212,6 @@ def build_dashboard(report, figure1_result=None,
         f'<span class="chip {verdict_class}">{verdict_glyph} {verdict}'
         f"</span></div></div>"
         f'<div class="tiles">{"".join(tiles)}</div></div>']
-    if history_entries:
-        sections.append(_history_section(history_entries))
     for table in report.tables:
         sections.append(_table_section(table))
     if figure1_result is not None:

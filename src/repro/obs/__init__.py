@@ -39,7 +39,6 @@ from contextlib import contextmanager
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import MicroProfile
 from repro.obs.session import ObsConfig, ObsSession, RunObservation
-from repro.obs.statelog import read_statelog, write_statelog
 from repro.obs.timetravel import (Divergence, ReplayState, TraceExplorer,
                                   first_divergence)
 from repro.obs.trace import RingBuffer, TraceEvent, Tracer, read_jsonl
@@ -49,7 +48,6 @@ __all__ = [
     "MicroProfile", "ObsConfig", "ObsSession", "RunObservation",
     "RingBuffer", "TraceEvent", "Tracer", "read_jsonl",
     "Divergence", "ReplayState", "TraceExplorer", "first_divergence",
-    "read_statelog", "write_statelog",
     "enabled", "enable", "disable", "observed",
     "begin_run", "record_run", "merge_snapshot", "global_metrics",
 ]

@@ -16,7 +16,7 @@ results — so they are unit-testable without executing workloads;
 :func:`collect` is the convenience wrapper that runs the generators
 (through the run-cache tiers of :mod:`repro.eval.runner`) and scores
 everything.  The JSON document schema is documented in
-``docs/OBSERVABILITY.md`` ("Fidelity & history").
+``docs/OBSERVABILITY.md`` ("Fidelity").
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class TableFidelity:
 
     def to_dict(self, cell_limit: int | None = None) -> dict:
         """Plain-data form; ``cell_limit`` keeps only the worst N cells
-        (history entries store a bounded digest, the CLI stores all)."""
+        (the service's fidelity reply is bounded, the CLI emits all)."""
         cells = sorted(self.cells, key=lambda c: -c.drift)
         if cell_limit is not None:
             cells = cells[:cell_limit]
@@ -157,10 +157,6 @@ class FidelityReport:
                         "within": self.total_within},
             "tables": {t.name: t.to_dict(cell_limit) for t in self.tables},
         }
-
-    def history_digest(self, cell_limit: int = 5) -> dict:
-        """The bounded form stored in run-history entries."""
-        return self.to_dict(cell_limit=cell_limit)
 
     def render(self) -> str:
         from repro.eval.report import format_table

@@ -42,6 +42,7 @@ Exports:
 from __future__ import annotations
 
 import json
+from collections import deque
 from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
@@ -63,46 +64,34 @@ _JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 class RingBuffer:
     """Fixed-capacity event buffer; overflow evicts the oldest entry.
 
-    A plain preallocated list plus a write cursor — appends are O(1)
-    with no per-append allocation beyond the stored tuple, which is
-    what keeps enabled-mode tracing cheap enough to leave on for
-    practical-scale workloads.
+    A bounded :class:`~collections.deque` plus an eviction count: it
+    allocates nothing up front, and an append stores only the item.
     """
 
-    __slots__ = ("capacity", "_slots", "_next", "_len", "dropped")
+    __slots__ = ("capacity", "_items", "dropped")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("ring buffer capacity must be positive")
         self.capacity = capacity
-        self._slots: list = [None] * capacity
-        self._next = 0          # next write position
-        self._len = 0           # live entries (<= capacity)
+        self._items: deque = deque(maxlen=capacity)
         self.dropped = 0        # evicted entries
 
     def append(self, item) -> None:
-        if self._len == self.capacity:
+        items = self._items
+        if len(items) == self.capacity:
             self.dropped += 1
-        else:
-            self._len += 1
-        self._slots[self._next] = item
-        self._next = (self._next + 1) % self.capacity
+        items.append(item)
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._items)
 
     def __iter__(self) -> Iterator:
         """Yield live entries oldest-first."""
-        if self._len < self.capacity:
-            yield from self._slots[:self._len]
-        else:
-            yield from self._slots[self._next:]
-            yield from self._slots[:self._next]
+        return iter(self._items)
 
     def clear(self) -> None:
-        self._slots = [None] * self.capacity
-        self._next = 0
-        self._len = 0
+        self._items.clear()
         self.dropped = 0
 
 

@@ -38,6 +38,12 @@ class TestCanonicalAnswer:
         answer = canonical_answer({"T": term})
         assert answer == (("T", "f(_G0,_G0,_G1)"),)
 
+    def test_numbering_is_pre_order_left_to_right(self):
+        term = Struct("f", (Struct("g", (Var("_A5"), Struct("h", (
+            Var("_A3"),)))), Var("_A4"), Var("_A5")))
+        answer = canonical_answer({"T": term})
+        assert answer == (("T", "f(g(_G0,h(_G1)),_G2,_G0)"),)
+
 
 class TestMultisetAndRendering:
     def test_multiset_order_insensitive(self):

@@ -79,6 +79,13 @@ class TestLoadErrors:
     def test_long_list_and_deep_compound_load(self, engine, text):
         engine.load(text)
 
+    def test_long_list_answer_on_the_wam(self):
+        # The PSI's runtime term copy still recurses per list cell.
+        engine = create_engine("baseline")
+        engine.load("p([" + ",".join(["1"] * 1000) + "]).")
+        answers = engine.solve("p(L)")
+        assert answers == ((("L", "[" + ",".join(["1"] * 1000) + "]"),),)
+
 
 class TestStatsFacade:
     def test_facade_shape(self, engine):

@@ -3,8 +3,9 @@
 ``repro.eval.htmlbase`` was extracted verbatim from
 ``repro.eval.htmlreport``; the SHA-256 pins below were computed on the
 pre-extraction dashboard builder over a fixed synthetic fidelity
-report (``GOLDEN_FULL`` was re-taken once since; see its comment).  If either hash moves, the shared helpers changed dashboard
-output — which the extraction promised never to do.  (A deliberate
+report (``GOLDEN_FULL`` was re-taken since, each time a dashboard
+section was removed).  If either hash moves, the shared helpers
+changed dashboard output — which the extraction promised never to do.  (A deliberate
 dashboard redesign should update the pins in the same commit and say
 so; this test exists to make silent drift impossible.)
 """
@@ -18,11 +19,9 @@ from repro.eval import htmlbase
 from repro.eval.htmlreport import build_dashboard
 from repro.obs.fidelity import CellDrift, FidelityReport, TableFidelity
 
-#: SHA-256 of the full dashboard (figure 1 + history) over the fixture
-#: below.  Its history entries carry fidelity scores only, since the
-#: dashboard no longer charts ``bench`` entries; the hash is what the
-#: builder printed for this same fixture before that removal.
-GOLDEN_FULL = "a6a01fe26f013ba7fe44548bfc5a2cb50dfa9ddc7517079ebc17c3db82b52907"
+#: SHA-256 of the full dashboard (figure 1 + generation stamp) over the
+#: fixture below.
+GOLDEN_FULL = "f644400cbe1e719d794ad653ad4bba0e0dad05baa127a4f958799c3f15e2baff"
 #: SHA-256 of the bare dashboard — ``build_dashboard(report)`` alone.
 GOLDEN_BARE = "743f697208e9c72fc493bd0677a37b901fb425e2161daeb2b9736de2e69649ed"
 
@@ -41,11 +40,6 @@ def _figure1():
     return types.SimpleNamespace(points=points, saturation_capacity=512)
 
 
-def _history():
-    return [{"fidelity": {"overall": {"score": 75.0}}},
-            {"fidelity": {"overall": {"score": 81.4}}}]
-
-
 @pytest.fixture()
 def report():
     return FidelityReport(tables=(_table("table2", [0.4, 1.8]),
@@ -55,7 +49,6 @@ def report():
 class TestByteIdentityPin:
     def test_full_dashboard_unchanged(self, report):
         html = build_dashboard(report, figure1_result=_figure1(),
-                               history_entries=_history(),
                                generated="2026-01-01T00:00:00")
         assert hashlib.sha256(html.encode()).hexdigest() == GOLDEN_FULL
 
@@ -98,7 +91,3 @@ class TestHelpers:
     def test_legend(self):
         html = htmlbase.legend((("measured", "var(--measured)"),))
         assert "measured" in html and 'class="legend"' in html
-
-    def test_sparkline_empty_and_single(self):
-        assert htmlbase.sparkline([], "x") == ""
-        assert "1 entry" in htmlbase.sparkline([5.0], "x")

@@ -23,11 +23,6 @@ def _figure1():
     return types.SimpleNamespace(points=points, saturation_capacity=512)
 
 
-def _history():
-    return [{"fidelity": {"overall": {"score": 75.0}}},
-            {"fidelity": {"overall": {"score": 81.4}}}]
-
-
 @pytest.fixture()
 def report():
     return FidelityReport(tables=(_table("table2", [0.4, 1.8]),
@@ -37,7 +32,6 @@ def report():
 @pytest.fixture()
 def html(report):
     return build_dashboard(report, figure1_result=_figure1(),
-                           history_entries=_history(),
                            generated="2026-08-06T00:00:00")
 
 
@@ -99,9 +93,6 @@ class TestContent:
     def test_figure1_marks_paper_saturation(self, html):
         assert "paper saturation" in html
         assert "512" in html
-
-    def test_history_sparklines(self, html):
-        assert "fidelity score" in html
 
     def test_dark_mode_palette_defined(self, html):
         assert "prefers-color-scheme: dark" in html

@@ -125,3 +125,15 @@ def test_end_to_end_profile_then_diff(tmp_path, capsys):
     assert main(["diff", str(base), str(current)]) == 0
     out = capsys.readouterr().out
     assert "reconciled" in out and "MISMATCH" not in out
+
+
+def test_diff_of_non_snapshot_operands_is_a_one_line_error():
+    """Operands that are not snapshot files exit non-zero with one
+    line, not a traceback."""
+    from repro.eval.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", "-2", "-1"])
+    message = str(exc.value.code)
+    assert exc.value.code != 0 and message.startswith("psi-eval diff:")
+    assert "\n" not in message

@@ -163,15 +163,3 @@ class TestCliGate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
         assert doc["tables"]["table2"]["score"] == 100.0
-
-    def test_append_history_writes_an_entry(self, fake_collect, tmp_path,
-                                            monkeypatch):
-        from repro.eval.cli import main
-        from repro.eval.history import HistoryStore
-        monkeypatch.setenv("PSI_HISTORY_DIR", str(tmp_path))
-        fake_collect([0.5])
-        assert main(["fidelity", "--append-history"]) == 0
-        entries = HistoryStore().entries()
-        assert len(entries) == 1
-        assert entries[0]["kind"] == "fidelity"
-        assert entries[0]["fidelity"]["overall"]["score"] == 100.0

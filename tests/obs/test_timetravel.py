@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.machine import CONTROL_FRAME_WORDS
 from repro.core.memory import AREA_SHIFT, Area
-from repro.obs.statelog import read_statelog, write_statelog
 from repro.obs.timetravel import (
     AUTO_TARGET_CHECKPOINTS,
     Divergence,
@@ -70,6 +69,15 @@ class TestSeekEquivalence:
         _, explorer = explorers[name]
         assert explorer.final == explorer.cold_state_at(explorer.n_steps)
         assert explorer.final.step == explorer.n_steps
+
+    def test_seek_ends_are_step_zero_and_the_final_state(self, explorers):
+        _, explorer = explorers["nreverse"]
+        assert explorer.state_at(0).step == 0
+        last = explorer.state_at(explorer.n_steps)
+        assert last.step == explorer.n_steps
+        assert last.registers == explorer.final.registers
+        assert last.backtracks == explorer.final.backtracks
+        assert last.cache.stats.hits == explorer.final.cache.stats.hits
 
     def test_explicit_stride_changes_checkpoints_not_states(self, explorers):
         run, auto = explorers["nreverse"]
@@ -195,28 +203,3 @@ class TestAnswerMarks:
         run, _ = explorers["nreverse"]
         assert run.to_summary().to_collected_run().answer_marks \
             == run.answer_marks
-
-
-class TestStatelog:
-    def test_roundtrip(self, tmp_path, explorers):
-        run, explorer = explorers["nreverse"]
-        path = tmp_path / "state.jsonl"
-        count = write_statelog(path, explorer, goal=run.goal,
-                               stats=run.stats)
-        header, states = read_statelog(path)
-        assert count == len(states)
-        assert header["entries"] == explorer.n_steps
-        assert header["stride"] == explorer.stride
-        assert header["stats"]["total_steps"] == run.stats.total_steps
-        assert states[0]["step"] == 0
-        assert states[-1]["step"] == explorer.n_steps
-        final = states[-1]
-        assert final["registers"] == explorer.final.registers
-        assert final["backtracks"] == explorer.final.backtracks
-        assert final["cache"]["hits"] == explorer.final.cache.stats.hits
-
-    def test_rejects_non_statelog(self, tmp_path):
-        path = tmp_path / "bogus.jsonl"
-        path.write_text('{"type": "state"}\n')
-        with pytest.raises(ValueError):
-            read_statelog(path)
