@@ -228,27 +228,43 @@ def bb_ge(m, args) -> bool:
 
 
 def _compare_cells(m, c1, c2) -> int:
-    a = m.deref(c1)
-    b = m.deref(c2)
-    order_a = _order_class(a[0])
-    order_b = _order_class(b[0])
-    if order_a != order_b:
-        return -1 if order_a < order_b else 1
-    if order_a in (0, 1):
-        return (a[1] > b[1]) - (a[1] < b[1])
-    if order_a == 2:
-        return (a[1] > b[1]) - (a[1] < b[1])
-    name_a, arity_a, args_a = _parts(m, a)
-    name_b, arity_b, args_b = _parts(m, b)
-    if arity_a != arity_b:
-        return -1 if arity_a < arity_b else 1
-    if name_a != name_b:
-        return -1 if name_a < name_b else 1
-    for x, y in zip(args_a, args_b):
-        result = _compare_cells(m, x, y)
+    """Standard order comparison, depth first and left to right.
+
+    Walks with an explicit stack of argument pairs, so any depth or
+    list length compares; a pair of compounds met again inside itself
+    (cyclic terms) compares equal there instead of looping.
+    """
+    stack = []              # (pair, argument pairs left, last first)
+    open_pairs = set()
+    while True:
+        a = m.deref(c1)
+        b = m.deref(c2)
+        order_a = _order_class(a[0])
+        order_b = _order_class(b[0])
+        if order_a != order_b:
+            return -1 if order_a < order_b else 1
+        if order_a < 3:
+            result = (a[1] > b[1]) - (a[1] < b[1])
+        else:
+            name_a, arity_a, args_a = _parts(m, a)
+            name_b, arity_b, args_b = _parts(m, b)
+            if arity_a != arity_b:
+                return -1 if arity_a < arity_b else 1
+            if name_a != name_b:
+                return -1 if name_a < name_b else 1
+            result = 0
+            pair = (a, b)
+            if pair not in open_pairs:
+                open_pairs.add(pair)
+                stack.append((pair, list(zip(reversed(args_a),
+                                             reversed(args_b)))))
         if result:
             return result
-    return 0
+        while stack and not stack[-1][1]:
+            open_pairs.discard(stack.pop()[0])
+        if not stack:
+            return 0
+        c1, c2 = stack[-1][1].pop()
 
 
 def _order_class(tag) -> int:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.baseline.isa import COSTS_NS, Instr, Op, X, Y
 from repro.engine.frontend import GOAL_CALL, GOAL_CUT, NormalizedClause
+from repro.engine.index import KIND_VAR, ClauseIndex, first_arg_descriptor
 from repro.errors import PrologSyntaxError
 from repro.prolog.terms import Atom, Struct, Term, Var, is_cons, is_nil
 
@@ -33,14 +34,6 @@ from repro.prolog.terms import Atom, Struct, Term, Var, is_cons, is_nil
 #: of being built as heap terms and re-traversed.
 ARITH_FASTCODE = {("is", 2), ("=:=", 2), ("=\\=", 2),
                   ("<", 2), (">", 2), ("=<", 2), (">=", 2)}
-
-# Indexing taxonomy and first-argument classifier now live in the
-# backend-neutral analysis module (both engines consume it); re-exported
-# here so existing importers keep working.
-from repro.engine.index import (  # noqa: E402  (re-export)
-    KIND_CONST, KIND_LIST, KIND_STRUCT, KIND_VAR, ClauseIndex,
-    first_arg_descriptor,
-)
 
 
 @dataclass

@@ -868,31 +868,49 @@ class WAMMachine:
         return (STR, idx)
 
     def decode_cell(self, cell) -> Term:
-        cell = self._peek_deref(cell)
-        tag = cell[0]
-        if tag == REF:
-            return Var(f"_B{cell[1]}")
-        if tag == INT:
-            return cell[1]
-        if tag == CON:
-            return Atom(cell[1])
-        if tag == LIS:
-            items = []
-            current = cell
-            while current[0] == LIS:
-                items.append(self.decode_cell(self.heap[current[1]]))
-                current = self._peek_deref(self.heap[current[1] + 1])
-            result: Term = self.decode_cell(current) if current[0] != CON or current[1] != "[]" \
-                else Atom("[]")
-            for item in reversed(items):
-                result = Struct(".", (item, result))
-            return result
-        if tag == STR:
-            name, arity = self.heap[cell[1]][1]
-            args = tuple(self.decode_cell(self.heap[cell[1] + 1 + i])
-                         for i in range(arity))
-            return Struct(name, args)
-        raise MachineError(f"cannot decode cell {cell!r}")
+        """Convert a heap cell into a source-level term.
+
+        Walks with an explicit stack of open compounds, so any depth or
+        list length decodes; a compound met again inside itself is a
+        cyclic term and raises :class:`MachineError`.
+        """
+        heap = self.heap
+        stack = []          # (cell, name, decoded args, arg cells left, last first)
+        open_cells = set()
+        while True:
+            cell = self._peek_deref(cell)
+            tag = cell[0]
+            if tag == LIS or tag == STR:
+                if cell in open_cells:
+                    raise MachineError("cyclic term while decoding")
+                open_cells.add(cell)
+                addr = cell[1]
+                if tag == LIS:
+                    stack.append((cell, ".", [], [heap[addr + 1], heap[addr]]))
+                else:
+                    name, arity = heap[addr][1]
+                    stack.append((cell, name, [],
+                                  [heap[addr + i] for i in range(arity, 0, -1)]))
+            else:
+                if tag == REF:
+                    term = Var(f"_B{cell[1]}")
+                elif tag == INT:
+                    term = cell[1]
+                elif tag == CON:
+                    term = Atom(cell[1])
+                else:
+                    raise MachineError(f"cannot decode cell {cell!r}")
+                if not stack:
+                    return term
+                stack[-1][2].append(term)
+            while not stack[-1][3]:
+                cell, name, args, _ = stack.pop()
+                open_cells.discard(cell)
+                term = Struct(name, tuple(args))
+                if not stack:
+                    return term
+                stack[-1][2].append(term)
+            cell = stack[-1][3].pop()
 
     def _peek_deref(self, cell):
         while cell[0] == REF:

@@ -275,34 +275,52 @@ def bi_ge(m, args) -> bool:
 
 
 def _compare_words(m, w1, w2) -> int:
-    """Standard order comparison: Var < Int < Atom < Compound."""
-    a = m.deref(w1)
-    b = m.deref(w2)
-    m.stats.emit(micro.R_COMPARE)
-    order_a = _order_class(a[0])
-    order_b = _order_class(b[0])
-    if order_a != order_b:
-        return -1 if order_a < order_b else 1
-    if order_a == 0:   # variables: by cell address
-        return (a[1] > b[1]) - (a[1] < b[1])
-    if order_a == 1:   # integers
-        return (a[1] > b[1]) - (a[1] < b[1])
-    if order_a == 2:   # atoms, [] sorting as the atom '[]'
-        name_a = "[]" if a[0] == Tag.NIL else m.symbols.atom_name(a[1])
-        name_b = "[]" if b[0] == Tag.NIL else m.symbols.atom_name(b[1])
-        return (name_a > name_b) - (name_a < name_b)
-    # compounds: arity, then name, then args left to right
-    name_a, arity_a, args_a = _compound_parts(m, a)
-    name_b, arity_b, args_b = _compound_parts(m, b)
-    if arity_a != arity_b:
-        return -1 if arity_a < arity_b else 1
-    if name_a != name_b:
-        return -1 if name_a < name_b else 1
-    for sub_a, sub_b in zip(args_a, args_b):
-        result = _compare_words(m, sub_a, sub_b)
+    """Standard order comparison: Var < Int < Atom < Compound.
+
+    Walks depth first, left to right, with an explicit stack of argument
+    pairs, so any depth or list length compares.  Each node derefs both
+    sides and bills one ``R_COMPARE``; a compound's argument cells are
+    read before its first argument is compared.  A pair of compounds met
+    again inside itself (cyclic terms) compares equal there instead of
+    looping.
+    """
+    emit = m.stats.emit
+    stack = []              # (pair, argument pairs left, last first)
+    open_pairs = set()
+    while True:
+        a = m.deref(w1)
+        b = m.deref(w2)
+        emit(micro.R_COMPARE)
+        order_a = _order_class(a[0])
+        order_b = _order_class(b[0])
+        if order_a != order_b:
+            return -1 if order_a < order_b else 1
+        if order_a < 2:     # variables by cell address, integers by value
+            result = (a[1] > b[1]) - (a[1] < b[1])
+        elif order_a == 2:  # atoms, [] sorting as the atom '[]'
+            name_a = "[]" if a[0] == Tag.NIL else m.symbols.atom_name(a[1])
+            name_b = "[]" if b[0] == Tag.NIL else m.symbols.atom_name(b[1])
+            result = (name_a > name_b) - (name_a < name_b)
+        else:               # compounds: arity, then name, then args
+            name_a, arity_a, args_a = _compound_parts(m, a)
+            name_b, arity_b, args_b = _compound_parts(m, b)
+            if arity_a != arity_b:
+                return -1 if arity_a < arity_b else 1
+            if name_a != name_b:
+                return -1 if name_a < name_b else 1
+            result = 0
+            pair = (a, b)
+            if pair not in open_pairs:
+                open_pairs.add(pair)
+                stack.append((pair, list(zip(reversed(args_a),
+                                             reversed(args_b)))))
         if result:
             return result
-    return 0
+        while stack and not stack[-1][1]:
+            open_pairs.discard(stack.pop()[0])
+        if not stack:
+            return 0
+        w1, w2 = stack[-1][1].pop()
 
 
 def _order_class(tag) -> int:

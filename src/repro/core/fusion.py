@@ -18,14 +18,12 @@ unfused emission run would have — same ``routine_counts``, same
 ``mem_counts``, same total steps — and the machine's fused call sites
 reproduce the trace byte stream bit-for-bit.
 
-The selected sequences live in :mod:`repro.core.fused_table`, an
-ahead-of-time generated module produced by
-``scripts/gen_superinstructions.py`` from mined workload traces
-(:mod:`repro.obs.seqmine`).  Two kinds exist:
+:data:`BY_SID` below is the one table of specs; the machine binds each
+one by name at import.  Two kinds exist:
 
 * **static** specs name their interpreter module; all deltas are
   absolute indices, applied via ``emit_fused``.
-* **dynamic** specs (``module: None``) bill under whatever module is
+* **dynamic** specs (``module`` ``None``) bill under whatever module is
   active at the call site, via ``emit_fused_dyn`` — used for shapes
   shared by several modules (decode/fetch, deref, build).
 """
@@ -33,27 +31,30 @@ ahead-of-time generated module produced by
 from __future__ import annotations
 
 from repro.core import micro
-from repro.core.micro import CacheCmd, MicroRoutine, Module, N_MODULES
-from repro.core.fused_table import FRAME_NLOCALS, SPECS
-
-#: Mirrors ``repro.core.memory.Area`` (kept literal to avoid a circular
-#: import; ``test_interning_invariants`` guards the shared constant).
-N_AREAS = 5
-_AREA_INDEX = {"heap": 0, "global": 1, "local": 2, "control": 3, "trail": 4}
-_MODULE_BY_VALUE = {m.value: m for m in Module}
-_CMD_BY_VALUE = {c.value: c for c in CacheCmd}
+from repro.core.memory import N_AREAS, Area
+from repro.core.micro import (
+    N_MODULES, CacheCmd, MicroRoutine, Module,
+    R_BACKTRACK, R_BIND, R_BUILD_CELL, R_BUILD_VAR, R_BUILTIN_STEP,
+    R_CALL_SETUP, R_CLAUSE_TRY, R_CP_PUSH, R_CP_RESTORE, R_DECODE,
+    R_DECODE_OPCODE, R_DECODE_PACKED, R_DEREF_STEP, R_ENV_POP,
+    R_FAIL_DISPATCH, R_FRAME_ALLOC, R_FRAME_INIT_SLOT, R_FRAME_READ_BUF,
+    R_FRAME_READ_BUF_BASE, R_GET_ARG, R_GET_ARG_PACKED,
+    R_GET_ARG_VAR_BUF, R_GET_ARG_VAR_BUF_BASE, R_GET_ARG_VAR_MEM,
+    R_GOAL_FETCH, R_PROC_LOOKUP, R_SWITCH_BUFFER, R_TRAIL_PUSH,
+    R_TRAIL_SKIP, R_UNTRAIL_ENTRY, R_WF_GENERAL,
+)
 
 
 class Superinstruction:
     """One fused micro-op run with precomputed billing deltas."""
 
     __slots__ = ("name", "module", "emissions", "mem_ops", "n_steps",
-                 "pair_deltas", "rel_deltas", "base_deltas", "mem_deltas",
-                 "max_index", "sid", "sid6", "slot")
+                 "base_deltas", "mem_deltas", "max_index",
+                 "sid", "sid6", "slot")
 
     def __init__(self, name: str, module: Module | None,
                  emissions: tuple[tuple[MicroRoutine, int], ...],
-                 mem_ops: tuple[tuple[CacheCmd, int, int], ...]):
+                 mem_ops: tuple[tuple[CacheCmd, int, int], ...] = ()):
         self.name = name
         self.module = module
         self.emissions = emissions            # ((routine, times), ...)
@@ -77,17 +78,8 @@ class Superinstruction:
         #: Module-relative pair deltas (both kinds): absolute index is
         #: ``base + module.idx`` — the flush loop's single form.
         self.base_deltas = tuple(sorted(pair.items()))
-        if module is None:
-            self.rel_deltas = self.base_deltas
-            self.pair_deltas = ()
-            self.max_index = max(pair) + N_MODULES - 1
-        else:
-            midx = module.idx
-            self.pair_deltas = tuple(sorted(
-                (base + midx, times) for base, times in pair.items()))
-            self.rel_deltas = ()
-            self.max_index = max(index for index, _ in self.pair_deltas)
-        # Deferred-billing identity, assigned by the table build below:
+        self.max_index = max(pair) + N_MODULES - 1
+        # Deferred-billing identity, assigned by the table below:
         # ``slot`` indexes the collector's _fused_counts list for static
         # specs (module baked in); ``sid6 + ambient module.idx`` for
         # dynamic ones.
@@ -120,37 +112,78 @@ class Superinstruction:
         return f"Superinstruction({self.name!r}, module={scope}, steps={self.n_steps})"
 
 
-def _build(name: str, spec: dict) -> Superinstruction:
-    registry = micro.all_routines()
-    module = _MODULE_BY_VALUE[spec["module"]] if spec["module"] else None
-    emissions = tuple((registry[rname], times) for rname, times in spec["emit"])
-    mem_ops = tuple((_CMD_BY_VALUE[cmd], _AREA_INDEX[area], times)
-                    for cmd, area, times in spec.get("mem", ()))
-    return Superinstruction(name, module, emissions, mem_ops)
+_SI = Superinstruction
+_CONTROL, _TRAIL = Module.CONTROL, Module.TRAIL
+_READ, _WRITE_STACK = CacheCmd.READ, CacheCmd.WRITE_STACK
+_HEAP, _GLOBAL, _LOCAL = int(Area.HEAP), int(Area.GLOBAL), int(Area.LOCAL)
+_CONTROL_AREA, _TRAIL_AREA = int(Area.CONTROL), int(Area.TRAIL)
 
+#: nlocals values with a dedicated ``clause_frame/{n}`` specialisation
+#: (frame-size evidence in docs/ARCHITECTURE.md).
+FRAME_NLOCALS = (1, 2, 3, 4)
 
-#: Every superinstruction the machine's fused dispatch binds by name.
-#: The generator must always produce these; a missing key fails the
-#: import loudly rather than silently degrading to the per-op loop.
-REQUIRED = (
-    "call_dispatch", "cp_push_frame", "clause_try", "clause_frame",
-    "proceed_resume", "fail", "cp_restore_resume", "untrail_entry",
-    "trail_push", "fetch_decode", "fetch_decode_packed", "fetch_struct",
-    "fetch_struct_packed", "bind_skip", "push_var", "build_list",
-    "get_arg", "get_arg_packed", "get_arg_void", "get_arg_var_buf",
-    "get_arg_var_buf_base", "get_arg_var_mem", "get_arg_var_buf_packed",
-    "get_arg_var_buf_base_packed", "get_arg_var_mem_packed",
-    "deref_buf", "deref_buf_base",
-    "deref_read/heap", "deref_read/global", "deref_read/local",
-    "deref_read/control", "deref_read/trail",
+_CLAUSE_FRAME = ((R_CLAUSE_TRY, 1), (R_FRAME_ALLOC, 1), (R_SWITCH_BUFFER, 1))
+
+#: Every superinstruction, by ``sid`` — also the flush loop's decode table.
+BY_SID: tuple[Superinstruction, ...] = (
+    _SI("call_dispatch", _CONTROL,
+        ((R_GOAL_FETCH, 1), (R_CALL_SETUP, 1), (R_BUILTIN_STEP, 1),
+         (R_PROC_LOOKUP, 1)),
+        ((_READ, _HEAP, 2),)),
+    _SI("cp_push_frame", _CONTROL, ((R_CP_PUSH, 1), (R_WF_GENERAL, 1)),
+        ((_WRITE_STACK, _CONTROL_AREA, 10),)),
+    _SI("clause_try", _CONTROL, ((R_CLAUSE_TRY, 1),), ((_READ, _HEAP, 1),)),
+    _SI("clause_frame", _CONTROL, _CLAUSE_FRAME, ((_READ, _HEAP, 1),)),
+    _SI("proceed_resume", _CONTROL, ((R_ENV_POP, 1),),
+        ((_READ, _CONTROL_AREA, 4),)),
+    _SI("fail", _CONTROL, ((R_BACKTRACK, 1), (R_FAIL_DISPATCH, 1))),
+    _SI("cp_restore_resume", _CONTROL, ((R_CP_RESTORE, 1),),
+        ((_READ, _CONTROL_AREA, 4),)),
+    _SI("untrail_entry", _TRAIL, ((R_UNTRAIL_ENTRY, 1),),
+        ((_READ, _TRAIL_AREA, 1),)),
+    _SI("trail_push", _TRAIL, ((R_TRAIL_PUSH, 1),),
+        ((_WRITE_STACK, _TRAIL_AREA, 1),)),
+    _SI("fetch_decode", None, ((R_DECODE, 1),), ((_READ, _HEAP, 1),)),
+    _SI("fetch_decode_packed", None, ((R_DECODE_PACKED, 1),),
+        ((_READ, _HEAP, 1),)),
+    _SI("fetch_struct", None, ((R_DECODE, 1), (R_DECODE_OPCODE, 1)),
+        ((_READ, _HEAP, 2),)),
+    _SI("fetch_struct_packed", None,
+        ((R_DECODE_PACKED, 1), (R_DECODE_OPCODE, 1)), ((_READ, _HEAP, 2),)),
+    _SI("bind_skip", None, ((R_BIND, 1), (R_TRAIL_SKIP, 1))),
+    _SI("push_var", None, ((R_BUILD_VAR, 1),),
+        ((_WRITE_STACK, _GLOBAL, 1),)),
+    _SI("build_list", None, ((R_BUILD_CELL, 1),),
+        ((_WRITE_STACK, _GLOBAL, 2),)),
+    _SI("get_arg", None, ((R_GET_ARG, 1),), ((_READ, _HEAP, 1),)),
+    _SI("get_arg_packed", None, ((R_GET_ARG_PACKED, 1),),
+        ((_READ, _HEAP, 1),)),
+    _SI("get_arg_void", None, ((R_GET_ARG, 1),),
+        ((_READ, _HEAP, 1), (_WRITE_STACK, _GLOBAL, 1))),
+    _SI("get_arg_var_buf", None, ((R_GET_ARG, 1), (R_GET_ARG_VAR_BUF, 1)),
+        ((_READ, _HEAP, 1),)),
+    _SI("get_arg_var_buf_base", None,
+        ((R_GET_ARG, 1), (R_GET_ARG_VAR_BUF_BASE, 1)), ((_READ, _HEAP, 1),)),
+    _SI("get_arg_var_mem", None, ((R_GET_ARG, 1), (R_GET_ARG_VAR_MEM, 1)),
+        ((_READ, _HEAP, 1), (_READ, _LOCAL, 1))),
+    _SI("get_arg_var_buf_packed", None,
+        ((R_GET_ARG_PACKED, 1), (R_GET_ARG_VAR_BUF, 1)), ((_READ, _HEAP, 1),)),
+    _SI("get_arg_var_buf_base_packed", None,
+        ((R_GET_ARG_PACKED, 1), (R_GET_ARG_VAR_BUF_BASE, 1)),
+        ((_READ, _HEAP, 1),)),
+    _SI("get_arg_var_mem_packed", None,
+        ((R_GET_ARG_PACKED, 1), (R_GET_ARG_VAR_MEM, 1)),
+        ((_READ, _HEAP, 1), (_READ, _LOCAL, 1))),
+    _SI("deref_buf", None, ((R_DEREF_STEP, 1), (R_FRAME_READ_BUF, 1))),
+    _SI("deref_buf_base", None,
+        ((R_DEREF_STEP, 1), (R_FRAME_READ_BUF_BASE, 1))),
+    *(_SI(f"deref_read/{area.name.lower()}", None, ((R_DEREF_STEP, 1),),
+          ((_READ, int(area), 1),))
+      for area in Area),
+    *(_SI(f"clause_frame/{n}", _CONTROL,
+          _CLAUSE_FRAME + ((R_FRAME_INIT_SLOT, n),), ((_READ, _HEAP, 1),))
+      for n in FRAME_NLOCALS),
 )
-
-SUPERINSTRUCTIONS: dict[str, Superinstruction] = {
-    name: _build(name, spec) for name, spec in SPECS.items()
-}
-
-#: Superinstructions by ``sid`` — the flush loop's decode table.
-BY_SID: tuple[Superinstruction, ...] = tuple(SUPERINSTRUCTIONS.values())
 for _sid, _si in enumerate(BY_SID):
     _si.sid = _sid
     _si.sid6 = _sid * N_MODULES
@@ -158,21 +191,20 @@ for _sid, _si in enumerate(BY_SID):
                 if _si.module is not None else _si.sid6)
 del _sid, _si
 
+SUPERINSTRUCTIONS: dict[str, Superinstruction] = {si.name: si
+                                                  for si in BY_SID}
+
 
 def slot_space() -> int:
     """Size of the deferred fused-billing count list (sid × module)."""
     return len(BY_SID) * N_MODULES
 
-_missing = [name for name in REQUIRED if name not in SUPERINSTRUCTIONS]
-if _missing:  # pragma: no cover - generator contract
-    raise ImportError(f"fused_table is missing required specs: {_missing}")
 
 #: Per-area deref-step superinstructions, indexed by the int area value.
-DEREF_BY_AREA = tuple(SUPERINSTRUCTIONS[f"deref_read/{area}"]
-                      for area in ("heap", "global", "local",
-                                   "control", "trail"))
+DEREF_BY_AREA = tuple(SUPERINSTRUCTIONS[f"deref_read/{area.name.lower()}"]
+                      for area in Area)
 
-#: Mined per-``nlocals`` clause-activation specialisations
+#: Per-``nlocals`` clause-activation specialisations
 #: (clause try + frame allocate + buffer switch + slot inits fused).
 FRAME_BY_NLOCALS = {
     n: SUPERINSTRUCTIONS[f"clause_frame/{n}"] for n in FRAME_NLOCALS

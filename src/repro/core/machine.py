@@ -131,77 +131,45 @@ _R_BUILTIN_EXIT = micro.R_BUILTIN_EXIT
 _R_SWITCH_ON_TERM = micro.R_SWITCH_ON_TERM
 _R_INDEX_HASH = micro.R_INDEX_HASH
 
-# Superinstruction aliases: AOT-selected fused micro-op runs
-# (repro.core.fused_table, regenerated by scripts/gen_superinstructions.py).
-# Each fused call site bills the whole run in one emit_fused and then
-# appends its trace entries itself in the exact reference order, so the
-# emission stream is bit-identical to the per-op loop it replaces.
+# Deferred-billing slots of the superinstructions (repro.core.fusion),
+# bound by name so a missing spec fails the import.  Each fused call
+# site bills the whole run as one increment of ``_fused_counts[slot]``
+# (the fused gate guarantees the exact base StatsCollector; static
+# specs bake the module into ``slot``, dynamic ones add the ambient
+# ``module.idx`` to ``sid6``) and then appends its trace entries itself
+# in the exact reference order, so the emission stream is bit-identical
+# to the per-op loop it replaces.  The flush that folds the slots into
+# the pair/memory counters runs once per report, not per emission.
 _F = fusion.SUPERINSTRUCTIONS
-_F_CALL_DISPATCH = _F["call_dispatch"]
-_F_CP_PUSH_FRAME = _F["cp_push_frame"]
-_F_CLAUSE_TRY = _F["clause_try"]
-_F_CLAUSE_FRAME = _F["clause_frame"]
-_F_FRAME_BY_NLOCALS = fusion.FRAME_BY_NLOCALS
-_F_PROCEED_RESUME = _F["proceed_resume"]
-_F_FAIL = _F["fail"]
-_F_CP_RESTORE_RESUME = _F["cp_restore_resume"]
-_F_UNTRAIL_ENTRY = _F["untrail_entry"]
-_F_TRAIL_PUSH = _F["trail_push"]
-_F_FETCH_DECODE = _F["fetch_decode"]
-_F_FETCH_DECODE_PACKED = _F["fetch_decode_packed"]
-_F_FETCH_STRUCT = _F["fetch_struct"]
-_F_FETCH_STRUCT_PACKED = _F["fetch_struct_packed"]
-_F_BIND_SKIP = _F["bind_skip"]
-_F_PUSH_VAR = _F["push_var"]
-_F_BUILD_LIST = _F["build_list"]
-_F_GET_ARG = _F["get_arg"]
-_F_GET_ARG_PACKED = _F["get_arg_packed"]
-_F_GET_ARG_VOID = _F["get_arg_void"]
-_F_GA_VBUF = _F["get_arg_var_buf"]
-_F_GA_VBUF_BASE = _F["get_arg_var_buf_base"]
-_F_GA_VMEM = _F["get_arg_var_mem"]
-_F_GA_VBUF_P = _F["get_arg_var_buf_packed"]
-_F_GA_VBUF_BASE_P = _F["get_arg_var_buf_base_packed"]
-_F_GA_VMEM_P = _F["get_arg_var_mem_packed"]
-_F_DEREF_BY_AREA = fusion.DEREF_BY_AREA
-_F_DEREF_BUF = _F["deref_buf"]
-_F_DEREF_BUF_BASE = _F["deref_buf_base"]
-
-# Deferred-billing slots: the fused gate guarantees the exact base
-# StatsCollector, whose emit_fused is one increment of
-# ``_fused_counts[slot]`` — inlined at the dispatch sites below (static
-# specs bake the module into ``slot``; dynamic ones add the ambient
-# ``module.idx`` to ``sid6``).  The flush that folds these into the
-# pair/memory counters runs once per report, not per emission.
-_S_CALL_DISPATCH = _F_CALL_DISPATCH.slot
-_S_CP_PUSH_FRAME = _F_CP_PUSH_FRAME.slot
-_S_CLAUSE_TRY = _F_CLAUSE_TRY.slot
-_S_CLAUSE_FRAME = _F_CLAUSE_FRAME.slot
+_S_CALL_DISPATCH = _F["call_dispatch"].slot
+_S_CP_PUSH_FRAME = _F["cp_push_frame"].slot
+_S_CLAUSE_TRY = _F["clause_try"].slot
+_S_CLAUSE_FRAME = _F["clause_frame"].slot
 _S_FRAME_BY_NLOCALS = {n: si.slot for n, si in fusion.FRAME_BY_NLOCALS.items()}
-_S_PROCEED_RESUME = _F_PROCEED_RESUME.slot
-_S_FAIL = _F_FAIL.slot
-_S_CP_RESTORE_RESUME = _F_CP_RESTORE_RESUME.slot
-_S_UNTRAIL_ENTRY = _F_UNTRAIL_ENTRY.slot
-_S_TRAIL_PUSH = _F_TRAIL_PUSH.slot
-_S6_FETCH_DECODE = _F_FETCH_DECODE.sid6
-_S6_FETCH_DECODE_PACKED = _F_FETCH_DECODE_PACKED.sid6
-_S6_FETCH_STRUCT = _F_FETCH_STRUCT.sid6
-_S6_FETCH_STRUCT_PACKED = _F_FETCH_STRUCT_PACKED.sid6
-_S6_BIND_SKIP = _F_BIND_SKIP.sid6
-_S6_PUSH_VAR = _F_PUSH_VAR.sid6
-_S6_BUILD_LIST = _F_BUILD_LIST.sid6
-_S6_GET_ARG = _F_GET_ARG.sid6
-_S6_GET_ARG_PACKED = _F_GET_ARG_PACKED.sid6
-_S6_GET_ARG_VOID = _F_GET_ARG_VOID.sid6
-_S6_GA_VBUF = _F_GA_VBUF.sid6
-_S6_GA_VBUF_BASE = _F_GA_VBUF_BASE.sid6
-_S6_GA_VMEM = _F_GA_VMEM.sid6
-_S6_GA_VBUF_P = _F_GA_VBUF_P.sid6
-_S6_GA_VBUF_BASE_P = _F_GA_VBUF_BASE_P.sid6
-_S6_GA_VMEM_P = _F_GA_VMEM_P.sid6
+_S_PROCEED_RESUME = _F["proceed_resume"].slot
+_S_FAIL = _F["fail"].slot
+_S_CP_RESTORE_RESUME = _F["cp_restore_resume"].slot
+_S_UNTRAIL_ENTRY = _F["untrail_entry"].slot
+_S_TRAIL_PUSH = _F["trail_push"].slot
+_S6_FETCH_DECODE = _F["fetch_decode"].sid6
+_S6_FETCH_DECODE_PACKED = _F["fetch_decode_packed"].sid6
+_S6_FETCH_STRUCT = _F["fetch_struct"].sid6
+_S6_FETCH_STRUCT_PACKED = _F["fetch_struct_packed"].sid6
+_S6_BIND_SKIP = _F["bind_skip"].sid6
+_S6_PUSH_VAR = _F["push_var"].sid6
+_S6_BUILD_LIST = _F["build_list"].sid6
+_S6_GET_ARG = _F["get_arg"].sid6
+_S6_GET_ARG_PACKED = _F["get_arg_packed"].sid6
+_S6_GET_ARG_VOID = _F["get_arg_void"].sid6
+_S6_GA_VBUF = _F["get_arg_var_buf"].sid6
+_S6_GA_VBUF_BASE = _F["get_arg_var_buf_base"].sid6
+_S6_GA_VMEM = _F["get_arg_var_mem"].sid6
+_S6_GA_VBUF_P = _F["get_arg_var_buf_packed"].sid6
+_S6_GA_VBUF_BASE_P = _F["get_arg_var_buf_base_packed"].sid6
+_S6_GA_VMEM_P = _F["get_arg_var_mem_packed"].sid6
 _S6_DEREF_BY_AREA = tuple(si.sid6 for si in fusion.DEREF_BY_AREA)
-_S6_DEREF_BUF = _F_DEREF_BUF.sid6
-_S6_DEREF_BUF_BASE = _F_DEREF_BUF_BASE.sid6
+_S6_DEREF_BUF = _F["deref_buf"].sid6
+_S6_DEREF_BUF_BASE = _F["deref_buf_base"].sid6
 
 
 class Frame:
@@ -294,14 +262,10 @@ class MachineConfig:
 
     max_calls: int = 50_000_000
     word_limit: int = 1 << 22
-    #: extra interpreter bookkeeping steps charged per user-predicate call
-    #: (dispatch tables, event checks); a calibration lever for LIPS.
-    call_overhead_steps: int = 2
     #: route statically-known hot paths through fused superinstructions
     #: (emission-stream-equivalent; see :mod:`repro.core.fusion`).  The
-    #: machine additionally requires the default ``call_overhead_steps``
-    #: and the exact base stats collector, so faithfulness
-    #: configurations and observed runs always take the per-op loop.
+    #: machine additionally requires the exact base stats collector, so
+    #: observed runs always take the per-op loop.
     fused: bool = True
     #: first-argument clause indexing (the "evaluation the paper
     #: couldn't run"): dispatch calls through the backend-neutral
@@ -395,12 +359,9 @@ class PSIMachine:
     def _refresh_fused_gate(self) -> None:
         """Recompute the fused-dispatch gate (a plain attribute, not a
         property — the hot loop reads it per goal).  Fusion requires
-        the default call-overhead model (the ``call_dispatch``
-        superinstruction bakes in one built.step) and the *exact* base
-        collector class: observed/sampled/null collectors take the
+        the *exact* base collector class: observed collectors take the
         per-op loop, whose emission stream fusion reproduces."""
         self._fused_on = (self.config.fused
-                          and self.config.call_overhead_steps == 2
                           and type(self.stats) is StatsCollector)
 
     def _start(self, functor: str, arity: int, args: tuple) -> bool:
@@ -481,8 +442,7 @@ class PSIMachine:
             stats.emit(_R_GOAL_FETCH)
             self.mem.read(_HEAP, goal.addr)
             stats.emit(_R_CALL_SETUP)
-            stats.emit(_R_BUILTIN_STEP,
-                       self.config.call_overhead_steps // 2 or 1)
+            stats.emit(_R_BUILTIN_STEP)
             stats.emit(_R_PROC_LOOKUP)
             self.mem.read(_HEAP, proc.descriptor_base)
         # Evaluate arguments into registers (call machinery: control).
@@ -1280,19 +1240,25 @@ class PSIMachine:
         if cls is CVoid:
             return True
         if cls is CList:
-            value = self.deref(word)
-            if value[0] == _UNDEF:
-                built = self._build(node, frame, prefetched=True)
-                self.bind(value[1], built)
-                return True
-            if value[0] != Tag.LIST:
-                return False
-            stats.emit(_R_UNIFY_LIST)
-            head_word = self._read_cell(value[1])
-            if not self._match(node.head, head_word, frame):
-                return False
-            tail_word = self._read_cell(value[1] + 1)
-            return self._match(node.tail, tail_word, frame)
+            # The spine is a loop (a list may be any length); each
+            # further cell is fetched as the recursive call would.
+            while True:
+                value = self.deref(word)
+                if value[0] == _UNDEF:
+                    built = self._build(node, frame, prefetched=True)
+                    self.bind(value[1], built)
+                    return True
+                if value[0] != Tag.LIST:
+                    return False
+                stats.emit(_R_UNIFY_LIST)
+                head_word = self._read_cell(value[1])
+                if not self._match(node.head, head_word, frame):
+                    return False
+                word = self._read_cell(value[1] + 1)
+                node = node.tail
+                if node.__class__ is not CList:
+                    return self._match(node, word, frame)
+                self._fetch(node)
         if cls is CStruct:
             value = self.deref(word)
             if value[0] == _UNDEF:
@@ -1340,19 +1306,30 @@ class PSIMachine:
                 stats.emit(_R_BUILD_VAR)
             return (_REF, g_hi | off)
         if cls is CList:
-            head_word = self._build(node.head, frame)
-            tail_word = self._build(node.tail, frame)
-            base = mem.top(_GLOBAL)
-            if fused:
-                # build cell + both global pushes in one bill.
-                stats._fused_counts[_S6_BUILD_LIST + stats.module.idx] += 1
-                mem.push_fused(_GLOBAL, head_word)
-                mem.push_fused(_GLOBAL, tail_word)
-            else:
-                stats.emit(_R_BUILD_CELL)
-                mem.write_stack(_GLOBAL, head_word)
-                mem.write_stack(_GLOBAL, tail_word)
-            return (Tag.LIST, g_hi | base)
+            # Walk the spine in a loop (a list may be any length): fetch
+            # each cell and build its head, build the final tail, then
+            # push the cells innermost first — the recursive order.
+            head_words = []
+            while True:
+                head_words.append(self._build(node.head, frame))
+                node = node.tail
+                if node.__class__ is not CList:
+                    break
+                self._fetch(node)
+            word = self._build(node, frame)
+            for head_word in reversed(head_words):
+                base = mem.top(_GLOBAL)
+                if fused:
+                    # build cell + both global pushes in one bill.
+                    stats._fused_counts[_S6_BUILD_LIST + stats.module.idx] += 1
+                    mem.push_fused(_GLOBAL, head_word)
+                    mem.push_fused(_GLOBAL, word)
+                else:
+                    stats.emit(_R_BUILD_CELL)
+                    mem.write_stack(_GLOBAL, head_word)
+                    mem.write_stack(_GLOBAL, word)
+                word = (Tag.LIST, g_hi | base)
+            return word
         if cls is CStruct:
             arg_words = [self._build(arg, frame) for arg in node.args]
             stats.emit(_R_BUILD_CELL)
@@ -1513,43 +1490,54 @@ class PSIMachine:
     # Term decoding (for solutions / builtins; unbilled debug reads)
     # ------------------------------------------------------------------
 
-    def decode_word(self, word, depth: int = 0) -> Term:
-        """Convert a runtime word into a source-level term (no billing)."""
-        word = self._peek_deref(word)
-        tag = word[0]
-        if tag == _UNDEF:
-            return Var(f"_A{word[1]}")
-        if tag == Tag.INT:
-            return word[1]
-        if tag == Tag.ATOM:
-            return Atom(self.symbols.atom_name(word[1]))
-        if tag == Tag.NIL:
-            return Atom("[]")
-        if tag == Tag.LIST:
-            items = []
-            current = word
-            guard = 0
-            while current[0] == Tag.LIST:
-                items.append(self.decode_word(self._peek_addr(current[1]), depth + 1))
-                current = self._peek_deref(self._peek_addr(current[1] + 1))
-                guard += 1
-                if guard > 1_000_000:
-                    raise MachineError("runaway list while decoding")
-            tail = self.decode_word(current, depth + 1)
-            result: Term = tail
-            for item in reversed(items):
-                result = Struct(".", (item, result))
-            return result
-        if tag == Tag.STRUCT:
-            functor_word = self._peek_addr(word[1])
-            name, arity = self.symbols.functor_name(functor_word[1])
-            args = tuple(self.decode_word(self._peek_addr(word[1] + 1 + i), depth + 1)
-                         for i in range(arity))
-            return Struct(name, args)
-        if tag == Tag.VECT:
-            header = self._peek_addr(word[1])
-            return Struct("$vector", (word[1], header[1]))
-        raise MachineError(f"cannot decode word {word!r}")
+    def decode_word(self, word) -> Term:
+        """Convert a runtime word into a source-level term (no billing).
+
+        Walks with an explicit stack of open compounds, so any depth or
+        list length decodes; a compound met again inside itself is a
+        cyclic term and raises :class:`MachineError`.
+        """
+        peek = self._peek_addr
+        stack = []          # (word, name, decoded args, arg words left, last first)
+        open_words = set()
+        while True:
+            word = self._peek_deref(word)
+            tag = word[0]
+            if tag == Tag.LIST or tag == Tag.STRUCT:
+                if word in open_words:
+                    raise MachineError("cyclic term while decoding")
+                open_words.add(word)
+                addr = word[1]
+                if tag == Tag.LIST:
+                    stack.append((word, ".", [], [peek(addr + 1), peek(addr)]))
+                else:
+                    name, arity = self.symbols.functor_name(peek(addr)[1])
+                    stack.append((word, name, [],
+                                  [peek(addr + i) for i in range(arity, 0, -1)]))
+            else:
+                if tag == _UNDEF:
+                    term = Var(f"_A{word[1]}")
+                elif tag == Tag.INT:
+                    term = word[1]
+                elif tag == Tag.ATOM:
+                    term = Atom(self.symbols.atom_name(word[1]))
+                elif tag == Tag.NIL:
+                    term = Atom("[]")
+                elif tag == Tag.VECT:
+                    term = Struct("$vector", (word[1], peek(word[1])[1]))
+                else:
+                    raise MachineError(f"cannot decode word {word!r}")
+                if not stack:
+                    return term
+                stack[-1][2].append(term)
+            while not stack[-1][3]:
+                word, name, args, _ = stack.pop()
+                open_words.discard(word)
+                term = Struct(name, tuple(args))
+                if not stack:
+                    return term
+                stack[-1][2].append(term)
+            word = stack[-1][3].pop()
 
     def _peek_addr(self, addr: int):
         return self.mem.peek(addr >> AREA_SHIFT, addr & OFFSET_MASK)

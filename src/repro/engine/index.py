@@ -46,8 +46,7 @@ from __future__ import annotations
 
 from repro.prolog.terms import Atom, Struct, Term, Var, is_cons
 
-#: First-argument taxonomy (shared with :mod:`repro.baseline.compiler`,
-#: which re-exports these names for backward compatibility).
+#: First-argument taxonomy (both engines' clause indexing uses it).
 KIND_VAR = "var"
 KIND_CONST = "const"
 KIND_LIST = "list"

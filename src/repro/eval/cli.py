@@ -150,17 +150,13 @@ def _profile_workload(args) -> str:
       consumes for differential profiling,
 
     and prints the top-N ``(predicate × module)`` step attribution.
-    ``--sequences N`` additionally mines the packed emission stream for
-    the N hottest micro-op n-grams (the fusion selector's ranking,
-    :mod:`repro.obs.seqmine`), prints them, and stores them in the
-    ``.profile.json`` snapshot.
     """
     import dataclasses
     import pathlib
 
     from repro import obs
     from repro.eval.specs import default_spec
-    from repro.obs import diffprof, seqmine
+    from repro.obs import diffprof
     from repro.tools.collect import collect
     from repro.workloads import get
 
@@ -181,8 +177,6 @@ def _profile_workload(args) -> str:
                               spec.machine_config),
                           setup_goals=workload.setup_goals)
         observation = run.observation
-        sequences = (seqmine.mine_workload(name, top=args.sequences)
-                     if args.sequences else None)
         chrome_path = out_dir / f"{name}.trace.json"
         jsonl_path = out_dir / f"{name}.trace.jsonl"
         collapsed_path = out_dir / f"{name}.collapsed.txt"
@@ -193,20 +187,12 @@ def _profile_workload(args) -> str:
             observation.write_jsonl(fp)
         with collapsed_path.open("w") as fp:
             observation.write_collapsed(fp, root=name)
-        diffprof.write_snapshot(snapshot_path, name, observation,
-                                sequences=sequences)
+        diffprof.write_snapshot(snapshot_path, name, observation)
         lines.append(f"== {name} ==" if spec.name == "faithful"
                      else f"== {name} [spec {spec.name}] ==")
         lines.append(f"{observation.total_steps} microsteps, "
                      f"{len(observation.tracer)} trace events")
         lines.append(observation.top_table(args.top))
-        if sequences is not None:
-            lines.append("")
-            lines.append(f"hot micro-op sequences (top {args.sequences} "
-                         "by total attributed steps):")
-            for cand in sequences:
-                lines.append(f"  {cand.steps:>10,d} steps  "
-                             f"×{cand.count:<8,d} {cand.label}")
         lines.append(f"wrote {chrome_path}, {jsonl_path}, {collapsed_path}, "
                      f"{snapshot_path}")
     return "\n".join(lines)
@@ -572,11 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "psi-debug-<name>.html)")
     parser.add_argument("--top", type=int, default=10, metavar="N",
                         help="rows in the 'profile' top-predicates table")
-    parser.add_argument("--sequences", type=int, default=0, metavar="N",
-                        help="'profile': mine and print the N hottest "
-                             "micro-op n-grams (the superinstruction "
-                             "selector's ranking) and store them in the "
-                             ".profile.json snapshot")
     parser.add_argument("--json", action="store_true",
                         help="'fidelity': emit the machine-readable JSON "
                              "document instead of the text table")

@@ -30,13 +30,8 @@ SNAPSHOT_SCHEMA = 1
 
 # -- snapshot files (written by `psi-eval profile`) ---------------------------
 
-def write_snapshot(path, name: str, observation, sequences=None) -> dict:
-    """Persist one run's profile + metrics as a diffable snapshot.
-
-    ``sequences``, when given, is a list of mined hot micro-op n-grams
-    (:class:`repro.obs.seqmine.Candidate`) — the fusion selector's view
-    — stored under a ``"sequences"`` key.
-    """
+def write_snapshot(path, name: str, observation) -> dict:
+    """Persist one run's profile + metrics as a diffable snapshot."""
     data = {
         "kind": SNAPSHOT_KIND,
         "schema": SNAPSHOT_SCHEMA,
@@ -45,8 +40,6 @@ def write_snapshot(path, name: str, observation, sequences=None) -> dict:
         "profile": observation.profile.to_dict(),
         "metrics": observation.metrics_snapshot,
     }
-    if sequences is not None:
-        data["sequences"] = [c.to_json() for c in sequences]
     pathlib.Path(path).write_text(json.dumps(data, indent=2, sort_keys=True)
                                   + "\n")
     return data

@@ -6,15 +6,17 @@ from repro.baseline.builtins import BASELINE_BUILTINS
 from repro.baseline.compiler import (
     ClauseCompiler,
     CompiledProcedure,
+    assemble_procedure,
+)
+from repro.baseline.isa import Op
+from repro.engine.frontend import Frontend
+from repro.engine.index import (
     KIND_CONST,
     KIND_LIST,
     KIND_STRUCT,
     KIND_VAR,
-    assemble_procedure,
     first_arg_descriptor,
 )
-from repro.baseline.isa import Op
-from repro.engine.frontend import Frontend
 from repro.prolog import parse_term
 
 

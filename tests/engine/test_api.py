@@ -9,12 +9,18 @@ from repro.engine.api import (
     WAMEngine,
     create_engine,
 )
-from repro.errors import PrologSyntaxError
+from repro.errors import MachineError, PrologSyntaxError
 from repro.eval.specs import get_spec, spec_names
+from repro.prolog.terms import Atom, Struct
 
 PROGRAM = """
 append([], L, L).
 append([H|T], L, [H|R]) :- append(T, L, R).
+"""
+
+LIST_OF_ONES = """
+ones(0, []).
+ones(N, [1|T]) :- N > 0, M is N - 1, ones(M, T).
 """
 
 
@@ -80,11 +86,41 @@ class TestLoadErrors:
         engine.load(text)
 
     def test_long_list_answer_on_the_wam(self):
-        # The PSI's runtime term copy still recurses per list cell.
         engine = create_engine("baseline")
         engine.load("p([" + ",".join(["1"] * 1000) + "]).")
         answers = engine.solve("p(L)")
         assert answers == ((("L", "[" + ",".join(["1"] * 1000) + "]"),),)
+
+    def test_long_list_head_is_copied_and_matched(self, engine):
+        ones = "[" + ",".join(["1"] * 1000) + "]"
+        engine.load(LIST_OF_ONES + f"p({ones}).")
+        assert engine.solve("p(L)") == ((("L", ones),),)
+        assert engine.solve("ones(1000, A), p(A)") == ((("A", ones),),)
+        assert engine.solve("ones(999, A), p(A)") == ()
+
+    def test_long_lists_compare(self, engine):
+        engine.load(LIST_OF_ONES + """
+t(O) :- ones(1200, A), ones(1200, B), A == B, compare(O, A, B).
+u(O) :- ones(1200, A), ones(1199, B), A \\== B, compare(O, A, B).
+""")
+        assert engine.solve("t(O)") == ((("O", "="),),)
+        assert engine.solve("u(O)") == ((("O", ">"),),)
+
+    def test_deep_answer_decodes(self, engine):
+        engine.load("mk(0, z).\nmk(N, f(T)) :- N > 0, M is N - 1, mk(M, T).")
+        (solution,) = engine.machine.solve("mk(900, T)").all(1)
+        term, depth = solution.bindings["T"], 0
+        while isinstance(term, Struct):
+            assert term.functor == "f"
+            term, depth = term.args[0], depth + 1
+        assert (depth, term) == (900, Atom("z"))
+
+    def test_cyclic_terms_compare_and_refuse_to_decode(self, engine):
+        engine.load("t :- X = f(X), Y = f(Y), X == Y, compare(=, X, Y).")
+        assert engine.solve("t") == ((),)
+        for goal in ("X = f(X)", "X = [a|X]"):
+            with pytest.raises(MachineError, match="cyclic"):
+                engine.solve(goal)
 
 
 class TestStatsFacade:
