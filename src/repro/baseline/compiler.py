@@ -348,15 +348,32 @@ class ClauseCompiler:
         self._put_compound(arg, areg)
 
     def _put_compound(self, term: Struct, where: tuple[str, int] | int) -> None:
-        """Build a compound bottom-up: nested compounds into fresh temps."""
-        prepared: list[object] = []
-        for sub in term.args:
-            if isinstance(sub, Struct):
-                temp = (X, self._fresh_x())
-                self._put_compound(sub, temp)
-                prepared.append(("temp", temp))
-            else:
-                prepared.append(("plain", sub))
+        """Build a compound bottom-up: nested compounds into fresh temps.
+
+        Walks an explicit stack of ``[term, where, prepared, next
+        argument]`` frames, so any list length or depth compiles; each
+        nested compound gets its temp and its code before the next
+        argument, as a recursive walk would.
+        """
+        stack = [[term, where, [], 0]]
+        while stack:
+            frame = stack[-1]
+            term, where, prepared, index = frame
+            if index < len(term.args):
+                sub = term.args[index]
+                frame[3] = index + 1
+                if isinstance(sub, Struct):
+                    temp = (X, self._fresh_x())
+                    prepared.append(("temp", temp))
+                    stack.append([sub, temp, [], 0])
+                else:
+                    prepared.append(("plain", sub))
+                continue
+            stack.pop()
+            self._emit_compound(term, where, prepared)
+
+    def _emit_compound(self, term: Struct, where, prepared: list) -> None:
+        """Emit the put and unify instructions of one built compound."""
         if is_cons(term):
             self.code.append(Instr(Op.PUT_LIST, where))
         else:

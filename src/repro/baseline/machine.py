@@ -348,11 +348,21 @@ class WAMMachine:
             self.bind(b, a)
 
     def unify(self, c1, c2) -> bool:
-        """General unifier; charged per node pair."""
+        """General unifier; charged per node pair.
+
+        A pair of compounds met again inside itself (cyclic terms)
+        counts as unified there instead of looping.  Only the pairs on
+        the current path are tracked: an ``(pair, None)`` entry below a
+        compound pair's arguments on the stack closes it.
+        """
         stack = [(c1, c2)]
         stats = self.stats
+        open_pairs = set()
         while stack:
             a, b = stack.pop()
+            if b is None:               # every argument pair of ``a`` done
+                open_pairs.discard(a)
+                continue
             a = self.deref(a)
             b = self.deref(b)
             stats.event("general_unify_node")
@@ -366,16 +376,21 @@ class WAMMachine:
             if a[0] in (CON, INT):
                 if a[1] != b[1]:
                     return False
-            elif a[0] == LIS:
-                stack.append((self.heap[a[1] + 1], self.heap[b[1] + 1]))
-                stack.append((self.heap[a[1]], self.heap[b[1]]))
-            elif a[0] == STR:
-                fa = self.heap[a[1]]
-                fb = self.heap[b[1]]
-                if fa[1] != fb[1]:
-                    return False
-                arity = fa[1][1]
-                for i in range(arity, 0, -1):
+            elif a[0] == LIS or a[0] == STR:
+                pair = (a, b)
+                if pair in open_pairs:
+                    continue
+                if a[0] == LIS:
+                    arity, first = 2, 0
+                else:
+                    fa = self.heap[a[1]]
+                    fb = self.heap[b[1]]
+                    if fa[1] != fb[1]:
+                        return False
+                    arity, first = fa[1][1], 1
+                open_pairs.add(pair)
+                stack.append((pair, None))
+                for i in range(first + arity - 1, first - 1, -1):
                     stack.append((self.heap[a[1] + i], self.heap[b[1] + i]))
             else:
                 return False

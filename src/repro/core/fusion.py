@@ -1,31 +1,34 @@
-"""Superinstruction fusion layer: fold hot micro-op runs into one emit.
+"""Superinstruction fusion layer: fold hot micro-op runs into one bill.
 
 PR 4 made each micro-op emission a single list-index increment, but the
 interpreter still pays one Python call *per* micro-op (plus one per
 memory access) on statically-known sequences such as goal fetch → call
 setup → proc lookup.  A :class:`Superinstruction` declares one of those
-runs as a single Python-level operation: the per-(routine, module) pair
-deltas and the per-(command, area) memory deltas of the whole run are
-precomputed at import time, so the machine bills the entire sequence
-with one :meth:`~repro.core.stats.StatsCollector.emit_fused` call (a
-handful of list-index increments) and appends the run's packed trace
-entries itself, in the exact reference order.
+runs as a single Python-level operation: the machine appends the run's
+code to the collector's billing log (``stats._log.append(code)``, see
+:class:`~repro.core.stats.StatsCollector`) and appends the run's packed
+trace entries itself, in the exact reference order.  The
+per-(routine, module) pair deltas and the per-(command, area) memory
+deltas of the whole run are precomputed at import time and applied
+when the log is counted.
 
 Equivalence contract (guarded by ``tests/core/test_fusion.py`` and the
 golden digests in ``tests/core/test_stream_equivalence.py``): applying
 a superinstruction to a collector leaves it in exactly the state the
 unfused emission run would have — same ``routine_counts``, same
 ``mem_counts``, same total steps — and the machine's fused call sites
-reproduce the trace byte stream bit-for-bit.
+reproduce the trace byte stream bit-for-bit.  Each spec's ordered
+``stream`` is the per-op code's billing order, which is what lets an
+observed run take the fused path and still stamp every sample with the
+per-op clock (``tests/obs/test_export_digests.py``).
 
 :data:`BY_SID` below is the one table of specs; the machine binds each
 one by name at import.  Two kinds exist:
 
-* **static** specs name their interpreter module; all deltas are
-  absolute indices, applied via ``emit_fused``.
+* **static** specs name their interpreter module and log ``slot``;
 * **dynamic** specs (``module`` ``None``) bill under whatever module is
-  active at the call site, via ``emit_fused_dyn`` — used for shapes
-  shared by several modules (decode/fetch, deref, build).
+  active at the call site, logging ``sid6 + module.idx`` — used for
+  shapes shared by several modules (decode/fetch, deref, bind, build).
 """
 
 from __future__ import annotations
@@ -33,12 +36,12 @@ from __future__ import annotations
 from repro.core import micro
 from repro.core.memory import N_AREAS, Area
 from repro.core.micro import (
-    N_MODULES, CacheCmd, MicroRoutine, Module,
+    N_MODULES, CacheCmd, Module,
     R_BACKTRACK, R_BIND, R_BUILD_CELL, R_BUILD_VAR, R_BUILTIN_STEP,
     R_CALL_SETUP, R_CLAUSE_TRY, R_CP_PUSH, R_CP_RESTORE, R_DECODE,
     R_DECODE_OPCODE, R_DECODE_PACKED, R_DEREF_STEP, R_ENV_POP,
     R_FAIL_DISPATCH, R_FRAME_ALLOC, R_FRAME_INIT_SLOT, R_FRAME_READ_BUF,
-    R_FRAME_READ_BUF_BASE, R_GET_ARG, R_GET_ARG_PACKED,
+    R_FRAME_READ_BUF_BASE, R_FRAME_WRITE_BUF, R_GET_ARG, R_GET_ARG_PACKED,
     R_GET_ARG_VAR_BUF, R_GET_ARG_VAR_BUF_BASE, R_GET_ARG_VAR_MEM,
     R_GOAL_FETCH, R_PROC_LOOKUP, R_SWITCH_BUFFER, R_TRAIL_PUSH,
     R_TRAIL_SKIP, R_UNTRAIL_ENTRY, R_WF_GENERAL,
@@ -46,27 +49,34 @@ from repro.core.micro import (
 
 
 class Superinstruction:
-    """One fused micro-op run with precomputed billing deltas."""
+    """One fused micro-op run with precomputed billing deltas.
 
-    __slots__ = ("name", "module", "emissions", "mem_ops", "n_steps",
-                 "base_deltas", "mem_deltas", "max_index",
-                 "sid", "sid6", "slot")
+    ``stream`` is the run exactly as the per-op code bills it, in
+    order: ``(routine, times)`` for one ``emit`` and ``(cmd, area,
+    times)`` for one memory access (``times > 1``: one block access).
+    The deltas are derived from it; an observed run's billing walk
+    (:mod:`repro.obs.session`) expands it where a sample lands inside
+    the superinstruction.
+    """
 
-    def __init__(self, name: str, module: Module | None,
-                 emissions: tuple[tuple[MicroRoutine, int], ...],
-                 mem_ops: tuple[tuple[CacheCmd, int, int], ...] = ()):
+    __slots__ = ("name", "module", "stream", "n_steps", "base_deltas",
+                 "mem_deltas", "max_index", "sid", "sid6", "slot")
+
+    def __init__(self, name: str, module: Module | None, stream: tuple):
         self.name = name
         self.module = module
-        self.emissions = emissions            # ((routine, times), ...)
-        self.mem_ops = mem_ops                # ((cmd, area_int, times), ...)
+        self.stream = stream
 
         pair: dict[int, int] = {}             # keyed by pair_base (module-relative)
         steps = 0
-        for routine, times in emissions:
-            pair[routine.pair_base] = pair.get(routine.pair_base, 0) + times
-            steps += routine.n_steps * times
         mem_flat: dict[int, int] = {}         # _mem_counts indices (absolute)
-        for cmd, area, times in mem_ops:
+        for op in stream:
+            if len(op) == 2:
+                routine, times = op
+                pair[routine.pair_base] = pair.get(routine.pair_base, 0) + times
+                steps += routine.n_steps * times
+                continue
+            cmd, area, times = op
             code = cmd.code
             base = micro.MEM_PAIR_BASE[code]
             pair[base] = pair.get(base, 0) + times
@@ -79,33 +89,12 @@ class Superinstruction:
         #: ``base + module.idx`` — the flush loop's single form.
         self.base_deltas = tuple(sorted(pair.items()))
         self.max_index = max(pair) + N_MODULES - 1
-        # Deferred-billing identity, assigned by the table below:
-        # ``slot`` indexes the collector's _fused_counts list for static
-        # specs (module baked in); ``sid6 + ambient module.idx`` for
-        # dynamic ones.
+        # Billing-log identity, assigned by the table below: a static
+        # spec logs ``slot`` (module baked in), a dynamic one
+        # ``sid6 + ambient module.idx``.
         self.sid = -1
         self.sid6 = -1
         self.slot = -1
-
-    def replay(self, stats) -> None:
-        """Apply the *unfused* equivalent emission run to ``stats``.
-
-        Uses only the batched base-collector entry points
-        (``emit_in``/``emit``/``mem_access_n``), so it lands every count
-        in exactly the buckets the reference per-op loop would.  For a
-        static spec the caller must have ``stats.module`` set to the
-        spec's module (true at every machine call site); dynamic specs
-        bill under the ambient module by construction.
-        """
-        module = self.module
-        if module is not None:
-            for routine, times in self.emissions:
-                stats.emit_in(module, routine, times)
-        else:
-            for routine, times in self.emissions:
-                stats.emit(routine, times)
-        for cmd, area, times in self.mem_ops:
-            stats.mem_access_n(cmd, area, times)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         scope = self.module.value if self.module is not None else "*"
@@ -114,7 +103,8 @@ class Superinstruction:
 
 _SI = Superinstruction
 _CONTROL, _TRAIL = Module.CONTROL, Module.TRAIL
-_READ, _WRITE_STACK = CacheCmd.READ, CacheCmd.WRITE_STACK
+_READ, _WRITE = CacheCmd.READ, CacheCmd.WRITE
+_WRITE_STACK = CacheCmd.WRITE_STACK
 _HEAP, _GLOBAL, _LOCAL = int(Area.HEAP), int(Area.GLOBAL), int(Area.LOCAL)
 _CONTROL_AREA, _TRAIL_AREA = int(Area.CONTROL), int(Area.TRAIL)
 
@@ -122,66 +112,77 @@ _CONTROL_AREA, _TRAIL_AREA = int(Area.CONTROL), int(Area.TRAIL)
 #: (frame-size evidence in docs/ARCHITECTURE.md).
 FRAME_NLOCALS = (1, 2, 3, 4)
 
-_CLAUSE_FRAME = ((R_CLAUSE_TRY, 1), (R_FRAME_ALLOC, 1), (R_SWITCH_BUFFER, 1))
+_CLAUSE_FRAME = ((R_CLAUSE_TRY, 1), (_READ, _HEAP, 1), (R_FRAME_ALLOC, 1),
+                 (R_SWITCH_BUFFER, 1))
 
-#: Every superinstruction, by ``sid`` — also the flush loop's decode table.
+#: Every superinstruction, by ``sid`` — also the flush loop's decode
+#: table.  Each stream is the per-op code's order at its call site.
 BY_SID: tuple[Superinstruction, ...] = (
     _SI("call_dispatch", _CONTROL,
-        ((R_GOAL_FETCH, 1), (R_CALL_SETUP, 1), (R_BUILTIN_STEP, 1),
-         (R_PROC_LOOKUP, 1)),
-        ((_READ, _HEAP, 2),)),
-    _SI("cp_push_frame", _CONTROL, ((R_CP_PUSH, 1), (R_WF_GENERAL, 1)),
-        ((_WRITE_STACK, _CONTROL_AREA, 10),)),
-    _SI("clause_try", _CONTROL, ((R_CLAUSE_TRY, 1),), ((_READ, _HEAP, 1),)),
-    _SI("clause_frame", _CONTROL, _CLAUSE_FRAME, ((_READ, _HEAP, 1),)),
-    _SI("proceed_resume", _CONTROL, ((R_ENV_POP, 1),),
-        ((_READ, _CONTROL_AREA, 4),)),
+        ((R_GOAL_FETCH, 1), (_READ, _HEAP, 1), (R_CALL_SETUP, 1),
+         (R_BUILTIN_STEP, 1), (R_PROC_LOOKUP, 1), (_READ, _HEAP, 1))),
+    _SI("cp_push_frame", _CONTROL,
+        ((R_CP_PUSH, 1), (R_WF_GENERAL, 1),
+         (_WRITE_STACK, _CONTROL_AREA, 10))),
+    _SI("clause_try", _CONTROL, ((R_CLAUSE_TRY, 1), (_READ, _HEAP, 1))),
+    _SI("clause_frame", _CONTROL, _CLAUSE_FRAME),
+    _SI("proceed_resume", _CONTROL,
+        ((R_ENV_POP, 1), (_READ, _CONTROL_AREA, 4))),
     _SI("fail", _CONTROL, ((R_BACKTRACK, 1), (R_FAIL_DISPATCH, 1))),
-    _SI("cp_restore_resume", _CONTROL, ((R_CP_RESTORE, 1),),
-        ((_READ, _CONTROL_AREA, 4),)),
-    _SI("untrail_entry", _TRAIL, ((R_UNTRAIL_ENTRY, 1),),
-        ((_READ, _TRAIL_AREA, 1),)),
-    _SI("trail_push", _TRAIL, ((R_TRAIL_PUSH, 1),),
-        ((_WRITE_STACK, _TRAIL_AREA, 1),)),
-    _SI("fetch_decode", None, ((R_DECODE, 1),), ((_READ, _HEAP, 1),)),
-    _SI("fetch_decode_packed", None, ((R_DECODE_PACKED, 1),),
-        ((_READ, _HEAP, 1),)),
-    _SI("fetch_struct", None, ((R_DECODE, 1), (R_DECODE_OPCODE, 1)),
-        ((_READ, _HEAP, 2),)),
+    _SI("cp_restore_resume", _CONTROL,
+        ((R_CP_RESTORE, 1), (_READ, _CONTROL_AREA, 4))),
+    _SI("untrail_entry", _TRAIL,
+        ((R_UNTRAIL_ENTRY, 1), (_READ, _TRAIL_AREA, 1))),
+    _SI("trail_push", _TRAIL,
+        ((R_TRAIL_PUSH, 1), (_WRITE_STACK, _TRAIL_AREA, 1))),
+    _SI("fetch_decode", None, ((_READ, _HEAP, 1), (R_DECODE, 1))),
+    _SI("fetch_decode_packed", None,
+        ((_READ, _HEAP, 1), (R_DECODE_PACKED, 1))),
+    _SI("fetch_struct", None,
+        ((_READ, _HEAP, 1), (R_DECODE, 1), (_READ, _HEAP, 1),
+         (R_DECODE_OPCODE, 1))),
     _SI("fetch_struct_packed", None,
-        ((R_DECODE_PACKED, 1), (R_DECODE_OPCODE, 1)), ((_READ, _HEAP, 2),)),
-    _SI("bind_skip", None, ((R_BIND, 1), (R_TRAIL_SKIP, 1))),
-    _SI("push_var", None, ((R_BUILD_VAR, 1),),
-        ((_WRITE_STACK, _GLOBAL, 1),)),
-    _SI("build_list", None, ((R_BUILD_CELL, 1),),
-        ((_WRITE_STACK, _GLOBAL, 2),)),
-    _SI("get_arg", None, ((R_GET_ARG, 1),), ((_READ, _HEAP, 1),)),
-    _SI("get_arg_packed", None, ((R_GET_ARG_PACKED, 1),),
-        ((_READ, _HEAP, 1),)),
-    _SI("get_arg_void", None, ((R_GET_ARG, 1),),
-        ((_READ, _HEAP, 1), (_WRITE_STACK, _GLOBAL, 1))),
-    _SI("get_arg_var_buf", None, ((R_GET_ARG, 1), (R_GET_ARG_VAR_BUF, 1)),
-        ((_READ, _HEAP, 1),)),
+        ((_READ, _HEAP, 1), (R_DECODE_PACKED, 1), (_READ, _HEAP, 1),
+         (R_DECODE_OPCODE, 1))),
+    # bind + the cell write + trail skip: ``bind_skip`` for a slot of a
+    # frame buffered in the work file, ``bind_skip/<area>`` for a
+    # memory cell.
+    _SI("bind_skip", None,
+        ((R_BIND, 1), (R_FRAME_WRITE_BUF, 1), (R_TRAIL_SKIP, 1))),
+    *(_SI(f"bind_skip/{area.name.lower()}", None,
+          ((R_BIND, 1), (_WRITE, int(area), 1), (R_TRAIL_SKIP, 1)))
+      for area in Area),
+    _SI("push_var", None, ((_WRITE_STACK, _GLOBAL, 1), (R_BUILD_VAR, 1))),
+    _SI("build_list", None,
+        ((R_BUILD_CELL, 1), (_WRITE_STACK, _GLOBAL, 1),
+         (_WRITE_STACK, _GLOBAL, 1))),
+    _SI("get_arg", None, ((_READ, _HEAP, 1), (R_GET_ARG, 1))),
+    _SI("get_arg_packed", None, ((_READ, _HEAP, 1), (R_GET_ARG_PACKED, 1))),
+    _SI("get_arg_void", None,
+        ((_READ, _HEAP, 1), (R_GET_ARG, 1), (_WRITE_STACK, _GLOBAL, 1))),
+    _SI("get_arg_var_buf", None,
+        ((_READ, _HEAP, 1), (R_GET_ARG, 1), (R_GET_ARG_VAR_BUF, 1))),
     _SI("get_arg_var_buf_base", None,
-        ((R_GET_ARG, 1), (R_GET_ARG_VAR_BUF_BASE, 1)), ((_READ, _HEAP, 1),)),
-    _SI("get_arg_var_mem", None, ((R_GET_ARG, 1), (R_GET_ARG_VAR_MEM, 1)),
-        ((_READ, _HEAP, 1), (_READ, _LOCAL, 1))),
+        ((_READ, _HEAP, 1), (R_GET_ARG, 1), (R_GET_ARG_VAR_BUF_BASE, 1))),
+    _SI("get_arg_var_mem", None,
+        ((_READ, _HEAP, 1), (R_GET_ARG, 1), (R_GET_ARG_VAR_MEM, 1),
+         (_READ, _LOCAL, 1))),
     _SI("get_arg_var_buf_packed", None,
-        ((R_GET_ARG_PACKED, 1), (R_GET_ARG_VAR_BUF, 1)), ((_READ, _HEAP, 1),)),
+        ((_READ, _HEAP, 1), (R_GET_ARG_PACKED, 1), (R_GET_ARG_VAR_BUF, 1))),
     _SI("get_arg_var_buf_base_packed", None,
-        ((R_GET_ARG_PACKED, 1), (R_GET_ARG_VAR_BUF_BASE, 1)),
-        ((_READ, _HEAP, 1),)),
+        ((_READ, _HEAP, 1), (R_GET_ARG_PACKED, 1),
+         (R_GET_ARG_VAR_BUF_BASE, 1))),
     _SI("get_arg_var_mem_packed", None,
-        ((R_GET_ARG_PACKED, 1), (R_GET_ARG_VAR_MEM, 1)),
-        ((_READ, _HEAP, 1), (_READ, _LOCAL, 1))),
+        ((_READ, _HEAP, 1), (R_GET_ARG_PACKED, 1), (R_GET_ARG_VAR_MEM, 1),
+         (_READ, _LOCAL, 1))),
     _SI("deref_buf", None, ((R_DEREF_STEP, 1), (R_FRAME_READ_BUF, 1))),
     _SI("deref_buf_base", None,
         ((R_DEREF_STEP, 1), (R_FRAME_READ_BUF_BASE, 1))),
-    *(_SI(f"deref_read/{area.name.lower()}", None, ((R_DEREF_STEP, 1),),
-          ((_READ, int(area), 1),))
+    *(_SI(f"deref_read/{area.name.lower()}", None,
+          ((R_DEREF_STEP, 1), (_READ, int(area), 1)))
       for area in Area),
     *(_SI(f"clause_frame/{n}", _CONTROL,
-          _CLAUSE_FRAME + ((R_FRAME_INIT_SLOT, n),), ((_READ, _HEAP, 1),))
+          _CLAUSE_FRAME + ((R_FRAME_INIT_SLOT, n),))
       for n in FRAME_NLOCALS),
 )
 for _sid, _si in enumerate(BY_SID):
@@ -196,9 +197,14 @@ SUPERINSTRUCTIONS: dict[str, Superinstruction] = {si.name: si
 
 
 def slot_space() -> int:
-    """Size of the deferred fused-billing count list (sid × module)."""
+    """Number of billing-log codes of the superinstructions (sid ×
+    module); each fits one byte of the plain collector's log."""
     return len(BY_SID) * N_MODULES
 
+
+#: Per-area bind-skip superinstructions, indexed by the int area value.
+BIND_SKIP_BY_AREA = tuple(SUPERINSTRUCTIONS[f"bind_skip/{area.name.lower()}"]
+                          for area in Area)
 
 #: Per-area deref-step superinstructions, indexed by the int area value.
 DEREF_BY_AREA = tuple(SUPERINSTRUCTIONS[f"deref_read/{area.name.lower()}"]

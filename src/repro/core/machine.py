@@ -131,15 +131,15 @@ _R_BUILTIN_EXIT = micro.R_BUILTIN_EXIT
 _R_SWITCH_ON_TERM = micro.R_SWITCH_ON_TERM
 _R_INDEX_HASH = micro.R_INDEX_HASH
 
-# Deferred-billing slots of the superinstructions (repro.core.fusion),
-# bound by name so a missing spec fails the import.  Each fused call
-# site bills the whole run as one increment of ``_fused_counts[slot]``
-# (the fused gate guarantees the exact base StatsCollector; static
-# specs bake the module into ``slot``, dynamic ones add the ambient
-# ``module.idx`` to ``sid6``) and then appends its trace entries itself
-# in the exact reference order, so the emission stream is bit-identical
-# to the per-op loop it replaces.  The flush that folds the slots into
-# the pair/memory counters runs once per report, not per emission.
+# Billing-log codes of the superinstructions (repro.core.fusion), bound
+# by name so a missing spec fails the import.  Each fused call site
+# bills the whole run as one ``stats._log.append(code)`` (static specs
+# bake the module into ``slot``, dynamic ones add the ambient
+# ``module.idx`` to ``sid6``), at the place of the run in the per-op
+# billing order, and then appends its trace entries itself in the exact
+# reference order, so the emission stream is bit-identical to the
+# per-op loop it replaces.  The collector counts the log once per
+# report, not per emission.
 _F = fusion.SUPERINSTRUCTIONS
 _S_CALL_DISPATCH = _F["call_dispatch"].slot
 _S_CP_PUSH_FRAME = _F["cp_push_frame"].slot
@@ -155,7 +155,8 @@ _S6_FETCH_DECODE = _F["fetch_decode"].sid6
 _S6_FETCH_DECODE_PACKED = _F["fetch_decode_packed"].sid6
 _S6_FETCH_STRUCT = _F["fetch_struct"].sid6
 _S6_FETCH_STRUCT_PACKED = _F["fetch_struct_packed"].sid6
-_S6_BIND_SKIP = _F["bind_skip"].sid6
+_S6_BIND_SKIP_BUF = _F["bind_skip"].sid6
+_S6_BIND_SKIP_BY_AREA = tuple(si.sid6 for si in fusion.BIND_SKIP_BY_AREA)
 _S6_PUSH_VAR = _F["push_var"].sid6
 _S6_BUILD_LIST = _F["build_list"].sid6
 _S6_GET_ARG = _F["get_arg"].sid6
@@ -263,9 +264,8 @@ class MachineConfig:
     max_calls: int = 50_000_000
     word_limit: int = 1 << 22
     #: route statically-known hot paths through fused superinstructions
-    #: (emission-stream-equivalent; see :mod:`repro.core.fusion`).  The
-    #: machine additionally requires the exact base stats collector, so
-    #: observed runs always take the per-op loop.
+    #: (emission-stream-equivalent; see :mod:`repro.core.fusion`), for
+    #: plain and observed collectors alike.
     fused: bool = True
     #: first-argument clause indexing (the "evaluation the paper
     #: couldn't run"): dispatch calls through the backend-neutral
@@ -309,8 +309,9 @@ class PSIMachine:
         }
         self._process_save_base = -1
         self._query_counter = 0
-        #: Fused-dispatch gate, recomputed at :meth:`_start` (and on
-        #: solver resume) from the then-current config and collector.
+        #: Fused-dispatch gate: ``config.fused`` as of :meth:`_start` (a
+        #: plain attribute, not a property — the hot loop reads it per
+        #: goal).  Every collector takes the fused path.
         self._fused_on = False
 
     # ------------------------------------------------------------------
@@ -356,20 +357,12 @@ class PSIMachine:
     # Main interpreter loop
     # ------------------------------------------------------------------
 
-    def _refresh_fused_gate(self) -> None:
-        """Recompute the fused-dispatch gate (a plain attribute, not a
-        property — the hot loop reads it per goal).  Fusion requires
-        the *exact* base collector class: observed collectors take the
-        per-op loop, whose emission stream fusion reproduces."""
-        self._fused_on = (self.config.fused
-                          and type(self.stats) is StatsCollector)
-
     def _start(self, functor: str, arity: int, args: tuple) -> bool:
         """Begin executing ``functor/arity`` with pre-built argument words."""
         proc = self.program.procedure(functor, arity)
         if proc is None:
             raise ExistenceError(functor, arity)
-        self._refresh_fused_gate()
+        self._fused_on = self.config.fused
         self.cur_env = None
         self.cp_stack.clear()
         self.trail.clear()
@@ -432,7 +425,7 @@ class PSIMachine:
         if self._fused_on:
             # goal fetch + call setup + overhead step + proc lookup,
             # with both heap reads (goal word, descriptor) in one bill.
-            stats._fused_counts[_S_CALL_DISPATCH] += 1
+            stats._log.append(_S_CALL_DISPATCH)
             mem = self.mem
             pa = mem._packed_append
             if pa is not None:
@@ -598,7 +591,7 @@ class PSIMachine:
         )
         if self._fused_on:
             # cp push + wf.general + the 10-word control frame image.
-            stats._fused_counts[_S_CP_PUSH_FRAME] += 1
+            stats._log.append(_S_CP_PUSH_FRAME)
             mem.push_block_fused(_CONTROL, _CONTROL_FRAME_IMAGE)
         else:
             stats.emit(_R_CP_PUSH)
@@ -628,10 +621,10 @@ class PSIMachine:
             if nlocals:
                 slot = _S_FRAME_BY_NLOCALS.get(nlocals)
                 if slot is None:
-                    stats._fused_counts[_S_CLAUSE_FRAME] += 1
+                    stats._log.append(_S_CLAUSE_FRAME)
                     stats.emit(_R_FRAME_INIT_SLOT, nlocals)
                 else:
-                    stats._fused_counts[slot] += 1
+                    stats._log.append(slot)
                 pa = mem._packed_append
                 if pa is not None:
                     pa(clause.heap_base << 2)        # READ heap
@@ -644,7 +637,7 @@ class PSIMachine:
                 for off in range(off, off + nlocals):
                     words[off] = (_UNDEF, lo | off)
             else:
-                stats._fused_counts[_S_CLAUSE_TRY] += 1
+                stats._log.append(_S_CLAUSE_TRY)
                 pa = mem._packed_append
                 if pa is not None:
                     pa(clause.heap_base << 2)
@@ -702,7 +695,7 @@ class PSIMachine:
             cell = (_GLOBAL << AREA_SHIFT) | off
             if self._fused_on:
                 stats = self.stats
-                stats._fused_counts[_S6_PUSH_VAR + stats.module.idx] += 1
+                stats._log.append(_S6_PUSH_VAR + stats.module.idx)
                 mem.push_fused(_GLOBAL, (_UNDEF, cell))
             else:
                 mem.write_stack(_GLOBAL, (_UNDEF, cell))
@@ -805,7 +798,7 @@ class PSIMachine:
         if parent.control_base >= 0:
             if self._fused_on:
                 # env pop + the 4-word control-frame resume read.
-                stats._fused_counts[_S_PROCEED_RESUME] += 1
+                stats._log.append(_S_PROCEED_RESUME)
                 mem.touch_read_run(_CONTROL, parent.control_base,
                                    CONTROL_RESUME_READS)
             else:
@@ -838,7 +831,7 @@ class PSIMachine:
         while self.cp_stack:
             stats.module = _M_CONTROL
             if fused:
-                stats._fused_counts[_S_FAIL] += 1
+                stats._log.append(_S_FAIL)
             else:
                 stats.emit(_R_BACKTRACK)
                 stats.emit(_R_FAIL_DISPATCH)
@@ -850,7 +843,7 @@ class PSIMachine:
             mem.settop(_TRAIL, cp.trail_top)
             self.wf.reset()
             if fused:
-                stats._fused_counts[_S_CP_RESTORE_RESUME] += 1
+                stats._log.append(_S_CP_RESTORE_RESUME)
                 mem.touch_read_run(_CONTROL, cp.control_base,
                                    CONTROL_RESUME_READS)
             else:
@@ -883,13 +876,13 @@ class PSIMachine:
             # undo writes interleave with the reads exactly as in the
             # per-op loop, so the trace byte order is preserved.
             mem = self.mem
-            fc = stats._fused_counts
+            bill = stats._log.append
             write_cell = self._write_cell
             pa = mem._packed_append
             trail_hi = _TRAIL << AREA_SHIFT
             while len(trail) > mark:
                 entry = trail.pop()
-                fc[_S_UNTRAIL_ENTRY] += 1
+                bill(_S_UNTRAIL_ENTRY)
                 if pa is not None:
                     pa((trail_hi | len(trail)) << 2)
                 if type(entry) is int:
@@ -1005,7 +998,7 @@ class PSIMachine:
             wf = self.wf
             pa = mem._packed_append
             words = mem._words
-            fc = stats._fused_counts
+            bill = stats._log.append
             midx = stats.module.idx
             while True:
                 addr = word[1]
@@ -1015,14 +1008,14 @@ class PSIMachine:
                     frame = wf.owner_of_local(off)
                     if frame is not None:
                         slot = off - frame.base
-                        fc[(_S6_DEREF_BUF_BASE
-                            if slot < 32 and not slot % 8
-                            else _S6_DEREF_BUF) + midx] += 1
+                        bill((_S6_DEREF_BUF_BASE
+                              if slot < 32 and not slot % 8
+                              else _S6_DEREF_BUF) + midx)
                         word = words[_LOCAL][off]
                         if word[0] != _REF:
                             return word
                         continue
-                fc[_S6_DEREF_BY_AREA[area] + midx] += 1
+                bill(_S6_DEREF_BY_AREA[area] + midx)
                 if pa is not None:
                     pa(addr << 2)
                 word = words[area][off]
@@ -1040,19 +1033,19 @@ class PSIMachine:
         trailing the binding when an older choice point requires it."""
         stats = self.stats
         if self._fused_on:
-            self._write_cell(addr, word)
+            area = addr >> AREA_SHIFT
+            off = addr & OFFSET_MASK
             cp_stack = self.cp_stack
             if cp_stack:
                 cp = cp_stack[-1]
-                area = addr >> AREA_SHIFT
-                off = addr & OFFSET_MASK
                 if (area == _GLOBAL and off < cp.global_top) or \
                         (area == _LOCAL and off < cp.local_top):
                     stats.emit(_R_BIND)
+                    self._write_cell(addr, word)
                     previous = stats.module
                     stats.module = _M_TRAIL
                     # trail push + its write-stack in one bill.
-                    stats._fused_counts[_S_TRAIL_PUSH] += 1
+                    stats._log.append(_S_TRAIL_PUSH)
                     self.mem.push_fused(_TRAIL, (_REF, addr))
                     trail = self.trail
                     trail.append(addr)
@@ -1060,9 +1053,20 @@ class PSIMachine:
                         stats.emit(_R_TRAIL_BUF)
                     stats.module = previous
                     return
-            # bind + trail skip in one bill (the overwhelmingly common
-            # shape: no choice point protects the cell).
-            stats._fused_counts[_S6_BIND_SKIP + stats.module.idx] += 1
+            # bind + the cell write + trail skip in one bill (the
+            # overwhelmingly common shape: no choice point protects the
+            # cell); a buffered frame slot is a work-file write, as in
+            # _write_cell.
+            mem = self.mem
+            if area == _LOCAL and self.wf.owner_of_local(off) is not None:
+                stats._log.append(_S6_BIND_SKIP_BUF + stats.module.idx)
+            else:
+                stats._log.append(_S6_BIND_SKIP_BY_AREA[area]
+                                  + stats.module.idx)
+                pa = mem._packed_append
+                if pa is not None:
+                    pa((addr << 2) | 1)                 # WRITE
+            mem._words[area][off] = word
             return
         stats.emit(_R_BIND)
         self._write_cell(addr, word)
@@ -1107,14 +1111,24 @@ class PSIMachine:
     # ------------------------------------------------------------------
 
     def unify(self, w1, w2) -> bool:
-        """General unification of two runtime words (no occur check)."""
+        """General unification of two runtime words (no occur check).
+
+        A pair of compounds met again inside itself (cyclic terms)
+        counts as unified there instead of looping.  Only the pairs on
+        the current path are tracked: an ``(pair, None)`` entry below a
+        compound pair's arguments on the stack closes it.
+        """
         stats = self.stats
         emit = stats.emit
         deref = self.deref
         read_cell = self._read_cell
         stack = [(w1, w2)]
+        open_pairs = set()
         while stack:
             a, b = stack.pop()
+            if b is None:               # every argument pair of ``a`` done
+                open_pairs.discard(a)
+                continue
             a = deref(a)
             b = deref(b)
             emit(_R_UNIFY_DISPATCH)
@@ -1141,17 +1155,27 @@ class PSIMachine:
             elif ta == Tag.LIST:
                 emit(_R_UNIFY_LIST)
                 if a[1] != b[1]:
+                    pair = (a, b)
+                    if pair in open_pairs:
+                        continue
+                    open_pairs.add(pair)
+                    stack.append((pair, None))
                     stack.append((read_cell(a[1] + 1), read_cell(b[1] + 1)))
                     stack.append((read_cell(a[1]), read_cell(b[1])))
             elif ta == Tag.STRUCT:
                 emit(_R_UNIFY_STRUCT)
                 if a[1] == b[1]:
                     continue
+                pair = (a, b)
+                if pair in open_pairs:
+                    continue
                 fa = read_cell(a[1])
                 fb = read_cell(b[1])
                 if fa[1] != fb[1]:
                     return False
                 _, arity = self.symbols.functor_name(fa[1])
+                open_pairs.add(pair)
+                stack.append((pair, None))
                 for i in range(arity, 0, -1):
                     stack.append((read_cell(a[1] + i), read_cell(b[1] + i)))
             elif ta == Tag.VECT:
@@ -1178,17 +1202,17 @@ class PSIMachine:
             mem = self.mem
             pa = mem._packed_append
             if node.__class__ is CStruct:
-                stats._fused_counts[
+                stats._log.append(
                     (_S6_FETCH_STRUCT_PACKED if packed else _S6_FETCH_STRUCT)
-                    + stats.module.idx] += 1
+                    + stats.module.idx)
                 if pa is not None:
                     p = node.addr << 2
                     pa(p)
                     pa(p)
             else:
-                stats._fused_counts[
+                stats._log.append(
                     (_S6_FETCH_DECODE_PACKED if packed else _S6_FETCH_DECODE)
-                    + stats.module.idx] += 1
+                    + stats.module.idx)
                 if pa is not None:
                     pa(node.addr << 2)
             return
@@ -1299,7 +1323,7 @@ class PSIMachine:
         if cls is CVoid:
             off = mem.top(_GLOBAL)
             if fused:
-                stats._fused_counts[_S6_PUSH_VAR + stats.module.idx] += 1
+                stats._log.append(_S6_PUSH_VAR + stats.module.idx)
                 mem.push_fused(_GLOBAL, (_UNDEF, g_hi | off))
             else:
                 mem.write_stack(_GLOBAL, (_UNDEF, g_hi | off))
@@ -1321,7 +1345,7 @@ class PSIMachine:
                 base = mem.top(_GLOBAL)
                 if fused:
                     # build cell + both global pushes in one bill.
-                    stats._fused_counts[_S6_BUILD_LIST + stats.module.idx] += 1
+                    stats._log.append(_S6_BUILD_LIST + stats.module.idx)
                     mem.push_fused(_GLOBAL, head_word)
                     mem.push_fused(_GLOBAL, word)
                 else:
@@ -1357,12 +1381,12 @@ class PSIMachine:
         if self._fused_on:
             mem = self.mem
             pa = mem._packed_append
-            fc = stats._fused_counts
+            bill = stats._log.append
             midx = module.idx
             if cls is CConst:
                 # arg fetch + its heap read in one bill.
-                fc[(_S6_GET_ARG_PACKED if node.packed else _S6_GET_ARG)
-                   + midx] += 1
+                bill((_S6_GET_ARG_PACKED if node.packed else _S6_GET_ARG)
+                     + midx)
                 if pa is not None:
                     pa(node.addr << 2)
                 return node.word
@@ -1371,8 +1395,8 @@ class PSIMachine:
                     # No local-stack read here (the cell is a frame
                     # gcell), so the VMEM superinstruction does not
                     # apply; fuse just the fetch + heap read.
-                    fc[(_S6_GET_ARG_PACKED if node.packed else _S6_GET_ARG)
-                       + midx] += 1
+                    bill((_S6_GET_ARG_PACKED if node.packed else _S6_GET_ARG)
+                         + midx)
                     if pa is not None:
                         pa(node.addr << 2)
                     stats.emit(_R_GET_ARG_VAR_MEM)
@@ -1384,13 +1408,13 @@ class PSIMachine:
                                 else _S6_GA_VBUF_BASE)
                     else:
                         sid6 = _S6_GA_VBUF_P if node.packed else _S6_GA_VBUF
-                    fc[sid6 + midx] += 1
+                    bill(sid6 + midx)
                     if pa is not None:
                         pa(node.addr << 2)
                     value = mem._words[_LOCAL][off]
                 else:
-                    fc[(_S6_GA_VMEM_P if node.packed else _S6_GA_VMEM)
-                       + midx] += 1
+                    bill((_S6_GA_VMEM_P if node.packed else _S6_GA_VMEM)
+                         + midx)
                     if pa is not None:
                         pa(node.addr << 2)
                         pa(((_LOCAL << AREA_SHIFT) | off) << 2)
@@ -1400,7 +1424,7 @@ class PSIMachine:
                 return value
             if cls is CVoid:
                 # arg fetch + heap read + fresh-global push in one bill.
-                fc[_S6_GET_ARG_VOID + midx] += 1
+                bill(_S6_GET_ARG_VOID + midx)
                 if pa is not None:
                     pa(node.addr << 2)
                 off = mem.top(_GLOBAL)
@@ -1408,8 +1432,8 @@ class PSIMachine:
                 mem.push_fused(_GLOBAL, (_UNDEF, cell))
                 return (_REF, cell)
             # Compound argument: construct it (structure copying).
-            fc[(_S6_GET_ARG_PACKED if node.packed else _S6_GET_ARG)
-               + midx] += 1
+            bill((_S6_GET_ARG_PACKED if node.packed else _S6_GET_ARG)
+                 + midx)
             if pa is not None:
                 pa(node.addr << 2)
             stats.module = _M_UNIFY
@@ -1673,9 +1697,6 @@ class Solver:
             args = tuple((Tag.REF, cell) for cell in self._cells)
             ok = m._start(self.query_name, len(self.var_names), args)
         else:
-            # A collector swap between solutions (e.g. an observation
-            # session opening mid-query) must retire fused dispatch.
-            m._refresh_fused_gate()
             ok = m._backtrack() and m._run()
         if not ok:
             self._exhausted = True

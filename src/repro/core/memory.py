@@ -383,8 +383,8 @@ class MemorySystem:
     # -- fused-path accessors ---------------------------------------------------
     #
     # Used by the machine's superinstruction dispatch: the *billing* of
-    # these accesses was already applied in one ``stats.emit_fused``
-    # call, so only the trace append (and, for pushes, the actual word
+    # these accesses was already logged with the superinstruction's
+    # code, so only the trace append (and, for pushes, the actual word
     # movement with its overflow check) remains.  The append order is
     # exactly that of the unfused accessors.
 

@@ -22,12 +22,21 @@ MicroRoutine)`` / ``(CacheCmd, Area)`` ``Counter``\\ s every consumer
 (tables, MAP tool, tests) always saw; the fold is exact, so the
 equivalence contract (``tests/core/test_stream_equivalence.py``) holds
 bit-for-bit.
+
+Superinstructions (:mod:`repro.core.fusion`) are billed through the
+ordered billing log ``_log``: a fused call site appends the spec's code
+(one byte; the plain collector's log is a ``bytearray``) and
+:meth:`StatsCollector._flush_log` counts the log once, when a reporting
+view is first read.  The observed collector
+(:class:`repro.obs.session.ObservedStatsCollector`) logs its other
+bills into the same list, which is how it derives its clock-stamped
+views from the order of the run's bills.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 
 from repro.core import micro as _micro
 from repro.core.micro import (
@@ -48,18 +57,11 @@ from repro.core.micro import (
 N_AREAS = 5
 
 
-def _fusion_slot_space() -> int:
-    """Deferred fused-billing slot count (lazy import: the fusion table
-    builds on top of the micro registry, which this module also feeds)."""
-    from repro.core import fusion
-    return fusion.slot_space()
-
-
 class StatsCollector:
     """Accumulates microinstruction-stream statistics for one run."""
 
     __slots__ = ("module", "predicate", "inferences", "builtin_calls",
-                 "_pair_counts", "_mem_counts", "_fused_counts")
+                 "_pair_counts", "_mem_counts", "_log")
 
     def __init__(self) -> None:
         self.module: Module = Module.CONTROL
@@ -67,15 +69,17 @@ class StatsCollector:
         #: (``functor/arity``), published by the machine at call,
         #: proceed and backtrack boundaries.  The base collector only
         #: stores it; the observability layer
-        #: (:class:`repro.obs.session.ObservedStatsCollector`) switches
-        #: to that predicate's count table on each store, which is how
-        #: it attributes microsteps per predicate.
+        #: (:class:`repro.obs.session.ObservedStatsCollector`) marks
+        #: each store's place in its billing log, which is how it
+        #: attributes microsteps per predicate.
         self.predicate: str = "(startup)"
         self.inferences = 0                            # user-predicate calls (LIPS)
         self.builtin_calls = 0
         self._pair_counts: list[int] = [0] * _micro.pair_space()
         self._mem_counts: list[int] = [0] * (len(CMD_BY_CODE) * N_AREAS)
-        self._fused_counts: list[int] = [0] * _fusion_slot_space()
+        #: Superinstruction codes in billing order, counted by
+        #: :meth:`_flush_log`.
+        self._log = bytearray()
 
     # -- recording -----------------------------------------------------------
 
@@ -126,55 +130,58 @@ class StatsCollector:
     def emit_fused(self, fused) -> None:
         """Bill one static :class:`~repro.core.fusion.Superinstruction`.
 
-        Deferred: one list-index increment now, the precomputed
-        pair/memory deltas folded in by :meth:`_flush_fused` the first
-        time any reporting view is read.  Counter billing is order-free
-        (only the *final* counts are observable), so deferral is exactly
-        equivalent to replaying the run through
-        :meth:`emit_in`/:meth:`mem_access_n` — guarded by
-        ``tests/core/test_fusion.py`` and the golden digests.
+        Deferred: the spec's code joins the billing log now, and its
+        precomputed pair/memory deltas are folded in by
+        :meth:`_flush_log` the first time a reporting view is read.
+        Counter billing is order-free (only the *final* counts are
+        observable), so deferral is exactly equivalent to the unfused
+        per-op run — guarded by ``tests/core/test_fusion.py`` and the
+        golden digests.
 
-        The machine's fused dispatch sites inline this increment
-        directly (the fused gate guarantees the exact base class), so
-        this method is the API for tests and out-of-machine callers.
+        The machine's fused dispatch sites inline this append
+        (``stats._log.append(code)``), so this method is the API for
+        tests and out-of-machine callers.
         """
-        self._fused_counts[fused.slot] += 1
+        self._log.append(fused.slot)
 
     def emit_fused_dyn(self, fused) -> None:
         """Bill a dynamic superinstruction under the current module.
 
-        Like :meth:`emit_fused` but the slot is module-relative: the
+        Like :meth:`emit_fused` but the code is module-relative: the
         ambient module at *emission* time decides which (sid, module)
-        cell accumulates, which is all the flush needs to reconstruct
-        the absolute pair indices.
+        code is logged, which is all the flush needs to reconstruct the
+        absolute pair indices.
         """
-        self._fused_counts[fused.sid6 + self.module.idx] += 1
+        self._log.append(fused.sid6 + self.module.idx)
 
-    def _flush_fused(self) -> None:
-        """Fold accumulated fused billings into the flat counters.
+    def _flush_log(self) -> None:
+        """Count the billing log into the flat counters.
 
         Called by every reporting view before it reads the flat lists.
-        Idempotent (the deferred list is zeroed) and cheap: the scan is
-        over a few hundred ints, once per report, not per emission.
+        Idempotent (the log is emptied); one C-level count over the
+        log, then a few delta loops per distinct code.
         """
-        fc = self._fused_counts
-        pending = [(slot, n) for slot, n in enumerate(fc) if n]
-        if not pending:
+        log = self._log
+        if not log:
             return
+        counts = Counter(log)
+        del log[:]
+        for code, n in counts.items():
+            self._bill(code, n)
+
+    def _bill(self, code: int, n: int) -> None:
+        """Apply ``n`` logged bills of superinstruction ``code``."""
         from repro.core import fusion
-        by_sid = fusion.BY_SID
-        fc[:] = [0] * len(fc)
+        si = fusion.BY_SID[code // N_MODULES]
+        midx = code % N_MODULES
         counts = self._pair_counts
+        if si.max_index >= len(counts):
+            self._grow_pairs(si.max_index)
+        for base, times in si.base_deltas:
+            counts[base + midx] += times * n
         mem = self._mem_counts
-        for slot, n in pending:
-            si = by_sid[slot // N_MODULES]
-            midx = slot % N_MODULES
-            if si.max_index >= len(counts):
-                self._grow_pairs(si.max_index)
-            for base, times in si.base_deltas:
-                counts[base + midx] += times * n
-            for index, times in si.mem_deltas:
-                mem[index] += times * n
+        for index, times in si.mem_deltas:
+            mem[index] += times * n
 
     def _grow_pairs(self, index: int) -> None:
         """Extend the flat pair list (a routine was defined after this
@@ -192,7 +199,7 @@ class StatsCollector:
         Rebuilt on access (reporting-time only); mutations to the
         returned Counter do not feed back into the collector.
         """
-        self._flush_fused()
+        self._flush_log()
         counts: Counter = Counter()
         modules = MODULE_BY_INDEX
         routines = _micro.routines_by_rid()
@@ -206,7 +213,7 @@ class StatsCollector:
     def mem_counts(self) -> Counter:
         """``(CacheCmd, Area) -> n`` fold of the flat counters."""
         from repro.core.memory import Area
-        self._flush_fused()
+        self._flush_log()
         counts: Counter = Counter()
         areas = tuple(Area)
         for index, n in enumerate(self._mem_counts):
@@ -219,7 +226,7 @@ class StatsCollector:
 
     @property
     def total_steps(self) -> int:
-        self._flush_fused()
+        self._flush_log()
         routines = _micro.routines_by_rid()
         return sum(routines[index // N_MODULES].n_steps * n
                    for index, n in enumerate(self._pair_counts) if n)
@@ -240,7 +247,7 @@ class StatsCollector:
 
     def cache_command_counts(self) -> dict[CacheCmd, int]:
         """Total accesses per cache command (Table 3 numerators)."""
-        self._flush_fused()
+        self._flush_log()
         counts = self._mem_counts
         return {cmd: sum(counts[cmd.code * N_AREAS:(cmd.code + 1) * N_AREAS])
                 for cmd in CacheCmd}
@@ -270,7 +277,7 @@ class StatsCollector:
 
     @property
     def total_mem_accesses(self) -> int:
-        self._flush_fused()
+        self._flush_log()
         return sum(self._mem_counts)
 
     # -- work file (Table 6) -------------------------------------------------------
@@ -380,7 +387,7 @@ class StatsCollector:
         self.builtin_calls = state["builtin_calls"]
         self._pair_counts = [0] * _micro.pair_space()
         self._mem_counts = [0] * (len(CMD_BY_CODE) * N_AREAS)
-        self._fused_counts = [0] * _fusion_slot_space()
+        self._log = bytearray()
         for (module, routine), n in state["routine_counts"].items():
             self.emit_in(module, routine, n)
         for (cmd, area), n in state["mem_counts"].items():
@@ -395,6 +402,8 @@ class NullStats:
     predicate: str = "(startup)"
     inferences: int = 0
     builtin_calls: int = 0
+    #: the fused sites' billing log: appends are discarded
+    _log: deque = field(default_factory=lambda: deque(maxlen=0))
 
     def emit(self, routine, times: int = 1) -> None:
         pass

@@ -110,7 +110,7 @@ class CacheStats:
         handy for ad-hoc inspection; cumulative totals only — windowed
         hit ratios over time come from
         :class:`repro.obs.session.CacheWindowSampler`, which replays the
-        run's packed trace at the window cuts it noted.
+        run's packed trace at the window cuts the billing walk found.
         """
         return {
             "hits": self.hits,

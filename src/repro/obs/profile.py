@@ -13,10 +13,9 @@ every microstep of a run to a ``(predicate, module)`` pair:
   control / unify / trail / get_arg / cut / built).
 
 Attribution comes from
-:class:`~repro.obs.session.ObservedStatsCollector`, which counts every
-routine emission into its predicate's table and, when the run ends,
-weights the counts by each routine's precomputed step count, so it is
-exact: the profile total equals ``stats.total_steps`` (under test in
+:class:`~repro.obs.session.ObservedStatsCollector`, whose billing walk
+sums the precomputed per-module steps of every logged bill between
+one predicate store and the next, so it is exact: the profile total equals ``stats.total_steps`` (under test in
 ``tests/obs/test_profile.py``).
 
 Outputs:

@@ -7,27 +7,24 @@ owns the run's :class:`~repro.obs.trace.Tracer`,
 attachment points :func:`repro.tools.collect.collect` uses:
 
 * :attr:`ObsSession.collector` — an :class:`ObservedStatsCollector`
-  (drop-in for :class:`~repro.core.stats.StatsCollector`) that keeps a
-  deterministic microstep clock, counts every emission into one table
-  per predicate (attribution happens per predicate switch, not per
-  emission), traces predicate slices and sampled microroutine
-  emissions;
-* :meth:`ObsSession.cache_sampler` — a sampler that, driven by the
-  collector's billing path, records only where each fixed window of
-  accounted accesses ends in the run's packed cache feed; the cache's
+  (drop-in for :class:`~repro.core.stats.StatsCollector`) that logs
+  every bill in order, marks predicate stores in that log, and derives
+  the deterministic microstep clock, the predicate slices, the sampled
+  microroutine spans and the ``(predicate, module)`` profile from it;
+* :meth:`ObsSession.cache_sampler` — a sampler holding where each
+  fixed window of accounted accesses ends in the run's packed cache
+  feed (the collector's billing walk finds the cuts); the cache's
   windowed hit ratios are derived from those cuts after the run;
 * :attr:`ObsSession.stack_observer` — a
-  :class:`~repro.core.memory.MemorySystem` observer logging stack-area
+  :class:`~repro.core.memory.MemorySystem` observer marking stack-area
   reclaim events (the PSI reclaims stacks by truncation on
-  proceed/TRO/backtrack — it has no garbage collector) as compact
-  counter samples in the ``stacks`` ring buffer.
+  proceed/TRO/backtrack — it has no garbage collector) in the billing
+  log; the walk turns them into counter samples in the ``stacks`` ring
+  buffer.
 
-Live, a session records only what must be known while the run
-executes; everything else is derived once afterwards, so an observed
-run keeps the memory system on the same packed-trace path as a plain
-one.  Per emission the collector adds only a clock advance and a
-sampling countdown to the base counting; the ``(predicate, module)``
-profile is read off the per-predicate tables when the run closes.
+Live, a session records only the order of the run's bills; everything
+else is derived afterwards, so an observed run takes the same fused
+dispatch and packed-trace path as a plain one.
 When observability is disabled none of this is
 constructed: the machine runs on the plain collector and the only
 residue of the subsystem is a handful of attribute stores per *call*
@@ -45,14 +42,18 @@ boundary, to be merged into the parent's registry).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, chain
 from typing import IO
 
+from repro.core import fusion
 from repro.core import micro as _micro
 from repro.core.memory import Area
 from repro.core.stats import N_AREAS, StatsCollector
 from repro.core.micro import (
+    CMD_BY_CODE,
     MEM_PAIR_BASE,
     MEM_STEPS,
     MODULE_BY_INDEX,
@@ -82,27 +83,64 @@ class ObsConfig:
     cache_window: int = 8192
 
 
+#: Kinds of the observed collector's own bills in its billing log.  A
+#: bill's code is ``times << _TIMES | kind | index``: the pair index
+#: for an emission, ``mem_index * N_MODULES + module.idx`` for a memory
+#: access.  Every such code is at least ``1 << 20``, above every
+#: superinstruction code (:func:`repro.core.fusion.slot_space`).
+_EMIT = 1 << 20                 # emit: counts toward the micro samples
+_EMIT_IN = 2 << 20              # emit_in: bills under a named module
+_MEM = 3 << 20                  # memory access(es)
+_TIMES = 22
+_INDEX_MASK = (1 << 20) - 1
+_MEM1 = (1 << _TIMES) | _MEM
+
+#: Field width of the packed per-code values the billing walk sums:
+#: clock steps, micro ticks, accounted accesses, then the steps of each
+#: module (the profile), one field each.
+_W = 64
+_FIELD = (1 << _W) - 1
+_NEVER = 1 << 62               # a countdown that never runs out
+
+#: Pending log entries that make the predicate setter derive the views
+#: logged so far, which bounds an observed run's memory.
+_LOG_LIMIT = 1 << 16
+
+#: Per log code, learned once per process (:func:`_learn`): its packed
+#: sums, and its per-op stream.  Both are a pure function of the code
+#: (the micro registry only grows; a routine id is never reused), so
+#: every collector shares them.
+_VALUES: dict[int, int] = {}
+_STREAMS: dict[int, tuple] = {}
+
+
 class ObservedStatsCollector(StatsCollector):
     """A stats collector that additionally feeds tracer and profiler.
 
     The deterministic clock :attr:`now` is the cumulative microstep
-    count of everything emitted so far; all trace timestamps come from
-    it, which is why traces are reproducible bit-for-bit.
+    count of everything billed up to the last walk (the whole run after
+    :meth:`close`); all trace timestamps come from it, which is why
+    traces are reproducible bit-for-bit.
 
-    Counting goes through the same flat per-id lists as the base
-    collector, so an observed run bills identically to a plain one
-    (``tests/core/test_stream_equivalence.py`` pins this).  Profiler
-    attribution happens per predicate switch, not per emission: the
-    collector keeps one flat pair-count table per predicate label, and
-    storing :attr:`predicate` (the machine does so a few times per
-    call) makes that predicate's table the active ``_pair_counts``.
-    Emissions then count into the right table with the base
-    collector's own increment, and per emission the only obs work left
-    is advancing the clock and the micro-sample and cache-window ticks.
-    :meth:`close` derives the ``(predicate, module)`` profile from the
-    tables and folds them into one flat list, after which every
-    reporting view reads the run's totals.  Before :meth:`close` the
-    views see only the active predicate's counts.
+    The machine runs its fused path for this collector as for a plain
+    one.  Nothing is derived live: every bill joins the one ordered
+    billing log ``_log`` — the fused sites' superinstruction codes and
+    this collector's own ``emit``/``emit_in``/``mem_access`` codes —
+    and each predicate store and stack reclaim is noted as a mark at
+    its position in that log.  :meth:`_walk` reads log and marks once,
+    in order, and derives what the per-op loop used to record as it
+    went: the clock, the ``calls`` slices, a ``micro`` span per
+    ``micro_sample_interval`` emissions, the cache-window cuts, the
+    ``stacks`` counter samples and the ``(predicate, module)`` profile.
+    The clock at a log position is read off prefix sums of precomputed
+    per-code values; only a log entry holding a sample is expanded into
+    its per-op stream (a superinstruction's ``stream``), so each sample
+    lands on the same op, at the same clock, as in the per-op loop.
+
+    The walk runs when a reporting view is read, when the pending
+    marks reach the trace capacity or the log :data:`_LOG_LIMIT`
+    entries (at a predicate store), and at :meth:`close`, which also
+    ends the trace.  After :meth:`close` the collector only counts.
 
     A predicate's slice on the ``calls`` track opens at its first
     emission, as if the collector watched every emission: a store
@@ -112,36 +150,42 @@ class ObservedStatsCollector(StatsCollector):
     keeps one slice for A).
     """
 
-    __slots__ = ("tracer", "profile", "now", "_pred", "_since",
-                 "_open_pred", "_tables", "_micro_interval", "_micro_left",
-                 "_cache_sampler", "_win_left")
-
-    #: window countdown when no cache sampler is attached: the
-    #: per-access tick never reaches zero
-    _NO_WINDOW = 1 << 62
+    __slots__ = ("tracer", "profile", "now", "_pred", "_marks",
+                 "_mark_limit", "_closed",
+                 "_micro_interval", "_micro_left", "_window", "_win_left",
+                 "_cuts", "_accesses", "_walk_pred", "_since", "_open_pred",
+                 "_steps", "_stacks")
 
     def __init__(self, tracer: Tracer, profile: MicroProfile,
                  micro_sample_interval: int = 512):
-        self._tables: dict[str, list[int]] | None = None
+        self._marks = None
         super().__init__()
-        # The first predicate's table is the base collector's own list.
-        self._tables = {self._pred: self._pair_counts}
+        self._log = []
+        #: ``(position in _log, label, None)`` per predicate store and
+        #: ``(position, counter name, offset)`` per stack reclaim
+        self._marks: list[tuple] = []
+        self._mark_limit = tracer.capacity
+        self._closed = False
         self.tracer = tracer
         self.profile = profile
+        # Walk state: where the walk has got to in the run.
         self.now = 0
+        self._micro_interval = micro_sample_interval
+        self._micro_left = micro_sample_interval
+        self._window = self._win_left = _NEVER
+        self._cuts: list | None = None
+        self._accesses = 0
+        self._walk_pred = self._pred
         self._since = 0
         self._open_pred: str | None = None
-        self._micro_interval = micro_sample_interval
-        #: emissions left until the next ``micro`` sample
-        self._micro_left = micro_sample_interval
-        self._cache_sampler = None
-        #: accounted accesses left until the next cache-window cut
-        self._win_left = self._NO_WINDOW
+        #: packed per-module steps per predicate, in first-store order
+        self._steps = {self._pred: 0}
+        self._stacks = None
 
     def attach_cache_sampler(self, sampler: "CacheWindowSampler") -> None:
-        """Drive ``sampler`` from this collector's accounted accesses."""
-        self._cache_sampler = sampler
-        self._win_left = sampler.window
+        """Cut ``sampler``'s windows from this collector's accesses."""
+        self._window = self._win_left = sampler.window
+        self._cuts = sampler.cuts
 
     # -- predicate context ------------------------------------------------------
 
@@ -151,134 +195,243 @@ class ObservedStatsCollector(StatsCollector):
 
     @predicate.setter
     def predicate(self, label: str) -> None:
-        tables = self._tables
-        if tables is None:              # closed: counting only
-            self._pred = label
-            return
-        self.sync()
-        self._since = self.now
         self._pred = label
-        table = tables.get(label)
-        if table is None:
-            table = tables[label] = [0] * _micro.pair_space()
-        self._pair_counts = table
+        marks = self._marks
+        if marks is None or self._closed:     # constructing or closed
+            return
+        if len(marks) >= self._mark_limit or len(self._log) >= _LOG_LIMIT:
+            self._walk()
+        marks.append((len(self._log), label, None))
 
-    def sync(self) -> None:
-        """Open the current predicate's slice if it has emitted.
-
-        The clock has moved since the predicate was stored once it has
-        billed steps, and it began billing at the clock of that store.
-        Slices open lazily, at the next store; a track whose first
-        event is recorded meanwhile would otherwise take its place in
-        the tracer's buffer order (the tie order of
-        :meth:`~repro.obs.trace.Tracer.events`) ahead of ``calls``, so
-        the sampled tracks call this before they record.
-        """
-        if self._pred is not self._open_pred and self.now != self._since:
-            self._open_pred = self._pred
-            self.tracer.begin_slice(TRACK_CALLS, self._pred, self._since)
+    def mark_reclaim(self, name: str, offset: int) -> None:
+        """Note a stack reclaim (``stacks`` counter ``name`` falls to
+        ``offset``) at the current place of the billing log."""
+        marks = self._marks
+        if len(marks) >= self._mark_limit:
+            self._walk()
+        marks.append((len(self._log), name, offset))
 
     # -- recording overrides ---------------------------------------------------
 
     def emit(self, routine, times: int = 1) -> None:
-        module = self.module
-        index = routine.pair_base + module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        steps = routine.n_steps * times
-        self.now += steps
-        left = self._micro_left - times
-        if left > 0:
-            self._micro_left = left
-        else:
-            self._micro_left = self._micro_interval
-            self.sync()
-            self.tracer.complete(TRACK_MICRO, routine.name, self.now - steps,
-                                 steps, {"module": module.value})
+        self._log.append((times << _TIMES) + _EMIT + routine.pair_base
+                         + self.module.idx)
 
     def emit_in(self, module, routine, times: int = 1) -> None:
-        index = routine.pair_base + module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        self.now += routine.n_steps * times
+        self._log.append((times << _TIMES) + _EMIT_IN + routine.pair_base
+                         + module.idx)
 
     def mem_access(self, cmd, area) -> None:
-        code = cmd.code
-        self._mem_counts[code * N_AREAS + area] += 1
-        index = MEM_PAIR_BASE[code] + self.module.idx
-        try:
-            self._pair_counts[index] += 1
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += 1
-        self.now += MEM_STEPS[code]
-        left = self._win_left - 1
-        if left:
-            self._win_left = left
-        else:
-            self._win_left = self._cache_sampler.window
-            self._cache_sampler.sample()
+        self._log.append(_MEM1 + (cmd.code * N_AREAS + area) * N_MODULES
+                         + self.module.idx)
 
     def mem_access_n(self, cmd, area, times: int) -> None:
-        code = cmd.code
-        self._mem_counts[code * N_AREAS + area] += times
-        index = MEM_PAIR_BASE[code] + self.module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        self.now += MEM_STEPS[code] * times
-        left = self._win_left - times
-        if left > 0:
-            self._win_left = left
+        self._log.append((times << _TIMES) + _MEM
+                         + (cmd.code * N_AREAS + area) * N_MODULES
+                         + self.module.idx)
+
+    # -- counting ---------------------------------------------------------------
+
+    def _flush_log(self) -> None:
+        if self._closed:
+            super()._flush_log()
         else:
-            self._win_left = self._cache_sampler.window
-            self._cache_sampler.sample()
+            self._walk()
 
-    def emit_fused(self, fused) -> None:
-        """Replay a superinstruction unfused through the observed paths.
+    def _bill(self, code: int, n: int) -> None:
+        if code < _EMIT:
+            super()._bill(code, n)
+            return
+        times = (code >> _TIMES) * n
+        index = code & _INDEX_MASK
+        if code & _MEM != _MEM:
+            pair = index
+        else:
+            mem_index, midx = divmod(index, N_MODULES)
+            self._mem_counts[mem_index] += times
+            pair = MEM_PAIR_BASE[mem_index // N_AREAS] + midx
+        if pair >= len(self._pair_counts):
+            self._grow_pairs(pair)
+        self._pair_counts[pair] += times
 
-        The machine's fused dispatch is gated on the *exact* base
-        collector class, so observed runs normally never see this call;
-        it exists so a superinstruction applied to any collector kind
-        lands in identical buckets (the replay's bills count into the
-        active predicate's table like any other emission).
+    # -- the billing walk -------------------------------------------------------
+
+    def _walk(self) -> None:
+        """Derive every clock-stamped view of the pending log and marks,
+        then count the log and drop both.
+
+        The clock at a log position is one lookup in the prefix sums of
+        the logged codes' packed values; samples are found by bisecting
+        those sums, so only the entries holding one are billed op by op.
         """
-        fused.replay(self)
+        log, marks = self._log, self._marks
+        counts = Counter(log)
+        for code in counts.keys() - _VALUES.keys():
+            _learn(code)
+        prefix = list(accumulate(map(_VALUES.__getitem__, log), initial=0))
+        end = len(log)
+        now0, acc0 = self.now, self._accesses
+        micro, self._micro_left = _countdown(
+            log, prefix, 1, self._micro_left, self._micro_interval)
+        cuts, self._win_left = _countdown(
+            log, prefix, 2, self._win_left, self._window)
+        samples = sorted(micro + cuts)
+        samples.append((end, 0, 0, 0, None))   # sentinel
+        tracer = self.tracer
+        steps_by_pred = self._steps
+        since, pred, open_pred = self._since, self._walk_pred, self._open_pred
+        stacks = self._stacks
 
-    def emit_fused_dyn(self, fused) -> None:
-        fused.replay(self)
+        def sync(now):
+            # Open the walked predicate's slice if it has emitted: the
+            # clock has moved since its store, and it began billing at
+            # the clock of that store.
+            nonlocal open_pred
+            if pred is not open_pred and now != since:
+                open_pred = pred
+                tracer.begin_slice(TRACK_CALLS, pred, since)
+
+        next_sample = iter(samples).__next__
+        entry, _k, clock, accessed, element = next_sample()
+        seg = 0
+        for pos, name, offset in chain(marks, ((end, None, None),)):
+            while entry < pos:
+                # A sample billed within log entry ``entry``.
+                steps = element[0]
+                now = now0 + clock + steps
+                if element[1]:
+                    sync(now)
+                    tracer.complete(TRACK_MICRO, element[3], now - steps,
+                                    steps, {"module": element[4]})
+                else:
+                    if not self._cuts:
+                        sync(now)
+                        tracer.buffer(TRACK_CACHE)
+                    self._cuts.append((acc0 + accessed, now))
+                entry, _k, clock, accessed, element = next_sample()
+            if name is None:                    # the end of the log
+                break
+            now = now0 + (prefix[pos] & _FIELD)
+            if offset is None:                  # a predicate store
+                sync(now)
+                steps_by_pred[pred] += prefix[pos] - prefix[seg]
+                seg = pos
+                since = now
+                pred = name
+                if name not in steps_by_pred:
+                    steps_by_pred[name] = 0
+            else:                               # a stack reclaim
+                if stacks is None:
+                    # The track takes its place in the tracer's buffer
+                    # order (the tie order of ``events()``) at its
+                    # first record.
+                    sync(now)
+                    stacks = tracer.buffer(TRACK_STACKS)
+                stacks.append((now, name, offset))
+        steps_by_pred[pred] += prefix[end] - prefix[seg]
+        now = self.now = now0 + (prefix[end] & _FIELD)
+        self._accesses = acc0 + (prefix[end] >> 2 * _W & _FIELD)
+        self._since, self._walk_pred = since, pred
+        self._open_pred, self._stacks = open_pred, stacks
+        del marks[:]
+        if self._closed:
+            # End of run: close the open slice, read off the profile.
+            sync(now)
+            tracer.finish(now)
+            add = self.profile.add
+            for label, packed in steps_by_pred.items():
+                for midx in range(N_MODULES):
+                    steps = packed >> (3 + midx) * _W & _FIELD
+                    if steps:
+                        add(label, MODULE_BY_INDEX[midx], steps)
+        del log[:]
+        for code, n in counts.items():
+            self._bill(code, n)
 
     def close(self) -> None:
-        """End the open predicate slice; derive the profile; fold the
-        per-predicate tables into the run's flat counts."""
-        tables = self._tables
-        if tables is None:
+        """End the run: derive the rest of the views, end the open
+        predicate slice and read off the profile; counting only after."""
+        if self._closed:
             return
-        self.sync()
-        self.tracer.finish(self.now)
-        self._open_pred = None
-        self._tables = None
-        routines = _micro.routines_by_rid()
-        add = self.profile.add
-        totals = [0] * max(map(len, tables.values()))
-        for label, table in tables.items():
-            by_module = [0] * N_MODULES
-            for index in compress(range(len(table)), table):
-                n = table[index]
-                totals[index] += n
-                module, rid = index % N_MODULES, index // N_MODULES
-                by_module[module] += routines[rid].n_steps * n
-            for module in compress(range(N_MODULES), by_module):
-                add(label, MODULE_BY_INDEX[module], by_module[module])
-        self._pair_counts = totals
+        self._closed = True
+        self._walk()
+
+
+def _learn(code: int) -> None:
+    """Record ``code``'s per-op stream and its packed sums.
+
+    A stream element is ``(steps, micro ticks, accesses, routine
+    name, module value)``; the packed value holds the element sums
+    in :data:`_W`-bit fields: clock, micro ticks, accesses, then the
+    steps under each module.
+    """
+    if code < _EMIT:                        # a superinstruction
+        midx = code % N_MODULES
+        ops = fusion.BY_SID[code // N_MODULES].stream
+    else:
+        times = code >> _TIMES
+        index = code & _INDEX_MASK
+        kind = code & _MEM
+        midx = index % N_MODULES
+        if kind == _MEM:
+            cmd = CMD_BY_CODE[index // N_MODULES // N_AREAS]
+            ops = ((cmd, 0, times),)
+        else:
+            routine = _micro.routines_by_rid()[index // N_MODULES]
+            ops = ((routine, times),)
+    module = MODULE_BY_INDEX[midx].value
+    stream = []
+    for op in ops:
+        if len(op) == 3:
+            cmd, _area, times = op
+            stream.append((MEM_STEPS[cmd.code] * times, 0, times,
+                           None, None))
+        else:
+            routine, times = op
+            ticks = 0 if code >= _EMIT and kind == _EMIT_IN else times
+            stream.append((routine.n_steps * times, ticks, 0,
+                           routine.name, module))
+    steps, ticks, accessed = (sum(column)
+                              for column in list(zip(*stream))[:3])
+    _VALUES[code] = (steps | ticks << _W | accessed << 2 * _W
+                     | steps << (3 + midx) * _W)
+    _STREAMS[code] = tuple(stream)
+
+
+def _countdown(log, prefix, field: int, left: int, interval: int):
+    """The samples of one countdown over the billing log.
+
+    ``field`` picks the counted column: 1 for emissions (``micro``
+    spans), 2 for accounted accesses (cache-window cuts).  As in the
+    per-op loop, an op whose count takes ``left`` to zero or below
+    fires a sample and restarts the countdown at ``interval``.  Returns
+    the samples, each ``(entry, op index, clock before the op, accesses
+    before the op, op)`` relative to the log's start, and the countdown
+    left at its end.
+    """
+    shift = field * _W
+    key = lambda value: value >> shift & _FIELD  # noqa: E731
+    total = key(prefix[-1])
+    samples = []
+    lo = 0
+    while True:
+        base = key(prefix[lo])
+        if total - base < left:
+            return samples, left - (total - base)
+        entry = bisect_left(prefix, base + left, lo + 1, len(prefix),
+                            key=key) - 1
+        left -= key(prefix[entry]) - base
+        clock = prefix[entry] & _FIELD
+        accessed = prefix[entry] >> 2 * _W & _FIELD
+        for index, op in enumerate(_STREAMS[log[entry]]):
+            if op[field]:
+                left -= op[field]
+                if left <= 0:
+                    left = interval
+                    samples.append((entry, index, clock, accessed, op))
+            clock += op[0]
+            accessed += op[2]
+        lo = entry + 1
 
 
 #: ``stacks`` counter name per area value, e.g. ``top.local``
@@ -293,44 +446,37 @@ class StackObserver:
     shrinks an area is one "GC-free" deallocation event: a counter
     sample of the new top on the ``stacks`` track.
 
-    Live, an event is one compact counter sample (the
-    :meth:`~repro.obs.trace.Tracer.counter` form) appended straight to
-    the ``stacks`` ring buffer, which keeps the newest
-    ``trace_capacity`` records and counts the rest as dropped, so a
-    long run holds O(capacity) records and nothing is left to convert
-    when the session finishes.
+    Live, an event is one mark in the collector's billing log
+    (:meth:`ObservedStatsCollector.mark_reclaim`); the billing walk
+    stamps it with the clock and appends it to the ``stacks`` ring
+    buffer, which keeps the newest ``trace_capacity`` records and
+    counts the rest as dropped.  :attr:`log` is the collector's list
+    of pending marks, which the walk empties whenever it reaches the
+    trace capacity, so a long run holds O(capacity) records.
     """
 
-    __slots__ = ("tracer", "collector", "log")
+    __slots__ = ("collector", "log")
 
-    def __init__(self, tracer: Tracer, collector: ObservedStatsCollector):
-        self.tracer = tracer
+    def __init__(self, collector: ObservedStatsCollector):
         self.collector = collector
-        #: the ``stacks`` ring buffer, from the first record on
-        self.log = ()
+        #: the pending marks (stack reclaims and predicate stores)
+        self.log = collector._marks
 
     def on_settop(self, area, offset: int, old_top: int) -> None:
         if offset < old_top:
-            if not self.log:
-                # The track takes its place in the tracer's buffer
-                # order (the tie order of ``events()``) at its first
-                # record.
-                self.collector.sync()
-                self.log = self.tracer.buffer(TRACK_STACKS)
-            self.log.append((self.collector.now, _TOP_NAMES[area], offset))
+            self.collector.mark_reclaim(_TOP_NAMES[area], offset)
 
 
 class CacheWindowSampler:
     """The cache's hit ratio over windows of accounted accesses.
 
-    Driven by the observed collector's billing path: the collector
-    counts accounted accesses inline and calls :meth:`sample` once per
-    ``window``.  A sample records only the cut — how many accesses the
-    run's packed cache feed holds, and the clock.  Billing precedes
-    the trace append at every memory-system site, so a cut is exactly
-    the access count the cache has replayed when it reaches that point
-    of the run (one landing inside a block access falls before the
-    block's remaining words).
+    The observed collector's billing walk counts accounted accesses
+    and, once per ``window``, records a cut in :attr:`cuts`: how many
+    accesses the run's packed cache feed held when that access was
+    billed, and the clock.  Billing precedes the trace append at every
+    memory-system site, so a cut is exactly the access count the cache
+    has replayed when it reaches that point of the run (one landing
+    inside a block access falls before the block's remaining words).
 
     After the run, :meth:`replay` feeds the packed trace to the cache
     segment by segment and, per cut, emits a hit-ratio counter event
@@ -338,23 +484,14 @@ class CacheWindowSampler:
     histogram observation.
     """
 
-    __slots__ = ("feed", "tracer", "histogram", "collector", "window",
-                 "cuts")
+    __slots__ = ("feed", "tracer", "histogram", "window", "cuts")
 
-    def __init__(self, feed, tracer: Tracer, histogram,
-                 collector: ObservedStatsCollector, window: int = 8192):
+    def __init__(self, feed, tracer: Tracer, histogram, window: int = 8192):
         self.feed = feed
         self.tracer = tracer
         self.histogram = histogram
-        self.collector = collector
         self.window = window
         self.cuts: list[tuple[int, int]] = []
-
-    def sample(self) -> None:
-        if not self.cuts:
-            self.collector.sync()               # see StackObserver
-            self.tracer.buffer(TRACK_CACHE)
-        self.cuts.append((len(self.feed), self.collector.now))
 
     def replay(self, cache, totals) -> None:
         """Feed the whole packed trace to ``cache``, emitting each window.
@@ -419,13 +556,12 @@ class ObsSession:
         self.collector = ObservedStatsCollector(
             self.tracer, self.profile,
             micro_sample_interval=self.config.micro_sample_interval)
-        self.stack_observer = StackObserver(self.tracer, self.collector)
+        self.stack_observer = StackObserver(self.collector)
 
     def cache_sampler(self, feed) -> CacheWindowSampler:
         """Sample windows of ``feed``, the packed trace the cache replays."""
         histogram = self.metrics.histogram("psi.cache.window_hit_ratio")
         sampler = CacheWindowSampler(feed, self.tracer, histogram,
-                                     self.collector,
                                      window=self.config.cache_window)
         self.collector.attach_cache_sampler(sampler)
         return sampler

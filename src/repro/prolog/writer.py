@@ -43,55 +43,101 @@ def _write_atom(name: str, quoted: bool) -> str:
     return name
 
 
+#: Join kinds: how a compound's rendered subterms combine.
+_LIST, _LIST_TAIL, _CURLY, _INFIX, _PREFIX, _CALL = range(6)
+
+
 def _write(term: Term, max_priority: int, quoted: bool) -> str:
-    if isinstance(term, int):
-        return str(term)
-    if isinstance(term, Var):
-        return term.name if not term.is_anonymous else "_"
-    if isinstance(term, Atom):
-        text = _write_atom(term.name, quoted)
-        # A bare operator atom in argument position must be parenthesised.
-        if ATOM_PRIORITY.get(term.name, 0) > max_priority:
-            return f"({text})"
-        return text
-    assert isinstance(term, Struct)
-    if is_cons(term):
-        return _write_list(term, quoted)
-    if term.functor == "{}" and term.arity == 1:
-        return "{" + _write(term.args[0], MAX_PRIORITY, quoted) + "}"
-    if term.arity == 2 and (op := INFIX_OPS.get(term.functor)) is not None:
-        priority, left_max, right_max = op
-        left = _write(term.args[0], left_max, quoted)
-        right = _write(term.args[1], right_max, quoted)
+    """Render ``term`` over an explicit stack, so any depth writes.
+
+    A compound pushes a join entry, then its subterms; each subterm
+    leaves its text on ``out``, and the join replaces the last ``n``
+    texts with the compound's own.
+    """
+    out: list[str] = []
+    todo: list[tuple] = [(term, max_priority)]
+    while todo:
+        term, max_priority = todo.pop()
+        if type(term) is tuple:                 # a join entry
+            kind, node, n = term
+            parts = out[len(out) - n:]
+            del out[len(out) - n:]
+            out.append(_join(kind, node, parts, max_priority, quoted))
+            continue
+        if isinstance(term, int):
+            out.append(str(term))
+            continue
+        if isinstance(term, Var):
+            out.append(term.name if not term.is_anonymous else "_")
+            continue
+        if isinstance(term, Atom):
+            text = _write_atom(term.name, quoted)
+            # A bare operator atom in argument position must be
+            # parenthesised.
+            if ATOM_PRIORITY.get(term.name, 0) > max_priority:
+                text = f"({text})"
+            out.append(text)
+            continue
+        assert isinstance(term, Struct)
+        if is_cons(term):
+            items = []
+            while is_cons(term):
+                assert isinstance(term, Struct)
+                items.append(term.args[0])
+                term = term.args[1]
+            if not is_nil(term):
+                items.append(term)
+            kind = _LIST if is_nil(term) else _LIST_TAIL
+            todo.append(((kind, None, len(items)), max_priority))
+            todo.extend((item, 999) for item in reversed(items))
+            continue
+        if term.functor == "{}" and term.arity == 1:
+            todo.append(((_CURLY, term, 1), max_priority))
+            todo.append((term.args[0], MAX_PRIORITY))
+            continue
+        if term.arity == 2 and (op := INFIX_OPS.get(term.functor)) is not None:
+            _priority, left_max, right_max = op
+            todo.append(((_INFIX, term, 2), max_priority))
+            todo.append((term.args[1], right_max))
+            todo.append((term.args[0], left_max))
+            continue
+        if term.arity == 1 and (op := PREFIX_OPS.get(term.functor)) is not None:
+            # '-'/'+' applied to a literal integer would read back as a
+            # signed number, so use functional notation for those.
+            if term.functor in ("-", "+") and isinstance(term.args[0], int):
+                out.append(f"{term.functor}({term.args[0]})")
+                continue
+            todo.append(((_PREFIX, term, 1), max_priority))
+            todo.append((term.args[0], op[1]))
+            continue
+        todo.append(((_CALL, term, term.arity), max_priority))
+        todo.extend((arg, 999) for arg in reversed(term.args))
+    return out[0]
+
+
+def _join(kind: int, term, parts: list[str], max_priority: int,
+          quoted: bool) -> str:
+    """The text of compound ``term`` from its subterms' ``parts``."""
+    if kind == _LIST:
+        return "[" + ",".join(parts) + "]"
+    if kind == _LIST_TAIL:
+        return "[" + ",".join(parts[:-1]) + "|" + parts[-1] + "]"
+    if kind == _CURLY:
+        return "{" + parts[0] + "}"
+    if kind == _INFIX:
+        priority = INFIX_OPS[term.functor][0]
+        left, right = parts
         name = term.functor
         text = f"{left},{right}" if name == "," else f"{left} {name} {right}"
-        if priority > max_priority:
-            return f"({text})"
-        return text
-    if term.arity == 1 and (op := PREFIX_OPS.get(term.functor)) is not None:
-        priority, right_max = op
-        # '-'/'+' applied to a literal integer would read back as a signed
-        # number, so use functional notation for those.
-        if term.functor in ("-", "+") and isinstance(term.args[0], int):
-            return f"{term.functor}({term.args[0]})"
-        operand = _write(term.args[0], right_max, quoted)
+    elif kind == _PREFIX:
+        priority = PREFIX_OPS[term.functor][0]
+        operand = parts[0]
         symbolic = all(c in SYMBOL_CHARS for c in term.functor)
         needs_space = (not symbolic) or (operand[:1] in SYMBOL_CHARS) or operand[:1].isdigit()
         space = " " if needs_space else ""
         text = f"{term.functor}{space}{operand}"
-        if priority > max_priority:
-            return f"({text})"
-        return text
-    args = ",".join(_write(arg, 999, quoted) for arg in term.args)
-    return f"{_write_atom(term.functor, quoted)}({args})"
-
-
-def _write_list(term: Term, quoted: bool) -> str:
-    parts: list[str] = []
-    while is_cons(term):
-        assert isinstance(term, Struct)
-        parts.append(_write(term.args[0], 999, quoted))
-        term = term.args[1]
-    if is_nil(term):
-        return "[" + ",".join(parts) + "]"
-    return "[" + ",".join(parts) + "|" + _write(term, 999, quoted) + "]"
+    else:
+        return f"{_write_atom(term.functor, quoted)}({','.join(parts)})"
+    if priority > max_priority:
+        return f"({text})"
+    return text

@@ -93,10 +93,10 @@ class CollectedRun:
     def to_summary(self) -> "RunSummary":
         """Shrink to the picklable hand-off form (drops the machine).
 
-        Also drops the observability artifact and strips an
-        :class:`~repro.obs.session.ObservedStatsCollector` back to the
-        plain base class, so the bytes the persistent run cache stores
-        are identical whether or not the run was observed.
+        Also drops the observability artifact and strips the observed
+        collector (:class:`repro.obs.session.ObservedStatsCollector`)
+        back to the plain base class, so the bytes the persistent run
+        cache stores are identical whether or not the run was observed.
         """
         return RunSummary(
             goal=self.goal,
@@ -195,17 +195,11 @@ def collect(program: str, goal: str, *,
             with_cache: bool = True,
             cache_config: CacheConfig | None = None,
             machine_config: MachineConfig | None = None,
-            stats_collector: StatsCollector | None = None,
             setup_goals: tuple[str, ...] = ()) -> CollectedRun:
     """Load ``program``, run ``goal``, return the collected data.
 
     ``setup_goals`` run before measurement starts (their traffic is
     excluded) — used by workloads that build input data first.
-
-    ``stats_collector`` substitutes an instrumented collector (e.g. the
-    sequence miner's recording subclass) for the plain one.  Such runs
-    are measurement-internal, so no observation session is opened for
-    them even when :func:`repro.obs.enabled` is on.
     """
     machine = PSIMachine(config=machine_config)
     machine.consult(program)
@@ -215,12 +209,8 @@ def collect(program: str, goal: str, *,
     # Fresh collectors so measurement excludes loading and setup.  The
     # enabled() flag is consulted exactly once per run: when off, the
     # machine gets the plain collector and no obs object exists.
-    session = None
-    if stats_collector is not None:
-        stats = stats_collector
-    else:
-        session = obs.begin_run(goal) if obs.enabled() else None
-        stats = session.collector if session is not None else StatsCollector()
+    session = obs.begin_run(goal) if obs.enabled() else None
+    stats = session.collector if session is not None else StatsCollector()
     machine.stats = stats
     machine.mem.stats = stats
     machine.wf.stats = stats
@@ -229,8 +219,7 @@ def collect(program: str, goal: str, *,
     # Deferred cache replay, for every run: the memory system's only
     # sink is the packed trace, and the cache is fed that trace after
     # the run.  An observed run's windowed hit ratios come from cuts in
-    # the same feed (the sampler is driven by the collector's billing
-    # path).
+    # the same feed (the collector's billing walk finds them).
     recorder = trace
     if recorder is None and cache is not None:
         recorder = TraceRecorder()
@@ -276,6 +265,11 @@ def collect(program: str, goal: str, *,
     answers = tuple(canonical_answer(s.bindings) for s in captured)
 
     machine.mem.record(None)
+    if session is not None:
+        machine.mem.observer = None
+        # Derive the clock-stamped views, the cache-window cuts among
+        # them, from the run's billing log.
+        stats.close()
     if cache is not None:
         # The collector already holds the per-(command, area) access
         # totals — billing and trace notification are paired at every
@@ -288,7 +282,6 @@ def collect(program: str, goal: str, *,
             cache.access_many_packed(recorder.data, totals=totals)
     observation = None
     if session is not None:
-        machine.mem.observer = None
         # Clause-selection counters live on the machine, not the
         # collector, so they flow into the metrics registry here.
         # Faithful runs contribute zeros (the counters never move

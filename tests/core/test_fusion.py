@@ -1,12 +1,13 @@
 """Unit guards for the superinstruction fusion layer.
 
-The contract (:mod:`repro.core.fusion`): billing a superinstruction —
-whether through the deferred ``emit_fused``/``emit_fused_dyn`` slot
-increments or through a collector subclass's ``replay`` override —
-leaves the collector in exactly the state the unfused per-op emission
-run would.  These tests check that per spec, across every module for
-dynamic specs, plus the table/identity invariants the machine's inline
-dispatch constants depend on.
+The contract (:mod:`repro.core.fusion`): billing a superinstruction
+through the billing log (``emit_fused``/``emit_fused_dyn``) leaves the
+collector in exactly the state the unfused per-op emission run of its
+``stream`` would.  These tests check that per spec, across every module
+for dynamic specs, plus the table/identity invariants the machine's
+inline dispatch constants depend on, and that an observed run on the
+fused path derives the same counts, trace and cache statistics as a
+plain fused run and an unfused one.
 """
 
 from __future__ import annotations
@@ -15,15 +16,25 @@ import pytest
 
 from repro.core import fusion, micro
 from repro.core.fusion import BY_SID, SUPERINSTRUCTIONS, Superinstruction
-from repro.core.micro import Module, N_MODULES
+from repro.core.micro import CacheCmd, Module, N_MODULES
 from repro.core.stats import StatsCollector
+
+
+def replay(si: Superinstruction, stats) -> None:
+    """The oracle: bill ``si``'s stream op by op, as the per-op code
+    does (``stats.module`` set to the spec's module for a static one)."""
+    for op in si.stream:
+        if len(op) == 2:
+            stats.emit(*op)
+        else:
+            stats.mem_access_n(*op)
 
 
 def reference_state(si: Superinstruction, module: Module):
     """Collector state after the unfused per-op run of ``si``."""
     stats = StatsCollector()
     stats.module = module
-    si.replay(stats)
+    replay(si, stats)
     return (stats.routine_counts, stats.mem_counts, stats.total_steps)
 
 
@@ -57,9 +68,9 @@ class TestDeltaReplayEquivalence:
 
     def test_n_steps_matches_registry(self, name):
         si = SUPERINSTRUCTIONS[name]
-        steps = sum(r.n_steps * t for r, t in si.emissions)
-        steps += sum(micro.MEM_STEPS[cmd.code] * t
-                     for cmd, _area, t in si.mem_ops)
+        steps = sum(op[0].n_steps * op[1] if len(op) == 2
+                    else micro.MEM_STEPS[op[0].code] * op[2]
+                    for op in si.stream)
         assert si.n_steps == steps
 
 
@@ -68,9 +79,10 @@ class TestRepeatedAndMixedBilling:
         si = SUPERINSTRUCTIONS["call_dispatch"]
         a = StatsCollector()
         b = StatsCollector()
+        b.module = si.module
         for _ in range(5):
             a.emit_fused(si)
-            si.replay(b)
+            replay(si, b)
         assert a.routine_counts == b.routine_counts
         assert a.mem_counts == b.mem_counts
         assert a.total_steps == b.total_steps == 5 * si.n_steps
@@ -84,7 +96,7 @@ class TestRepeatedAndMixedBilling:
             stats.module = Module.UNIFY
             stats.emit(micro.R_BIND)
         a.emit_fused_dyn(si)
-        si.replay(b)
+        replay(si, b)
         for stats in (a, b):
             stats.emit(micro.R_TRAIL_SKIP)
         assert a.routine_counts == b.routine_counts
@@ -99,23 +111,131 @@ class TestRepeatedAndMixedBilling:
         assert stats.routine_counts == stats.routine_counts
 
 
-class TestObservedReplay:
-    def test_observed_collector_replays_unfused(self):
-        """The observed collector routes fused bills through replay,
-        so its profile attribution sees the per-op stream."""
+#: perfbench ``observe`` programs, plus the small-window export case
+#: (many cuts inside block accesses and superinstructions).
+OBSERVED_CASES = {
+    **{name: (name, {}) for name in (
+        "nreverse", "qsort", "slow-reverse", "bup-1", "bup-2", "lcp-1",
+        "lcp-2", "lcp-3")},
+    "nreverse-small-window": ("nreverse", {"cache_window": 512,
+                                           "trace_capacity": 256}),
+}
+
+
+class TestObservedFusedPath:
+    """An observed run takes the fused path and derives its views from
+    the billing log; its counts, trace and cache statistics equal a
+    plain fused run's and an unfused one's."""
+
+    @staticmethod
+    def _collect(name, fused=True, **obs_overrides):
+        from repro import obs
+        from repro.core.machine import MachineConfig
+        from repro.tools.collect import collect
+        from repro.workloads import get
+
+        workload = get(name)
+
+        def run():
+            return collect(workload.source, workload.goal,
+                           all_solutions=workload.all_solutions,
+                           machine_config=MachineConfig(fused=fused),
+                           setup_goals=workload.setup_goals)
+
+        if obs_overrides.pop("observed", False):
+            with obs.observed(**obs_overrides):
+                return run()
+        return run()
+
+    @staticmethod
+    def _state(run):
+        return (run.stats.routine_counts, run.stats.mem_counts,
+                run.trace.data.tobytes(), vars(run.cache.stats))
+
+    @pytest.mark.parametrize("case", sorted(OBSERVED_CASES))
+    def test_matches_plain_and_unfused(self, case):
+        from repro import obs
+
+        name, overrides = OBSERVED_CASES[case]
+        try:
+            observed = self._collect(name, observed=True, **overrides)
+        finally:
+            obs.reset()
+        assert observed.machine._fused_on
+        assert observed.observation is not None
+        state = self._state(observed)
+        assert state == self._state(self._collect(name))
+        assert state == self._state(self._collect(name, fused=False))
+
+    def test_walks_during_the_run_change_no_export(self, monkeypatch):
+        """Deriving the views every few log entries (as a long run does
+        at its log bound) leaves every export byte-identical."""
+        import io
+
+        from repro import obs
+        from repro.obs import session
+
+        def exports():
+            try:
+                run = self._collect("nreverse", observed=True)
+            finally:
+                obs.reset()
+            texts = []
+            for write in (run.observation.write_jsonl,
+                          run.observation.write_collapsed):
+                buffer = io.StringIO()
+                write(buffer)
+                texts.append(buffer.getvalue())
+            return texts
+
+        whole = exports()
+        monkeypatch.setattr(session, "_LOG_LIMIT", 100)
+        assert exports() == whole
+
+    @staticmethod
+    def _observed(interval, window):
+        from repro.obs.metrics import MetricsRegistry
         from repro.obs.profile import MicroProfile
-        from repro.obs.session import ObservedStatsCollector
+        from repro.obs.session import (CacheWindowSampler,
+                                       ObservedStatsCollector)
         from repro.obs.trace import Tracer
 
+        tracer = Tracer()
+        stats = ObservedStatsCollector(tracer, MicroProfile(),
+                                       micro_sample_interval=interval)
+        sampler = CacheWindowSampler(
+            [], tracer, MetricsRegistry().histogram("h"), window=window)
+        stats.attach_cache_sampler(sampler)
+        return stats, sampler
+
+    def test_samples_inside_a_superinstruction(self):
+        """A ``micro`` span and a cache cut landing inside a fused
+        ``call_dispatch`` stamp the same op and clock as its per-op
+        stream billed through the observed collector."""
         si = SUPERINSTRUCTIONS["call_dispatch"]
-        observed = ObservedStatsCollector(Tracer(), MicroProfile())
-        observed.module = si.module
-        observed.emit_fused(si)
-        reference = StatsCollector()
-        reference.module = si.module
-        si.replay(reference)
-        assert observed.routine_counts == reference.routine_counts
-        assert observed.mem_counts == reference.mem_counts
+        fused, fused_sampler = self._observed(interval=3, window=3)
+        per_op, per_op_sampler = self._observed(interval=3, window=3)
+        for stats in (fused, per_op):
+            stats.module = si.module
+            stats.predicate = "p/0"
+        for _ in range(2):
+            fused.emit_fused(si)
+            replay(si, per_op)
+        for stats in (fused, per_op):
+            stats.close()
+        spans = [(e.name, e.ts, e.dur) for e in fused.tracer.events("micro")]
+        assert spans == [(e.name, e.ts, e.dur)
+                         for e in per_op.tracer.events("micro")]
+        # Every 3rd emission: inside each superinstruction.
+        assert [name for name, _ts, _dur in spans] == [
+            micro.R_BUILTIN_STEP.name, micro.R_CALL_SETUP.name]
+        # The 3rd access is the first one of the second superinstruction.
+        assert fused_sampler.cuts == per_op_sampler.cuts == [
+            (2, si.n_steps + micro.MEM_STEPS[CacheCmd.READ.code]
+             + micro.R_GOAL_FETCH.n_steps)]
+        assert fused.routine_counts == per_op.routine_counts
+        assert fused.mem_counts == per_op.mem_counts
+        assert fused.now == per_op.now == 2 * si.n_steps
 
 
 class TestTableInvariants:
@@ -130,6 +250,15 @@ class TestTableInvariants:
             for midx in range(N_MODULES):
                 slots.add(si.sid6 + midx)
         assert len(slots) == fusion.slot_space()
+
+    def test_codes_fit_the_byte_log(self):
+        """The plain collector logs each code as one byte."""
+        assert fusion.slot_space() <= 256
+        stats = StatsCollector()
+        for si in BY_SID:
+            stats.module = si.module or Module.UNIFY
+            (stats.emit_fused if si.module else stats.emit_fused_dyn)(si)
+        assert len(stats._log) == len(BY_SID)
 
     def test_base_deltas_are_module_relative(self):
         for si in BY_SID:

@@ -123,6 +123,21 @@ u(O) :- ones(1200, A), ones(1199, B), A \\== B, compare(O, A, B).
                 engine.solve(goal)
 
 
+    def test_cyclic_terms_unify(self, engine):
+        assert engine.solve("X = f(X), Y = f(Y), X = Y, fail") == ()
+        assert engine.solve("X = [a|X], Y = [a|Y], X = Y, fail") == ()
+        assert engine.solve("X = f(X, a), Y = f(Y, b), X = Y") == ()
+
+    def test_deep_answer_prints(self, engine):
+        engine.load("mk(0, z).\nmk(N, f(T)) :- N > 0, M is N - 1, mk(M, T).")
+        (((name, text),),) = engine.solve("mk(900, T)")
+        assert (name, text) == ("T", "f(" * 900 + "z" + ")" * 900)
+
+    def test_long_list_query(self, engine):
+        ones = "[" + ",".join(["1"] * 1000) + "]"
+        assert engine.solve(f"X = {ones}") == ((("X", ones),),)
+
+
 class TestStatsFacade:
     def test_facade_shape(self, engine):
         engine.load(PROGRAM)
