@@ -14,7 +14,6 @@ Usage::
     psi-eval cache info              # persistent run cache statistics
     psi-eval cache clear             # purge .psi-cache/
     psi-eval all --no-disk-cache     # bypass the persistent run cache
-    psi-eval table2 --obs            # print aggregate obs metrics after
     psi-eval fidelity                # paper-drift score, all tables
     psi-eval fidelity table2 figure1 --json
     psi-eval fidelity --max-drift 30 # exit 1 when overall drift exceeds 30
@@ -162,7 +161,7 @@ def _profile_workload(args) -> str:
 
     _validate_workloads(args.programs, "profile")
     spec = default_spec()
-    out_dir = pathlib.Path(args.out)
+    out_dir = pathlib.Path(args.out or "psi-obs")
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = []
     for name in args.programs:
@@ -358,7 +357,8 @@ def _debug_workload(args):
 
     * default — writes the self-contained HTML explorer (scrubber,
       per-area heatmaps, cache and choicepoint timelines) to ``--out``
-      (default ``psi-debug-<name>.html``);
+      (default ``psi-debug-<name>.html``; into it when ``--out`` is a
+      directory);
     * ``--step N`` — prints the reconstructed machine state at
       microstep N as text instead (no file written);
     * ``--spec NAME`` — replays the workload under another PSI run
@@ -395,15 +395,14 @@ def _debug_workload(args):
                          "the baseline engine, which records no memory "
                          "trace to explore")
     generated = time.strftime("%Y-%m-%dT%H:%M:%S")
-    # --out doubles as the profile artifact directory ("psi-obs", the
-    # parser default); for debug an untouched default means per-name
-    # output files in the working directory.
-    default_out = args.out == "psi-obs"
 
     def out_path(kind: str, name: str) -> pathlib.Path:
-        if default_out:
-            return pathlib.Path(f"psi-{kind}-{name}.html")
+        default = pathlib.Path(f"psi-{kind}-{name}.html")
+        if args.out is None:
+            return default
         path = pathlib.Path(args.out)
+        if path.is_dir():
+            return path / default
         if len(args.programs) == 1:
             return path
         return path.with_name(f"{path.stem}-{name}{path.suffix or '.html'}")
@@ -548,14 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run workloads on N processes (default: serial)")
     parser.add_argument("--no-disk-cache", action="store_true",
                         help="bypass the persistent .psi-cache run cache")
-    parser.add_argument("--obs", action="store_true",
-                        help="collect observability metrics during the run "
-                             "and print the aggregate registry afterwards")
-    parser.add_argument("--out", default="psi-obs", metavar="PATH",
+    parser.add_argument("--out", default=None, metavar="PATH",
                         help="output directory for 'profile' artifacts "
-                             "(default: psi-obs/) or output file for the "
-                             "'debug' HTML explorer (default: "
-                             "psi-debug-<name>.html)")
+                             "(default: psi-obs/) or output file (or "
+                             "directory) for the 'debug' HTML explorer "
+                             "(default: psi-debug-<name>.html)")
     parser.add_argument("--top", type=int, default=10, metavar="N",
                         help="rows in the 'profile' top-predicates table")
     parser.add_argument("--json", action="store_true",
@@ -636,9 +632,6 @@ def main(argv: list[str] | None = None) -> int:
             specs.set_default_spec(args.spec)
         except ValueError as exc:
             raise SystemExit(f"psi-eval: {exc}")
-    if args.obs:
-        from repro import obs
-        obs.enable()
 
     if args.target == "all":
         targets = [t for t in _TARGETS if t not in _NON_ALL]
@@ -667,11 +660,6 @@ def main(argv: list[str] | None = None) -> int:
             result, code = result
             status = max(status, code)
         print(result)
-        print()
-
-    if args.obs:
-        print("== observability metrics ==")
-        print(obs.global_metrics().render())
         print()
     return status
 

@@ -48,6 +48,3 @@ def _is_numeric(cell: str) -> bool:
     stripped = cell.lstrip("-")
     return bool(stripped) and all(c.isdigit() or c == "." for c in stripped)
 
-
-def fmt_ms(value_ms: float) -> str:
-    return f"{value_ms:.2f}" if value_ms < 100 else f"{value_ms:.0f}"

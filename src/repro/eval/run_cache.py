@@ -274,30 +274,26 @@ class RunCache:
             finally:
                 fcntl.flock(fp, fcntl.LOCK_UN)
 
-    def load_or_compute(self, key: str, compute, usable=None, *,
-                        label: str = "", trace: bool = True):
+    def load_or_compute(self, key: str, compute, *, label: str = "",
+                        trace: bool = True):
         """Return ``(summary, outcome)``, computing and storing on miss.
 
-        ``outcome`` is ``"hit"`` (entry served without contention),
-        ``"wait_hit"`` (another process stored the entry while we held
-        or waited for the key lock), or ``"computed"`` (``compute()``
-        ran here and its summary was stored).  ``usable`` optionally
-        narrows what counts as a hit — e.g. "only entries that carry a
-        trace" — a non-``usable`` entry is treated as a miss and
-        overwritten by the recompute.  ``trace`` is passed to
-        :meth:`load`; a computed summary is stored (and returned) whole.
+        Callers look the entry up with :meth:`load` first; this is the
+        miss path.  Under the key lock it loads again — ``outcome`` is
+        ``"wait_hit"`` when another process stored the entry while we
+        waited for (or held) the lock — and otherwise runs
+        ``compute()``, stores its summary and returns it whole with
+        ``outcome`` ``"computed"``.  ``trace`` is passed to
+        :meth:`load`.
 
         The lock is held across ``compute()``, which is what makes the
         miss path exactly-once under concurrency: the first process in
         computes, everyone queued behind it re-checks the store and
         loads instead of recomputing.
         """
-        summary = self.load(key, trace)
-        if summary is not None and (usable is None or usable(summary)):
-            return summary, "hit"
         with self.lock(key):
             summary = self.load(key, trace)
-            if summary is not None and (usable is None or usable(summary)):
+            if summary is not None:
                 return summary, "wait_hit"
             summary = compute()
             self.store(key, summary, label=label)

@@ -32,9 +32,13 @@ stored entry's trace section) only for configurations the stored
 result does not answer.
 
 ``clear_cache`` exists for tests that need isolation.  ``CACHE_EVENTS``
-counts hits/misses/upgrades so callers (and tests) can observe what the
+counts hits and misses so callers (and tests) can observe what the
 tiers actually did — each event is counted both bare (``disk_hit``) and
 per spec (``disk_hit:indexed``).
+
+Observability is not a mode of this module: a run executed inside
+:func:`repro.obs.observed` carries its own observation, and ``psi-eval
+profile`` observes one fresh run per workload.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ import logging
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
-from repro import obs
 from repro.baseline import BaselineRun, BaselineStats, WAMMachine
 from repro.engine.answers import canonical_answer, check_expected
 from repro.eval.run_cache import RunCache, run_key
@@ -62,18 +65,15 @@ _MEMO: dict[str, dict] = {}
 
 _DISK_CACHE_ENABLED = True
 
-#: Observable cache behaviour: "disk_hit", "disk_miss", "trace_upgrade",
-#: "memory_hit"; every "disk_miss" is also classified as "disk_compute"
-#: (this process executed the workload inside the key lock) or
-#: "disk_wait_hit" (another process stored the entry while this one
-#: held or waited for the lock).  "trace_upgrade" counts only real
-#: re-executions: a trace-free run of the key was already held (in
-#: memory or on disk) but the caller needs the trace and no stored
-#: trace could serve it.  A trace-free memo entry whose disk entry
-#: carries the trace is served from disk as a plain "disk_hit".  Each
-#: event increments both its bare key and a ``<event>:<spec>`` key, so
-#: per-spec behaviour is observable without changing existing
-#: consumers.  Reset by :func:`clear_cache`.
+#: Observable cache behaviour: "memory_hit", "disk_hit", "disk_miss";
+#: every "disk_miss" is also classified as "disk_compute" (this process
+#: executed the workload inside the key lock) or "disk_wait_hit"
+#: (another process stored the entry while this one held or waited for
+#: the lock).  A trace-free memo entry whose caller needs the trace is
+#: served from the disk entry's trace section as a plain "disk_hit".
+#: Each event increments both its bare key and a ``<event>:<spec>``
+#: key, so per-spec behaviour is observable.  Reset by
+#: :func:`clear_cache`.
 CACHE_EVENTS: Counter = Counter()
 
 
@@ -92,30 +92,14 @@ def _event(event: str, spec: RunSpec) -> None:
     CACHE_EVENTS[f"{event}:{spec.name}"] += 1
 
 
-def _spec_all_solutions(workload: Workload, spec: RunSpec) -> bool:
-    return (workload.all_solutions if spec.all_solutions is None
-            else spec.all_solutions)
-
-
-def _machine(spec: RunSpec, record_trace: bool):
-    """``(execute, record_trace)`` for ``spec``: the one place the
-    engine is consulted.  The WAM records no trace, so a baseline run
-    serves every caller and never enters a trace upgrade."""
-    if spec.engine == "baseline":
-        return _run_wam, False
-    return _run_psi, record_trace
-
-
-def _run_psi(workload: Workload, spec: RunSpec,
-             record_trace: bool) -> CollectedRun:
-    # Always record the trace (unless the spec opts out): the deferred
-    # cache replay needs it anyway, and the stored run then serves every
-    # later ``record_trace=True`` caller without a trace upgrade.
-    # Configs are copied so a live machine never aliases (and corrupts)
-    # the registry's mutable config instances.
+def _run_psi(workload: Workload, spec: RunSpec) -> CollectedRun:
+    # Always record the trace: the deferred cache replay needs it
+    # anyway, and the stored run then serves every later
+    # ``record_trace=True`` caller.  Configs are copied so a live
+    # machine never aliases (and corrupts) the registry's mutable
+    # config instances.
     run = collect(workload.source, workload.goal,
-                  all_solutions=_spec_all_solutions(workload, spec),
-                  record_trace=spec.record_trace or record_trace,
+                  all_solutions=workload.all_solutions,
                   with_cache=spec.with_cache,
                   cache_config=dataclasses.replace(spec.cache_config),
                   machine_config=dataclasses.replace(spec.machine_config),
@@ -126,8 +110,7 @@ def _run_psi(workload: Workload, spec: RunSpec,
     return run
 
 
-def _run_wam(workload: Workload, spec: RunSpec,
-             record_trace: bool) -> BaselineRun:
+def _run_wam(workload: Workload, spec: RunSpec) -> BaselineRun:
     if workload.psi_only:
         raise ValueError(f"workload {workload.name} uses KL0-only builtins")
     machine = WAMMachine()
@@ -138,14 +121,49 @@ def _run_wam(workload: Workload, spec: RunSpec,
     # Fresh stats so measurement excludes setup, mirroring collect().
     machine.stats = BaselineStats()
     solver = machine.solve(workload.goal)
-    all_solutions = _spec_all_solutions(workload, spec)
-    solutions = solver.all() if all_solutions else solver.all(1)
+    solutions = solver.all() if workload.all_solutions else solver.all(1)
     if not solutions:
         raise RuntimeError(f"workload {workload.name} failed on the baseline")
     return BaselineRun(stats=machine.stats,
                        answers=tuple(canonical_answer(s.bindings)
                                      for s in solutions),
                        counters=dict(machine.counters))
+
+
+def _wants_trace(spec: RunSpec, record_trace: bool) -> bool:
+    """Does this caller need the run's trace?  The WAM records none, so
+    a baseline run serves every caller."""
+    return record_trace and spec.engine != "baseline"
+
+
+def _key(workload: Workload, spec: RunSpec) -> str:
+    return run_key(source=workload.source, goal=workload.goal,
+                   setup_goals=workload.setup_goals,
+                   all_solutions=workload.all_solutions,
+                   spec_fingerprint=spec.fingerprint)
+
+
+def _cached(name: str, spec: RunSpec, record_trace: bool):
+    """The run a cache tier holds for ``name``, or ``None``.
+
+    The memo first; then, with the disk tier on, the stored entry (its
+    trace section read only when ``record_trace`` is true), checked
+    against the workload's ``expected`` results and memoised.
+    """
+    memo = _memo(spec)
+    run = memo.get(name)
+    if run is not None and (not record_trace or run.trace is not None):
+        _event("memory_hit", spec)
+        return run
+    if not _DISK_CACHE_ENABLED:
+        return None
+    workload = get(name)
+    summary = RunCache().load(_key(workload, spec), trace=record_trace)
+    if summary is None:
+        return None
+    _event("disk_hit", spec)
+    memo[name] = run = _checked(workload, spec, summary.to_collected_run())
+    return run
 
 
 def run_spec(name: str, spec: RunSpec | str | None = None,
@@ -169,115 +187,68 @@ def run_spec(name: str, spec: RunSpec | str | None = None,
       a spec's configuration silently invalidates only the affected
       entries.  The cache directory is ``.psi-cache/`` or
       ``$PSI_CACHE_DIR``.
-    * The trace is always recorded on a real PSI execution (unless the
-      spec opts out), so the stored entry satisfies later
-      ``record_trace=True`` callers without a second run.
+    * Every PSI execution records the trace, so every stored PSI entry
+      carries a trace section.
     * Disk loads read the entry's trace section only when
       ``record_trace`` is true; ``record_trace=False`` callers get a
       trace-free run and never touch the trace bytes.  A later
       ``record_trace=True`` call for the same run loads the trace
-      section from disk (a ``disk_hit``).
-    * *Trace upgrade*: only when no stored trace can serve a
-      ``record_trace=True`` caller that already holds a trace-free run
-      of the key (disk tier off, or an entry stored without a trace)
-      does the workload execute again — counted in
-      ``CACHE_EVENTS["trace_upgrade"]`` and logged, since it is
-      otherwise silent double work.
+      section from disk (a ``disk_hit``); with the disk tier off it
+      executes the workload again.
     * Every run, fresh or loaded, is checked against the workload's
       declared ``expected`` results.
 
-    Observability (:mod:`repro.obs`) is orthogonal: cached runs carry
-    no observation (obs artifacts are derived data and never stored);
-    a fresh execution with obs enabled attaches one to a PSI run,
-    merges its metrics into the process-global registry, and bumps the
-    spec-labelled counter ``psi.run.spec.<name>``.
+    A fresh PSI execution inside :func:`repro.obs.observed` carries an
+    observation; a run served from a cache tier carries none.
     """
     spec = get_spec(spec)
-    machine, record_trace = _machine(spec, record_trace)
-    memo = _memo(spec)
-    cached = memo.get(name)
-    if cached is not None and (not record_trace or cached.trace is not None):
-        _event("memory_hit", spec)
-        return cached
-    # A trace-free run of this key is already held; executing again is
-    # double work, made visible in execute().
-    untraced = cached is not None
+    record_trace = _wants_trace(spec, record_trace)
+    run = _cached(name, spec, record_trace)
+    return run if run is not None else _execute(name, spec, record_trace)
+
+
+def _execute(name: str, spec: RunSpec, record_trace: bool):
+    """Execute a run no cache tier holds, storing and memoising it."""
     workload = get(name)
-
-    def execute():
-        if untraced:
-            _event("trace_upgrade", spec)
-            logger.warning(
-                "run_spec(%r, %r): cached run has no trace; re-running to "
-                "record one (keep the disk cache enabled and the spec's "
-                "record_trace on to avoid the double execution)",
-                name, spec.name)
-        run = machine(workload, spec, record_trace)
-        _check_expected(workload, spec, run)
-        if obs.enabled():
-            obs.global_metrics().counter(f"psi.run.spec.{spec.name}").inc()
-        return run
-
-    if not _DISK_CACHE_ENABLED:
-        memo[name] = run = execute()
-        return run
-
-    # Disk tier, behind the per-key file lock: when several processes
-    # (serve workers, ``run_many`` workers, parallel CLI invocations)
-    # miss the same key at once, exactly one computes inside the lock
-    # and the rest load its stored entry ("wait_hit").
-    computed = []
+    execute = _run_wam if spec.engine == "baseline" else _run_psi
 
     def compute():
-        run = execute()
-        computed.append(run)
-        return run.to_summary()
+        return _checked(workload, spec, execute(workload, spec))
 
-    def usable(summary) -> bool:
-        nonlocal untraced
-        if record_trace and summary.trace_bytes is None:
-            untraced = True         # stored without a trace
-            return False
-        return True
-
-    key = run_key(source=workload.source, goal=workload.goal,
-                  setup_goals=workload.setup_goals,
-                  all_solutions=_spec_all_solutions(workload, spec),
-                  spec_fingerprint=spec.fingerprint)
-    summary, outcome = RunCache().load_or_compute(
-        key, compute, usable=usable, label=spec.name, trace=record_trace)
-    if outcome == "hit":
-        _event("disk_hit", spec)
+    if not _DISK_CACHE_ENABLED:
+        run = compute()
     else:
+        # Behind the per-key file lock: when several processes (serve
+        # workers, ``run_many`` workers, parallel CLI invocations) miss
+        # the same key at once, exactly one computes and the rest load
+        # its stored entry ("wait_hit").
+        computed = []
+
+        def store():
+            computed.append(compute())
+            return computed[0].to_summary()
+
+        summary, _ = RunCache().load_or_compute(
+            _key(workload, spec), store, label=spec.name,
+            trace=record_trace)
         _event("disk_miss", spec)
-        _event("disk_wait_hit" if outcome == "wait_hit"
-               else "disk_compute", spec)
-    if computed:
-        run = computed[0]       # the live run (keeps the machine handle)
-    else:
-        run = summary.to_collected_run()
-        _check_expected(workload, spec, run)
-    memo[name] = run
+        _event("disk_compute" if computed else "disk_wait_hit", spec)
+        # The live run keeps the machine handle.
+        run = (computed[0] if computed
+               else _checked(workload, spec, summary.to_collected_run()))
+    _memo(spec)[name] = run
     return run
 
 
 def _collect_summary(name: str, record_trace: bool, disk_cache: bool,
-                     obs_config, spec: RunSpec):
+                     spec: RunSpec):
     """Worker-process entry point: run one workload, return its summary.
 
-    ``obs_config`` is the parent's :class:`~repro.obs.ObsConfig` when
-    observability is enabled there, and ``spec`` the parent's resolved
-    :class:`RunSpec` (shipped as a value).  With obs on, the worker also
-    returns what this task added to its process-global metrics — the
-    one obs artifact that crosses the process boundary.
+    ``spec`` is the parent's resolved :class:`RunSpec`, shipped as a
+    value.
     """
     set_disk_cache(disk_cache)
-    if obs_config is not None:
-        obs.global_metrics().clear()
-        obs.enable(obs_config)
-    run = run_spec(name, spec, record_trace=record_trace)
-    metrics = obs.global_metrics().snapshot() if obs_config else None
-    return name, run.to_summary(), metrics
+    return run_spec(name, spec, record_trace=record_trace).to_summary()
 
 
 def run_many(names, jobs: int | None = None, record_trace: bool = True,
@@ -292,64 +263,42 @@ def run_many(names, jobs: int | None = None, record_trace: bool = True,
 
     Execution order never affects results — every workload runs on a
     fresh machine — so the parallel path renders byte-identical tables
-    and figures to the serial one.  That extends to observability:
-    workers ship their metrics back with their summaries and the parent
-    merges them, so the process-global metrics equal a serial run's
-    (merging is commutative; runs served from a cache tier contribute
-    no metrics on either path).
+    and figures to the serial one.
     """
     spec = get_spec(spec)
-    _, record_trace = _machine(spec, record_trace)
-    ordered = list(dict.fromkeys(names))
-    memo = _memo(spec)
-    pending = []
-    for name in ordered:
-        cached = memo.get(name)
-        if cached is not None and (not record_trace or cached.trace is not None):
-            continue
-        if _DISK_CACHE_ENABLED:
-            workload = get(name)
-            key = run_key(source=workload.source, goal=workload.goal,
-                          setup_goals=workload.setup_goals,
-                          all_solutions=_spec_all_solutions(workload, spec),
-                          spec_fingerprint=spec.fingerprint)
-            summary = RunCache().load(key, trace=record_trace)
-            if summary is not None and (not record_trace
-                                        or summary.trace_bytes is not None):
-                _event("disk_hit", spec)
-                run = summary.to_collected_run()
-                _check_expected(workload, spec, run)
-                memo[name] = run
-                continue
-        pending.append(name)
-
-    if pending and jobs and jobs > 1 and len(pending) > 1:
+    record_trace = _wants_trace(spec, record_trace)
+    runs = {name: _cached(name, spec, record_trace)
+            for name in dict.fromkeys(names)}
+    pending = [name for name, run in runs.items() if run is None]
+    if jobs and jobs > 1 and len(pending) > 1:
         logger.info("run_many: executing %d workload(s) on %d processes "
                     "(spec %s)", len(pending), jobs, spec.name)
-        obs_config = obs.config() if obs.enabled() else None
+        memo = _memo(spec)
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = [pool.submit(_collect_summary, name, record_trace,
-                                   _DISK_CACHE_ENABLED, obs_config, spec)
-                       for name in pending]
-            for future in futures:
-                name, summary, metrics = future.result()
-                if metrics:
-                    obs.merge_snapshot(metrics)
+            futures = {name: pool.submit(_collect_summary, name,
+                                         record_trace, _DISK_CACHE_ENABLED,
+                                         spec)
+                       for name in pending}
+            for name, future in futures.items():
                 # Workers store their own disk entries; the parent only
                 # needs the in-process tier.
-                memo[name] = summary.to_collected_run()
-    return {name: run_spec(name, spec, record_trace=record_trace)
-            for name in ordered}
+                memo[name] = runs[name] = future.result().to_collected_run()
+    else:
+        for name in pending:
+            runs[name] = _execute(name, spec, record_trace)
+    return runs
 
 
-def _check_expected(workload: Workload, spec: RunSpec, run) -> None:
-    """Raise if a workload's declared ``expected`` results don't hold."""
+def _checked(workload: Workload, spec: RunSpec, run):
+    """``run``, after raising if the workload's declared ``expected``
+    results don't hold."""
     problems = check_expected(workload.expected, answers=run.answers,
                               counters=run.counters)
     if problems:
         raise RuntimeError(
             f"workload {workload.name} produced wrong results on the "
             f"{spec.name} engine: " + "; ".join(problems))
+    return run
 
 
 def cache_stats(name: str, configs,

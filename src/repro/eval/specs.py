@@ -37,7 +37,7 @@ pool starts are visible inside workers too.
 
 The **fingerprint** is a content hash over everything that determines a
 run's results (engine, machine configuration, cache configuration,
-solution/trace options) — deliberately *excluding* the name, so two
+cache replay option) — deliberately *excluding* the name, so two
 specs with one configuration share cache entries, while any semantic
 difference separates them.
 """
@@ -76,13 +76,6 @@ class RunSpec:
     #: Replay the run's packed trace through the production cache after
     #: the run (modelled time needs its stats).
     with_cache: bool = True
-    #: Override the workload's own solution mode (``None`` = respect
-    #: each workload's ``all_solutions`` declaration).
-    all_solutions: bool | None = None
-    #: Record the packed memory trace on every real execution, so the
-    #: stored disk entry satisfies later ``record_trace=True`` callers
-    #: without a second run.
-    record_trace: bool = True
     description: str = ""
 
     @property
@@ -97,8 +90,7 @@ class RunSpec:
         """
         digest = hashlib.sha256()
         for part in (self.engine, repr(self.machine_config),
-                     repr(self.cache_config), repr(self.with_cache),
-                     repr(self.all_solutions), repr(self.record_trace)):
+                     repr(self.cache_config), repr(self.with_cache)):
             digest.update(part.encode())
             digest.update(b"\x00")
         return digest.hexdigest()[:16]

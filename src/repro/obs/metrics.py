@@ -2,22 +2,19 @@
 
 Where the tracer (:mod:`repro.obs.trace`) answers "*when* did things
 happen inside a run", the metrics registry answers "*how much* of each
-thing happened" — in a form that is cheap to record, trivially
-picklable, and **mergeable**: per-run snapshots from ``run_many``
-worker processes fold into the parent's registry with plain addition,
-so a parallel evaluation reports exactly the same aggregate metrics as
-a serial one (under test in ``tests/obs/test_metrics.py``).
+thing happened" — in a form that is cheap to record and trivially
+picklable.  Each observed run snapshots its own registry into its
+:class:`~repro.obs.session.RunObservation`; the evaluation service
+keeps a second, server-local one for its wall-clock latencies.
 
-Everything recorded here is deterministic — counts, microsteps,
+Everything a run records here is deterministic — counts, microsteps,
 ratios derived from them — never wall-clock time, so snapshots compare
-equal across runs and across process topologies.
+equal across runs.
 
 Instruments:
 
 * :class:`Counter` — monotonically increasing total (``inc``);
 * :class:`Gauge` — last-written value plus min/max envelope (``set``);
-  merging keeps the envelope and sums the last values, which makes a
-  merged gauge read as "aggregate over runs" (e.g. total microsteps);
 * :class:`Histogram` — fixed-boundary bucket counts plus sum/count
   (``observe``), the instrument behind "cache hit ratio over time
   windows".
@@ -28,8 +25,6 @@ documented in ``docs/OBSERVABILITY.md``.
 
 from __future__ import annotations
 
-import json
-import pathlib
 from bisect import bisect_left
 
 
@@ -49,17 +44,9 @@ class Counter:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "value": self.value}
 
-    def merge_dict(self, data: dict) -> None:
-        self.value += data["value"]
-
 
 class Gauge:
-    """A point-in-time value with a min/max envelope.
-
-    ``merge_dict`` *sums* values and widens the envelope: a merged
-    gauge over N runs reads as the aggregate (its envelope still shows
-    the per-run extremes).
-    """
+    """A point-in-time value with a min/max envelope."""
 
     __slots__ = ("name", "value", "min", "max")
     kind = "gauge"
@@ -78,9 +65,6 @@ class Gauge:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "value": self.value,
                 "min": self.min, "max": self.max}
-
-    def merge_dict(self, data: dict) -> None:
-        self.value += data["value"]
         for bound, pick in (("min", min), ("max", max)):
             incoming = data.get(bound)
             if incoming is None:
@@ -179,21 +163,9 @@ class Histogram:
                 "buckets": list(self.buckets),
                 "sum": self.sum, "count": self.count}
 
-    def merge_dict(self, data: dict) -> None:
-        if list(data["boundaries"]) != list(self.boundaries):
-            raise ValueError(
-                f"histogram {self.name!r}: boundary mismatch on merge")
-        for i, n in enumerate(data["buckets"]):
-            self.buckets[i] += n
-        self.sum += data["sum"]
-        self.count += data["count"]
-
-
-_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
-
 
 class MetricsRegistry:
-    """A named collection of instruments with snapshot/merge semantics."""
+    """A named collection of instruments with plain-data snapshots."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, object] = {}
@@ -226,9 +198,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
     def get(self, name: str):
         return self._metrics.get(name)
 
@@ -236,63 +205,9 @@ class MetricsRegistry:
         """Shortcut: the scalar value of a counter/gauge."""
         return self._metrics[name].value
 
-    # -- snapshot / merge ------------------------------------------------------
+    # -- snapshot -------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """A plain-data (picklable, JSON-able) copy of every metric."""
         return {name: metric.to_dict()
                 for name, metric in sorted(self._metrics.items())}
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` into this registry (addition).
-
-        Unknown metrics are created with the snapshot's kind, so a
-        fresh parent registry absorbs worker snapshots verbatim.
-        """
-        for name, data in snapshot.items():
-            metric = self._metrics.get(name)
-            if metric is None:
-                cls = _KINDS[data["kind"]]
-                kwargs = ({"boundaries": tuple(data["boundaries"])}
-                          if cls is Histogram else {})
-                metric = self._metrics[name] = cls(name, **kwargs)
-            elif type(metric).kind != data["kind"]:
-                raise TypeError(f"metric {name!r}: kind mismatch on merge "
-                                f"({type(metric).kind} vs {data['kind']})")
-            metric.merge_dict(data)
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge(snapshot)
-        return registry
-
-    def save(self, path) -> None:
-        """Persist the snapshot as JSON (for ``psi-eval diff``)."""
-        pathlib.Path(path).write_text(json.dumps(
-            {"kind": "metrics", "schema": 1, "metrics": self.snapshot()},
-            indent=2, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "MetricsRegistry":
-        data = json.loads(pathlib.Path(path).read_text())
-        return cls.from_snapshot(data["metrics"])
-
-    def clear(self) -> None:
-        self._metrics.clear()
-
-    def render(self) -> str:
-        """Human-readable dump, one metric per line."""
-        lines = []
-        for name in self.names():
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):
-                lines.append(f"{name}: n={metric.count} mean={metric.mean:.3f}")
-            elif isinstance(metric, Gauge):
-                lines.append(f"{name}: {metric.value:g} "
-                             f"[{metric.min:g}..{metric.max:g}]"
-                             if metric.min is not None
-                             else f"{name}: {metric.value:g}")
-            else:
-                lines.append(f"{name}: {metric.value}")
-        return "\n".join(lines)

@@ -29,8 +29,6 @@ Outputs:
 
 from __future__ import annotations
 
-import json
-import pathlib
 from collections import Counter as _Counter
 from typing import IO
 
@@ -96,16 +94,6 @@ class MicroProfile:
         for predicate, module_value, steps in data["samples"]:
             profile.samples[(predicate, Module(module_value))] += steps
         return profile
-
-    def save(self, path) -> None:
-        pathlib.Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "MicroProfile":
-        return cls.from_dict(json.loads(pathlib.Path(path).read_text()))
-
-    # -- export ----------------------------------------------------------------
 
     def collapsed_stacks(self, root: str | None = None) -> list[str]:
         """Collapsed-stack lines: ``[root;]predicate;module steps``.

@@ -35,9 +35,7 @@ The finished artifact is a :class:`RunObservation` — trace + profile +
 metrics snapshot — attached to the
 :class:`~repro.tools.collect.CollectedRun` but deliberately **not** to
 its :class:`~repro.tools.collect.RunSummary`: observability output is
-derived from execution and is never stored in the PR-1 disk cache
-(only the picklable metrics snapshot crosses the ``run_many`` worker
-boundary, to be merged into the parent's registry).
+derived from execution and is never stored in the disk cache.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ are matched by ``id``, see :mod:`repro.serve.protocol`), replay
 requests flow through the :class:`~repro.serve.batcher.ReplayBatcher`,
 and everything is measured into a server-local
 :class:`~repro.obs.metrics.MetricsRegistry` (wall-clock latencies —
-serving metrics are operational, unlike the deterministic run metrics,
-and are never merged into a run registry).
+serving metrics are operational, unlike the deterministic run
+metrics).
 
 Graceful drain: the ``drain`` op stops admission of new work, waits for
 every in-flight request to finish, answers the drainer with a summary,
@@ -287,8 +287,6 @@ class EvalServer:
                                    message.get("tables"))
 
     async def _op_metrics(self, message: dict) -> dict:
-        from repro import obs
-
         latency = self.metrics.get("serve.latency_ms")
         wait = self.metrics.get("serve.replay.wait_ms")
         return {
@@ -297,7 +295,6 @@ class EvalServer:
                            else {}),
             "replay_wait_ms": wait.quantiles() if wait is not None else {},
             "pool": self.pool.health(),
-            "process_obs": obs.global_metrics().snapshot(),
         }
 
     async def _op_health(self, message: dict) -> dict:

@@ -47,7 +47,7 @@ class CollectedRun:
     cache: CacheResult | None
     machine: PSIMachine | None
     #: Observability artifact (trace/profile/metrics) when the run was
-    #: collected with :func:`repro.obs.enabled` on; ``None`` otherwise.
+    #: collected inside :func:`repro.obs.observed`; ``None`` otherwise.
     #: Derived data — excluded from :meth:`to_summary` and therefore
     #: never pickled to workers or the persistent run cache.
     observation: RunObservation | None = field(default=None, compare=False)
@@ -289,7 +289,6 @@ def collect(program: str, goal: str, *,
         for key, value in machine.index_stats.items():
             session.metrics.counter(f"psi.index.{key}").inc(value)
         observation = session.finish(cache)
-        obs.record_run(observation)
     result = (CacheResult(cache.config, cache.stats)
               if cache is not None else None)
     return CollectedRun(goal, succeeded, solutions, stats, trace, result,

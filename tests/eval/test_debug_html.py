@@ -144,6 +144,31 @@ class TestCli:
         assert _audit(html).external == []
         assert "PSI time-travel explorer — nreverse" in html
 
+    def test_debug_out_psi_obs_is_honoured(self, tmp_path, monkeypatch,
+                                           capsys):
+        # "psi-obs" is the profile directory's fallback name, not a
+        # sentinel: debug writes exactly the path it is given.
+        monkeypatch.chdir(tmp_path)
+        assert main(["debug", "nreverse", "--out", "psi-obs"]) == 0
+        assert "wrote psi-obs " in capsys.readouterr().out
+        assert "PSI time-travel explorer" in (tmp_path / "psi-obs").read_text()
+        assert not (tmp_path / "psi-debug-nreverse.html").exists()
+
+    def test_debug_out_directory_gets_the_default_name(self, tmp_path,
+                                                       capsys):
+        # A directory --out (e.g. the one 'profile' wrote) holds the file.
+        assert main(["debug", "nreverse", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "psi-debug-nreverse.html"
+        assert f"wrote {out} " in capsys.readouterr().out
+        assert "PSI time-travel explorer" in out.read_text()
+
+    def test_debug_default_out_is_per_workload(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["debug", "nreverse"]) == 0
+        assert "wrote psi-debug-nreverse.html" in capsys.readouterr().out
+        assert (tmp_path / "psi-debug-nreverse.html").is_file()
+
     def test_debug_step_prints_state(self, capsys):
         assert main(["debug", "nreverse", "--step", "0"]) == 0
         text = capsys.readouterr().out

@@ -141,3 +141,10 @@ class TestCLI:
         from repro.eval import cli
         with pytest.raises(SystemExit):
             cli.main(["table99"])
+
+    def test_cli_has_no_obs_mode(self, capsys):
+        from repro.eval import cli
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table2", "--obs"])
+        assert exc.value.code == 2          # argparse's usage error
+        assert "unrecognized arguments: --obs" in capsys.readouterr().err

@@ -153,31 +153,27 @@ class TestDiskCache:
     def test_fresh_runs_always_record_no_upgrade_needed(self, fresh):
         """Real executions record the trace unconditionally, so a later
         ``record_trace=True`` caller is served from the memory tier
-        without the trace-upgrade double execution."""
+        without a second execution."""
         runner.set_disk_cache(False)
         first = runner.run_spec("lcp-1", "faithful", record_trace=False)
         assert first.trace is not None
         upgraded = runner.run_spec("lcp-1", "faithful", record_trace=True)
         assert upgraded is first
-        assert runner.CACHE_EVENTS["trace_upgrade"] == 0
         assert runner.CACHE_EVENTS["memory_hit"] == 1
 
-    def test_trace_upgrade_logged_for_stale_no_trace_entry(self, fresh,
-                                                           caplog):
-        """A memory-tier entry without a trace (e.g. rebuilt from an old
-        disk summary) still triggers the visible, counted re-run."""
-        import dataclasses
-
+    def test_trace_free_memo_entry_reruns_without_disk(self, fresh):
+        """With the disk tier off, a memory-tier entry without a trace
+        (e.g. loaded trace-free before the tier was switched off) cannot
+        serve a ``record_trace=True`` caller: the workload runs again
+        and the caller gets a traced run."""
         runner.set_disk_cache(False)
         first = runner.run_spec("lcp-1", "faithful")
         runner._memo(get_spec("faithful"))["lcp-1"] = dataclasses.replace(
             first, trace=None)
-        with caplog.at_level("WARNING", logger="repro.eval.runner"):
-            upgraded = runner.run_spec("lcp-1", "faithful", record_trace=True)
-        assert upgraded.trace is not None
-        assert runner.CACHE_EVENTS["trace_upgrade"] == 1
-        assert any("re-running to record one" in message
-                   for message in caplog.messages)
+        rerun = runner.run_spec("lcp-1", "faithful", record_trace=True)
+        assert rerun.trace is not None
+        assert rerun is not first
+        assert runner._memo(get_spec("faithful"))["lcp-1"] is rerun
 
     def test_disk_cache_stores_traced_variant(self, fresh):
         """A no-trace request still persists (and later serves) the trace."""
@@ -185,7 +181,6 @@ class TestDiskCache:
         runner.clear_cache()
         run = runner.run_spec("lcp-1", "faithful", record_trace=True)
         assert runner.CACHE_EVENTS["disk_hit"] == 1
-        assert runner.CACHE_EVENTS["trace_upgrade"] == 0
         assert run.trace is not None
 
     def test_summary_round_trip_preserves_renderable_stats(self, fresh):
@@ -238,11 +233,10 @@ class TestDiskCache:
         assert any("payload is not a RunSummary" in message
                    for message in caplog.messages)
 
-    def test_trace_free_memo_entry_served_trace_from_disk(self, fresh,
-                                                          caplog):
+    def test_trace_free_memo_entry_served_trace_from_disk(self, fresh):
         """table2 leaves trace-free runs in the memo; Figure 1 then
         replays one of them and gets its trace from the entry's trace
-        section — a disk hit, no re-execution, no upgrade warning."""
+        section — a disk hit, no re-execution."""
         def figure():
             return figure1.render(figure1.generate(
                 FIGURE1_WORKLOAD, capacities=FIGURE1_CAPACITIES))
@@ -250,14 +244,11 @@ class TestDiskCache:
         table2.generate(FAST_PROGRAMS)
         cold = figure()
         runner.clear_cache()
-        with caplog.at_level("WARNING", logger="repro.eval.runner"):
-            table2.generate(FAST_PROGRAMS)
-            warm = figure()
+        table2.generate(FAST_PROGRAMS)
+        warm = figure()
         assert FIGURE1_WORKLOAD in FAST_PROGRAMS.values()
         assert runner.CACHE_EVENTS["disk_compute"] == 0
-        assert runner.CACHE_EVENTS["trace_upgrade"] == 0
         assert runner.CACHE_EVENTS["disk_hit"] == len(FAST_PROGRAMS) + 1
-        assert not any("re-running" in message for message in caplog.messages)
         assert warm == cold
 
 
@@ -290,7 +281,6 @@ class TestTable5FromStoredCacheStats:
         direct = CacheConfig(capacity_words=8192, ways=1)
         rows = table5.generate(FAST_PROGRAMS, config=direct)
         assert runner.CACHE_EVENTS["disk_compute"] == 0
-        assert runner.CACHE_EVENTS["trace_upgrade"] == 0
         for row, name in zip(rows, FAST_PROGRAMS.values()):
             run = runner.run_spec(name, "faithful", record_trace=True)
             (stats,) = simulate_many(run.trace, [direct])
@@ -351,7 +341,7 @@ class TestBaselineDiskTier:
         first = runner.run_spec("lcp-1", "baseline", record_trace=True)
         assert runner.run_spec("lcp-1", "baseline", record_trace=True) \
             is first
-        assert runner.CACHE_EVENTS["trace_upgrade"] == 0
+        assert runner.CACHE_EVENTS["memory_hit"] == 1
 
     def test_run_many_parallel_matches_serial(self, fresh):
         parallel = runner.run_many(BASELINE_PROGRAMS, jobs=2, spec="baseline")

@@ -1,6 +1,6 @@
 """Rendering tests for the report formatter edge cases."""
 
-from repro.eval.report import _cell, _is_numeric, fmt_ms, format_table
+from repro.eval.report import _cell, _is_numeric, format_table
 
 
 class TestCellFormatting:
@@ -35,9 +35,6 @@ class TestCellFormatting:
         assert not _is_numeric("x1")
         assert not _is_numeric("")
 
-    def test_fmt_ms(self):
-        assert fmt_ms(12.345) == "12.35"
-        assert fmt_ms(1234.5) == "1234"
 
 
 class TestFormatTable:

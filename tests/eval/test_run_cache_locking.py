@@ -69,27 +69,13 @@ def test_n_processes_one_key_exactly_once(tmp_path):
         assert goal == "locked?"
         by_outcome.setdefault(outcome, 0)
         by_outcome[outcome] += 1
-    assert by_outcome.get("computed", 0) == 1
-    # The rest waited on the lock (or, if slow to start, hit directly).
-    assert (by_outcome.get("wait_hit", 0) + by_outcome.get("hit", 0)
-            == PROCESSES - 1)
+    # The rest waited on the lock, then loaded the stored entry.
+    assert by_outcome == {"computed": 1, "wait_hit": PROCESSES - 1}
 
     # Store integrity: one entry, no temp-file debris, loadable.
     assert len(list(root.glob("*.run"))) == 1
     assert list(root.glob("*.tmp*")) == []
     assert RunCache(root).load(KEY).goal == "locked?"
-
-
-def test_usable_narrowing_recomputes_under_lock(tmp_path):
-    cache = RunCache(tmp_path / "cache")
-    cache.store(KEY, _summary("no-trace"))
-    summary, outcome = cache.load_or_compute(
-        KEY, lambda: _summary("with-trace"),
-        usable=lambda s: s.goal == "with-trace")
-    assert outcome == "computed"
-    assert summary.goal == "with-trace"
-    # And the stored entry was upgraded in place.
-    assert cache.load(KEY).goal == "with-trace"
 
 
 def test_no_fcntl_fallback_recomputes_safely(tmp_path, monkeypatch):

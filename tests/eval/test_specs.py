@@ -90,8 +90,6 @@ class TestFingerprint:
             RunSpec(name="x", machine_config=MachineConfig(fused=False)),
             RunSpec(name="x", engine="baseline"),
             RunSpec(name="x", with_cache=False),
-            RunSpec(name="x", all_solutions=True),
-            RunSpec(name="x", record_trace=False),
         ):
             assert variant.fingerprint != base.fingerprint
 

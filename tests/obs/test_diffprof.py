@@ -29,12 +29,6 @@ class TestProfileSnapshotRoundTrip:
         assert rebuilt.samples == profile.samples
         assert rebuilt.total_steps == profile.total_steps
 
-    def test_save_load(self, tmp_path):
-        profile = _profile({("a/1", Module.UNIFY): 10})
-        path = tmp_path / "p.json"
-        profile.save(path)
-        assert MicroProfile.load(path).samples == profile.samples
-
 
 class TestDiff:
     def test_deltas_and_hotspot_classification(self):

@@ -1,4 +1,4 @@
-"""Metrics registry tests, including parallel-merge == serial equality."""
+"""Metrics registry tests, and which runs carry run metrics."""
 
 import pytest
 
@@ -25,10 +25,6 @@ class TestInstruments:
         c.inc()
         c.inc(4)
         assert c.value == 5
-        other = Counter("n")
-        other.inc(2)
-        c.merge_dict(other.to_dict())
-        assert c.value == 7
 
     def test_gauge_envelope(self):
         g = Gauge("x")
@@ -37,14 +33,6 @@ class TestInstruments:
         g.set(3.0)
         assert (g.value, g.min, g.max) == (3.0, 2.0, 5.0)
 
-    def test_gauge_merge_sums_and_widens(self):
-        a, b = Gauge("x"), Gauge("x")
-        a.set(3.0)
-        b.set(10.0)
-        b.set(7.0)
-        a.merge_dict(b.to_dict())
-        assert (a.value, a.min, a.max) == (10.0, 3.0, 10.0)
-
     def test_histogram_buckets_upper_inclusive(self):
         h = Histogram("h", boundaries=(10.0, 20.0))
         for value in (5.0, 10.0, 15.0, 20.0, 25.0):
@@ -52,12 +40,6 @@ class TestInstruments:
         assert h.buckets == [2, 2, 1]        # <=10, <=20, overflow
         assert h.count == 5
         assert h.mean == pytest.approx(15.0)
-
-    def test_histogram_merge_requires_same_boundaries(self):
-        a = Histogram("h", boundaries=(1.0,))
-        b = Histogram("h", boundaries=(2.0,))
-        with pytest.raises(ValueError):
-            a.merge_dict(b.to_dict())
 
 
 class TestHistogramPercentile:
@@ -106,30 +88,6 @@ class TestHistogramPercentile:
         assert quantiles == sorted(quantiles)
         assert quantiles[-1] <= 30.0
 
-    def test_merged_snapshot_percentiles_match_union(self):
-        # run_many folds worker snapshots into the parent registry; a
-        # percentile of the merged histogram must equal the percentile
-        # of one histogram fed every observation directly.
-        parts = ([12.0, 55.0, 81.0], [91.0, 97.0, 99.2], [50.0, 85.0])
-        workers = []
-        for values in parts:
-            h = Histogram("h")
-            for value in values:
-                h.observe(value)
-            workers.append(h)
-
-        merged = Histogram("h")
-        for worker in workers:
-            merged.merge_dict(worker.to_dict())
-        direct = Histogram("h")
-        for values in parts:
-            for value in values:
-                direct.observe(value)
-
-        assert merged.to_dict() == direct.to_dict()
-        for q in (0, 25, 50, 75, 90, 99, 100):
-            assert merged.percentile(q) == pytest.approx(direct.percentile(q))
-
     def test_quantiles_summary_shape(self):
         # The dict the serve 'metrics' endpoint returns for latencies.
         h = Histogram("h", boundaries=LATENCY_MS_BUCKETS)
@@ -164,22 +122,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             reg.gauge("a")
 
-    def test_snapshot_merge_round_trip(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        reg.gauge("g").set(1.5)
-        reg.histogram("h").observe(97.0)
-        snapshot = reg.snapshot()
-
-        rebuilt = MetricsRegistry.from_snapshot(snapshot)
-        assert rebuilt.snapshot() == snapshot
-
-        # Merging the snapshot twice doubles every additive quantity.
-        rebuilt.merge(snapshot)
-        assert rebuilt.value("c") == 6
-        assert rebuilt.value("g") == 3.0
-        assert rebuilt.get("h").count == 2
-
     def test_snapshot_is_plain_data(self):
         import json
         reg = MetricsRegistry()
@@ -188,59 +130,22 @@ class TestRegistry:
         json.dumps(reg.snapshot())       # must not raise
 
 
-WORKLOADS = ["nreverse", "qsort"]
-
-
-def _metrics_after(run_fn) -> dict:
-    """Global metrics snapshot after running WORKLOADS via ``run_fn``."""
-    from repro.eval import runner
-    runner.clear_cache()
-    runner.set_disk_cache(False)
-    obs.reset()
-    obs.enable()
-    try:
-        run_fn()
-        return obs.global_metrics().snapshot()
-    finally:
-        runner.set_disk_cache(True)
-        runner.clear_cache()
-        obs.reset()
-
-
-def test_parallel_worker_merge_equals_serial():
-    """run_many across processes must aggregate to the serial metrics."""
-    from repro.eval import runner
-
-    def serial():
-        for name in WORKLOADS:
-            runner.run_spec(name, "faithful", record_trace=False)
-
-    def parallel():
-        runner.run_many(WORKLOADS, jobs=2, record_trace=False)
-
-    serial_snapshot = _metrics_after(serial)
-    parallel_snapshot = _metrics_after(parallel)
-    assert serial_snapshot == parallel_snapshot
-    assert serial_snapshot["psi.runs"]["value"] == len(WORKLOADS)
-    assert serial_snapshot["psi.microsteps"]["value"] > 0
-
-
 def test_cached_runs_contribute_no_metrics(tmp_path, monkeypatch):
-    """A disk-cache hit skips execution, so it adds nothing to metrics."""
+    """A disk-cache hit skips execution, so it carries no observation
+    (and hence no run metrics), even inside ``observed()``."""
     from repro.eval import runner
 
     monkeypatch.setenv("PSI_CACHE_DIR", str(tmp_path))
     runner.clear_cache()
     runner.set_disk_cache(True)
-    obs.reset()
-    obs.enable()
     try:
-        runner.run_spec("nreverse", "faithful")        # miss: executes, records
-        assert obs.global_metrics().value("psi.runs") == 1
-        runner.clear_cache()                # drop the in-memory tier only
-        run = runner.run_spec("nreverse", "faithful")  # disk hit: no execution
+        with obs.observed():
+            fresh = runner.run_spec("nreverse", "faithful")   # executes
+            assert fresh.observation.metrics_snapshot["psi.runs"] == {
+                "kind": "counter", "value": 1}
+            runner.clear_cache()        # drop the in-memory tier only
+            run = runner.run_spec("nreverse", "faithful")     # disk hit
+        assert runner.CACHE_EVENTS["disk_hit"] == 1
         assert run.observation is None
-        assert obs.global_metrics().value("psi.runs") == 1
     finally:
         runner.clear_cache()
-        obs.reset()

@@ -35,23 +35,27 @@ class TestDisabledMode:
         assert run.machine.mem.observer is None
 
     def test_enable_disable_toggle(self):
-        obs.enable()
-        assert obs.enabled()
-        obs.disable()
+        with obs.observed():
+            assert obs.enabled()
+            with obs.observed():
+                assert obs.enabled()
+            assert obs.enabled()          # an inner exit keeps it on
         assert not obs.enabled()
 
     def test_observed_context_restores_state(self):
         assert not obs.enabled()
         with obs.observed(trace_capacity=128):
             assert obs.enabled()
-            assert obs.config().trace_capacity == 128
+            assert obs.begin_run("g").config.trace_capacity == 128
         assert not obs.enabled()
-        assert obs.config().trace_capacity != 128
+        assert obs.begin_run("g").config.trace_capacity != 128
 
     def test_enable_rejects_config_plus_overrides(self):
         from repro.obs.session import ObsConfig
         with pytest.raises(ValueError):
-            obs.enable(ObsConfig(), trace_capacity=1)
+            with obs.observed(ObsConfig(), trace_capacity=1):
+                pass
+        assert not obs.enabled()
 
 
 class TestObservedRun:
