@@ -43,11 +43,19 @@ from repro.core.code import (
     Procedure,
     Program,
 )
-from repro.core.memory import AREA_SHIFT, Area, MemorySystem, OFFSET_MASK, encode_address
-from repro.core.micro import Module
+from repro.core.memory import (
+    AREA_SHIFT,
+    OFFSET_MASK,
+    Area,
+    MemorySystem,
+    beyond_top_error,
+    encode_address,
+    overflow_error,
+)
+from repro.core.micro import CacheCmd, Module
 from repro.core.stats import StatsCollector
 from repro.core.words import SymbolTable, Tag
-from repro.core.workfile import WorkFile
+from repro.core.workfile import BASE_RELATIVE_SLOTS, BUFFER_SLOTS, WorkFile
 from repro.engine.index import (
     KIND_CONST,
     KIND_LIST,
@@ -77,6 +85,13 @@ _LOCAL = int(Area.LOCAL)
 _CONTROL = int(Area.CONTROL)
 _TRAIL = int(Area.TRAIL)
 _NO_CELLS: list[int] = []
+_A_GLOBAL = Area.GLOBAL
+_A_LOCAL = Area.LOCAL
+_A_CONTROL = Area.CONTROL
+_A_TRAIL = Area.TRAIL
+_C_READ = CacheCmd.READ
+_C_WRITE = CacheCmd.WRITE
+_C_WRITE_STACK = CacheCmd.WRITE_STACK
 
 # Hot-path aliases: one global load instead of a module + attribute
 # chain per emission site.  Same objects — billing is unchanged.
@@ -111,6 +126,10 @@ _R_CP_RESTORE = micro.R_CP_RESTORE
 _R_CUT = micro.R_CUT
 _R_CUT_POP_CP = micro.R_CUT_POP_CP
 _R_DEREF_STEP = micro.R_DEREF_STEP
+_R_FRAME_READ_BUF = micro.R_FRAME_READ_BUF
+_R_FRAME_READ_BUF_BASE = micro.R_FRAME_READ_BUF_BASE
+_R_FRAME_WRITE_BUF = micro.R_FRAME_WRITE_BUF
+_R_FRAME_WRITE_BUF_BASE = micro.R_FRAME_WRITE_BUF_BASE
 _R_BIND = micro.R_BIND
 _R_UNIFY_DISPATCH = micro.R_UNIFY_DISPATCH
 _R_UNIFY_CONST = micro.R_UNIFY_CONST
@@ -140,6 +159,13 @@ _R_INDEX_HASH = micro.R_INDEX_HASH
 # reference order, so the emission stream is bit-identical to the
 # per-op loop it replaces.  The collector counts the log once per
 # report, not per emission.
+#
+# The fused sites also move words themselves: they work on the memory
+# areas' lists (``mem._words[area]``) and the work file's two owner
+# slots directly, not through the MemorySystem/WorkFile accessors.
+# Every inlined push or grow keeps the accessor's ``word_limit`` check
+# (``overflow_error``), every inlined truncation its beyond-top check
+# (``beyond_top_error``) and its ``mem.observer.on_settop`` call.
 _F = fusion.SUPERINSTRUCTIONS
 _S_CALL_DISPATCH = _F["call_dispatch"].slot
 _S_CP_PUSH_FRAME = _F["cp_push_frame"].slot
@@ -243,10 +269,6 @@ class ChoicePoint:
         #: selected at call time, in source order.  ``None`` on the
         #: faithful path (retry walks ``proc.clauses`` directly).
         self.candidates = candidates
-
-    @property
-    def control_top(self) -> int:
-        return self.control_base + CONTROL_FRAME_WORDS
 
 
 #: "The control stack contains 10-word control frames" (§2.1).
@@ -375,7 +397,9 @@ class PSIMachine:
         """Drive execution until success (continuation empty) or failure."""
         stats = self.stats
         emit = stats.emit
-        mem_read = self.mem.read
+        mem = self.mem
+        mem_read = mem.read
+        fused = self._fused_on
         while True:
             env = self.cur_env
             if env is None:
@@ -393,18 +417,22 @@ class PSIMachine:
                 if not self._dispatch_call(goal, env):
                     if not self._backtrack():
                         return False
-            elif kind is BuiltinGoal:
-                emit(_R_GOAL_FETCH)
-                mem_read(_HEAP, goal.addr)
-                if not self._dispatch_builtin(goal, env):
-                    if not self._backtrack():
-                        return False
-            elif kind is CutGoal:
-                emit(_R_GOAL_FETCH)
-                mem_read(_HEAP, goal.addr)
-                self._cut(env)
-            else:
+                continue
+            if kind is not BuiltinGoal and kind is not CutGoal:
                 raise UnknownGoalKind(goal)
+            emit(_R_GOAL_FETCH)
+            if fused:
+                mem._mem_access(_C_READ, _HEAP)
+                pa = mem._packed_append
+                if pa is not None:
+                    pa(goal.addr << 2)
+            else:
+                mem_read(_HEAP, goal.addr)
+            if kind is CutGoal:
+                self._cut(env)
+            elif not self._dispatch_builtin(goal, env):
+                if not self._backtrack():
+                    return False
 
     def _backtrack_and_run(self) -> bool:
         if not self._backtrack():
@@ -439,10 +467,7 @@ class PSIMachine:
             stats.emit(_R_PROC_LOOKUP)
             self.mem.read(_HEAP, proc.descriptor_base)
         # Evaluate arguments into registers (call machinery: control).
-        frame = env.frame
-        put_arg = self._put_arg
-        args = tuple([put_arg(node, frame, _M_CONTROL)
-                      for node in goal.args])
+        args = tuple(self._put_args(goal.args, env.frame, _M_CONTROL))
         stats.module = _M_CONTROL
         if goal.is_last:
             parent = env.parent
@@ -456,17 +481,20 @@ class PSIMachine:
 
     def _call_procedure(self, proc: Procedure, args: tuple,
                         parent_env: Env | None, parent_index: int) -> bool:
-        if not proc.clauses:
+        clauses = proc.clauses
+        if not clauses:
             return False
-        if self.config.indexed and len(proc.clauses) > 1 and proc.arity >= 1:
-            return self._call_indexed(proc, args, parent_env, parent_index)
-        if len(proc.clauses) > 1:
+        if len(clauses) > 1:
+            if self.config.indexed and proc.arity >= 1:
+                return self._call_indexed(proc, args, parent_env, parent_index)
             self._push_choice_point(proc, args, parent_env, parent_index)
-        barrier = len(self.cp_stack) - (1 if len(proc.clauses) > 1 else 0)
+            barrier = len(self.cp_stack) - 1
+        else:
+            barrier = len(self.cp_stack)
         # Publish the predicate context (observability: profiler/tracer
         # attribution; a plain attribute store when obs is disabled).
         self.stats.predicate = proc.label
-        return self._activate(proc.clauses[0], args, parent_env, parent_index,
+        return self._activate(clauses[0], args, parent_env, parent_index,
                               barrier)
 
     # -- indexed configuration (MachineConfig.indexed) -----------------------
@@ -580,19 +608,23 @@ class PSIMachine:
                            candidates: tuple | None = None) -> None:
         stats = self.stats
         mem = self.mem
-        control_base = mem.top(_CONTROL)
-        cp = ChoicePoint(
-            proc, 1, args, parent_env, parent_index,
-            trail_top=len(self.trail),
-            global_top=mem.top(_GLOBAL),
-            local_top=mem.top(_LOCAL),
-            control_base=control_base,
-            candidates=candidates,
-        )
+        words = mem._words
+        control = words[_CONTROL]
+        control_base = len(control)
+        cp = ChoicePoint(proc, 1, args, parent_env, parent_index,
+                         len(self.trail), len(words[_GLOBAL]),
+                         len(words[_LOCAL]), control_base, candidates)
         if self._fused_on:
             # cp push + wf.general + the 10-word control frame image.
             stats._log.append(_S_CP_PUSH_FRAME)
-            mem.push_block_fused(_CONTROL, _CONTROL_FRAME_IMAGE)
+            top = control_base + CONTROL_FRAME_WORDS
+            if top > mem.word_limit:
+                raise overflow_error(_CONTROL, top)
+            extend = mem._packed_extend
+            if extend is not None:
+                packed = (((_CONTROL << AREA_SHIFT) | control_base) << 2) | 2
+                extend(range(packed, packed + 4 * CONTROL_FRAME_WORDS, 4))
+            control.extend(_CONTROL_FRAME_IMAGE)
         else:
             stats.emit(_R_CP_PUSH)
             stats.emit(_R_WF_GENERAL)
@@ -604,20 +636,25 @@ class PSIMachine:
         """Try one clause: allocate its frame, unify the head.
 
         On head failure returns False with partial bindings left for
-        the trail/choice-point machinery to undo.
+        the trail/choice-point machinery to undo.  Most tries fail (the
+        faithful PSI has no indexing), so the activation record is
+        built only once the head has matched.
         """
         stats = self.stats
         stats.module = _M_CONTROL
         self.call_count += 1
         if self.call_count > self.config.max_calls:
             raise ResourceLimitExceeded(f"activation limit exceeded ({self.call_count})")
-        mem = self.mem
         nlocals = clause.nlocals
-        if self._fused_on and nlocals <= 64:
+        if self._fused_on and nlocals <= BUFFER_SLOTS:
             # clause try [+ frame allocate + buffer switch + slot inits]
             # and the clause-head read, in one bill.  The mined
             # per-nlocals variants fold the slot inits in too; other
             # small frames emit them separately (still batched).
+            mem = self.mem
+            local = mem._words[_LOCAL]
+            base = len(local)
+            frame = Frame(base, nlocals, clause.nglobals)
             if nlocals:
                 slot = _S_FRAME_BY_NLOCALS.get(nlocals)
                 if slot is None:
@@ -628,32 +665,43 @@ class PSIMachine:
                 pa = mem._packed_append
                 if pa is not None:
                     pa(clause.heap_base << 2)        # READ heap
-                frame = Frame(mem.top(_LOCAL), nlocals, clause.nglobals)
-                frame.buffer_id = self.wf.acquire_quiet(frame)
+                # Buffer switch: take the next of the two frame buffers,
+                # evicting its owner.
+                wf = self.wf
+                buffer_id = wf._next
+                wf._next = 1 - buffer_id
+                owners = wf._owners
+                evicted = owners[buffer_id]
+                if evicted is not None:
+                    evicted.buffer_id = None
+                owners[buffer_id] = frame
+                frame.buffer_id = buffer_id
                 # Buffered slots: init is register traffic only.
-                off = mem.grow(_LOCAL, nlocals)
-                words = mem.areas[Area.LOCAL]
+                top = base + nlocals
+                if top > mem.word_limit:
+                    raise overflow_error(_LOCAL, top)
                 lo = _LOCAL << AREA_SHIFT
-                for off in range(off, off + nlocals):
-                    words[off] = (_UNDEF, lo | off)
+                local.extend([(_UNDEF, lo | off) for off in range(base, top)])
             else:
                 stats._log.append(_S_CLAUSE_TRY)
                 pa = mem._packed_append
                 if pa is not None:
                     pa(clause.heap_base << 2)
-                frame = Frame(mem.top(_LOCAL), 0, clause.nglobals)
         else:
             stats.emit(_R_CLAUSE_TRY)
-            mem.read(_HEAP, clause.heap_base)
+            self.mem.read(_HEAP, clause.heap_base)
             frame = self._allocate_frame(clause)
-        env = Env(clause.body, frame, parent_env, parent_index, cut_barrier,
-                  stats.predicate)
         stats.module = _M_UNIFY
-        match = self._match
-        for node, arg in zip(clause.head_args, args):
-            if not match(node, arg, frame):
+        if self._fused_on:
+            if not self._unify_head(clause.head_args, args, frame):
                 return False
-        self.cur_env = env
+        else:
+            match = self._match
+            for node, arg in zip(clause.head_args, args):
+                if not match(node, arg, frame):
+                    return False
+        self.cur_env = Env(clause.body, frame, parent_env, parent_index,
+                           cut_barrier, stats.predicate)
         self.cur_index = 0
         return True
 
@@ -687,26 +735,46 @@ class PSIMachine:
         If a choice point exists, the allocation is recorded on the
         trail so backtracking (which truncates the global stack, and
         may hand the same offset to another frame) resets the cache.
+        Hot callers test ``frame.gcells[slot] < 0`` themselves first.
         """
         cell = frame.gcells[slot]
-        if cell < 0:
-            mem = self.mem
-            off = mem.top(_GLOBAL)
-            cell = (_GLOBAL << AREA_SHIFT) | off
-            if self._fused_on:
-                stats = self.stats
-                stats._log.append(_S6_PUSH_VAR + stats.module.idx)
-                mem.push_fused(_GLOBAL, (_UNDEF, cell))
+        if cell >= 0:
+            return cell
+        stats = self.stats
+        mem = self.mem
+        fused = self._fused_on
+        pa = mem._packed_append
+        glob = mem._words[_GLOBAL]
+        off = len(glob)
+        cell = (_GLOBAL << AREA_SHIFT) | off
+        if fused:
+            stats._log.append(_S6_PUSH_VAR + stats.module.idx)
+            if off >= mem.word_limit:
+                raise overflow_error(_GLOBAL, off)
+            if pa is not None:
+                pa((cell << 2) | 2)
+            glob.append((_UNDEF, cell))
+        else:
+            mem.write_stack(_GLOBAL, (_UNDEF, cell))
+            stats.emit(_R_BUILD_VAR)
+        frame.gcells[slot] = cell
+        if self.cp_stack:
+            stats.emit_in(_M_TRAIL, _R_TRAIL_PUSH)
+            if fused:
+                stack = mem._words[_TRAIL]
+                off = len(stack)
+                if off >= mem.word_limit:
+                    raise overflow_error(_TRAIL, off)
+                mem._mem_access(_C_WRITE_STACK, _TRAIL)
+                if pa is not None:
+                    pa((((_TRAIL << AREA_SHIFT) | off) << 2) | 2)
+                stack.append((Tag.INT, slot))
             else:
-                mem.write_stack(_GLOBAL, (_UNDEF, cell))
-                self.stats.emit(_R_BUILD_VAR)
-            frame.gcells[slot] = cell
-            if self.cp_stack:
-                self.stats.emit_in(_M_TRAIL, _R_TRAIL_PUSH)
                 mem.write_stack(_TRAIL, (Tag.INT, slot))
-                self.trail.append((frame, slot))
-                if len(self.trail) % 8 == 0:
-                    self.stats.emit_in(_M_TRAIL, _R_TRAIL_BUF)
+            trail = self.trail
+            trail.append((frame, slot))
+            if len(trail) % 8 == 0:
+                stats.emit_in(_M_TRAIL, _R_TRAIL_BUF)
         return cell
 
     def _save_env(self, env: Env) -> None:
@@ -716,12 +784,39 @@ class PSIMachine:
         stats.emit(_R_ENV_PUSH)
         frame = env.frame
         mem = self.mem
-        if frame.buffered:
-            mem.flush_stack_block(_LOCAL, frame.base, frame.nlocals)
-            self.wf.release(frame)
+        fused = self._fused_on
+        extend = mem._packed_extend
+        if frame.buffer_id is not None:
+            if fused:
+                # Flush the buffered slots, then release the buffer.
+                count = frame.nlocals
+                mem._mem_access_n(_C_WRITE_STACK, _LOCAL, count)
+                if extend is not None:
+                    packed = (((_LOCAL << AREA_SHIFT) | frame.base) << 2) | 2
+                    extend(range(packed, packed + 4 * count, 4))
+                owners = self.wf._owners
+                if owners[frame.buffer_id] is frame:
+                    owners[frame.buffer_id] = None
+                frame.buffer_id = None
+            else:
+                mem.flush_stack_block(_LOCAL, frame.base, frame.nlocals)
+                self.wf.release(frame)
         if env.control_base < 0:
-            env.control_base = mem.top(_CONTROL)
-            mem.write_stack_block(_CONTROL, _CONTROL_FRAME_IMAGE)
+            control = mem._words[_CONTROL]
+            off = len(control)
+            env.control_base = off
+            if fused:
+                top = off + CONTROL_FRAME_WORDS
+                if top > mem.word_limit:
+                    raise overflow_error(_CONTROL, top)
+                mem._mem_access_n(_C_WRITE_STACK, _CONTROL,
+                                  CONTROL_FRAME_WORDS)
+                if extend is not None:
+                    packed = (((_CONTROL << AREA_SHIFT) | off) << 2) | 2
+                    extend(range(packed, packed + 4 * CONTROL_FRAME_WORDS, 4))
+                control.extend(_CONTROL_FRAME_IMAGE)
+            else:
+                mem.write_stack_block(_CONTROL, _CONTROL_FRAME_IMAGE)
 
     def _reclaim_for_tro(self, env: Env, args: tuple) -> tuple:
         """Last-call optimisation: discard the env, reclaim its stacks.
@@ -735,23 +830,54 @@ class PSIMachine:
         stats = self.stats
         stats.emit(_R_TRO)
         frame = env.frame
+        base = frame.base
         mem = self.mem
-        protect = self.cp_stack[-1].local_top if self.cp_stack else 0
-        reclaimable = (frame.base >= protect
-                       and frame.base <= mem.top(_LOCAL))
-        if reclaimable:
-            if frame.nlocals:
-                args = self._globalize_unsafe(frame, args)
+        fused = self._fused_on
+        observer = mem.observer
+        cp_stack = self.cp_stack
+        local = mem._words[_LOCAL]
+        protect = cp_stack[-1].local_top if cp_stack else 0
+        # The second test is settop's beyond-top check.
+        reclaimable = base >= protect and base <= len(local)
+        if reclaimable and frame.nlocals:
+            args = self._globalize_unsafe(frame, args)
+        if not fused:
+            if not reclaimable and frame.buffered:
+                mem.flush_stack_block(_LOCAL, base, frame.nlocals)
             self.wf.release(frame)
-            mem.settop(_LOCAL, frame.base)
+            if reclaimable:
+                mem.settop(_LOCAL, base)
         else:
-            if frame.buffered:
-                mem.flush_stack_block(_LOCAL, frame.base, frame.nlocals)
-            self.wf.release(frame)
-        if env.control_base >= 0:
-            cprotect = self.cp_stack[-1].control_top if self.cp_stack else 0
-            if env.control_base >= cprotect:
-                mem.settop(_CONTROL, env.control_base)
+            buffer_id = frame.buffer_id
+            if buffer_id is not None:
+                if not reclaimable:
+                    count = frame.nlocals
+                    mem._mem_access_n(_C_WRITE_STACK, _LOCAL, count)
+                    extend = mem._packed_extend
+                    if extend is not None:
+                        packed = (((_LOCAL << AREA_SHIFT) | base) << 2) | 2
+                        extend(range(packed, packed + 4 * count, 4))
+                owners = self.wf._owners
+                if owners[buffer_id] is frame:
+                    owners[buffer_id] = None
+                frame.buffer_id = None
+            if reclaimable:
+                if observer is not None:
+                    observer.on_settop(_A_LOCAL, base, len(local))
+                del local[base:]
+        control_base = env.control_base
+        if control_base >= 0 and control_base >= (
+                cp_stack[-1].control_base + CONTROL_FRAME_WORDS
+                if cp_stack else 0):
+            if not fused:
+                mem.settop(_CONTROL, control_base)
+            else:
+                control = mem._words[_CONTROL]
+                if control_base > len(control):
+                    raise beyond_top_error(_CONTROL)
+                if observer is not None:
+                    observer.on_settop(_A_CONTROL, control_base, len(control))
+                del control[control_base:]
         return args
 
     def _globalize_unsafe(self, frame: Frame, args: tuple) -> tuple:
@@ -795,27 +921,54 @@ class PSIMachine:
             self.cur_env = None
             return
         mem = self.mem
-        if parent.control_base >= 0:
-            if self._fused_on:
-                # env pop + the 4-word control-frame resume read.
-                stats._log.append(_S_PROCEED_RESUME)
-                mem.touch_read_run(_CONTROL, parent.control_base,
-                                   CONTROL_RESUME_READS)
-            else:
-                stats.emit(_R_ENV_POP)
-                mem.read_block(_CONTROL, parent.control_base,
-                               CONTROL_RESUME_READS)
-        else:
-            stats.emit(_R_ENV_POP)
+        fused = self._fused_on
+        observer = mem.observer
         frame = env.frame
-        self.wf.release(frame)
-        protect = self.cp_stack[-1].local_top if self.cp_stack else 0
-        if frame.base >= protect and frame.base <= mem.top(_LOCAL):
-            mem.settop(_LOCAL, frame.base)
-        if env.control_base >= 0:
-            cprotect = self.cp_stack[-1].control_top if self.cp_stack else 0
-            if env.control_base >= cprotect:
-                mem.settop(_CONTROL, env.control_base)
+        cp_stack = self.cp_stack
+        if parent.control_base < 0:
+            stats.emit(_R_ENV_POP)
+        elif not fused:
+            stats.emit(_R_ENV_POP)
+            mem.read_block(_CONTROL, parent.control_base,
+                           CONTROL_RESUME_READS)
+        else:
+            # env pop + the 4-word control-frame resume read.
+            stats._log.append(_S_PROCEED_RESUME)
+            extend = mem._packed_extend
+            if extend is not None:
+                packed = ((_CONTROL << AREA_SHIFT) | parent.control_base) << 2
+                extend(range(packed, packed + 4 * CONTROL_RESUME_READS, 4))
+        if not fused:
+            self.wf.release(frame)
+        elif frame.buffer_id is not None:
+            owners = self.wf._owners
+            if owners[frame.buffer_id] is frame:
+                owners[frame.buffer_id] = None
+            frame.buffer_id = None
+        base = frame.base
+        local = mem._words[_LOCAL]
+        # The second test is settop's beyond-top check.
+        if base >= (cp_stack[-1].local_top if cp_stack else 0) \
+                and base <= len(local):
+            if not fused:
+                mem.settop(_LOCAL, base)
+            else:
+                if observer is not None:
+                    observer.on_settop(_A_LOCAL, base, len(local))
+                del local[base:]
+        control_base = env.control_base
+        if control_base >= 0 and control_base >= (
+                cp_stack[-1].control_base + CONTROL_FRAME_WORDS
+                if cp_stack else 0):
+            if not fused:
+                mem.settop(_CONTROL, control_base)
+            else:
+                control = mem._words[_CONTROL]
+                if control_base > len(control):
+                    raise beyond_top_error(_CONTROL)
+                if observer is not None:
+                    observer.on_settop(_A_CONTROL, control_base, len(control))
+                del control[control_base:]
         self.cur_env = parent
         self.cur_index = env.parent_index
         stats.predicate = parent.pred
@@ -828,40 +981,88 @@ class PSIMachine:
         stats = self.stats
         mem = self.mem
         fused = self._fused_on
-        while self.cp_stack:
+        extend = mem._packed_extend
+        observer = mem.observer
+        glob, local, control, trail_words = mem._words[_GLOBAL:]
+        wf = self.wf
+        owners = wf._owners
+        cp_stack = self.cp_stack
+        trail = self.trail
+        while cp_stack:
             stats.module = _M_CONTROL
             if fused:
                 stats._log.append(_S_FAIL)
             else:
                 stats.emit(_R_BACKTRACK)
                 stats.emit(_R_FAIL_DISPATCH)
-            cp = self.cp_stack[-1]
-            self._untrail_to(cp.trail_top)
-            stats.module = _M_CONTROL
-            mem.settop(_GLOBAL, cp.global_top)
-            mem.settop(_LOCAL, cp.local_top)
-            mem.settop(_TRAIL, cp.trail_top)
-            self.wf.reset()
-            if fused:
-                stats._log.append(_S_CP_RESTORE_RESUME)
-                mem.touch_read_run(_CONTROL, cp.control_base,
-                                   CONTROL_RESUME_READS)
-            else:
+            cp = cp_stack[-1]
+            mark = cp.trail_top
+            if len(trail) > mark:
+                self._untrail_to(mark)
+                stats.module = _M_CONTROL
+            if not fused:
+                mem.settop(_GLOBAL, cp.global_top)
+                mem.settop(_LOCAL, cp.local_top)
+                mem.settop(_TRAIL, mark)
+                wf.reset()
                 stats.emit(_R_CP_RESTORE)
                 mem.read_block(_CONTROL, cp.control_base,
                                CONTROL_RESUME_READS)
-            chain = cp.candidates if cp.candidates is not None \
-                else cp.proc.clauses
+            else:
+                # Truncate the global, local and trail stacks to the
+                # marks, and clear both frame buffers.
+                top = cp.global_top
+                if top > len(glob):
+                    raise beyond_top_error(_GLOBAL)
+                if observer is not None:
+                    observer.on_settop(_A_GLOBAL, top, len(glob))
+                del glob[top:]
+                top = cp.local_top
+                if top > len(local):
+                    raise beyond_top_error(_LOCAL)
+                if observer is not None:
+                    observer.on_settop(_A_LOCAL, top, len(local))
+                del local[top:]
+                if mark > len(trail_words):
+                    raise beyond_top_error(_TRAIL)
+                if observer is not None:
+                    observer.on_settop(_A_TRAIL, mark, len(trail_words))
+                del trail_words[mark:]
+                frame = owners[0]
+                if frame is not None:
+                    frame.buffer_id = None
+                    owners[0] = None
+                frame = owners[1]
+                if frame is not None:
+                    frame.buffer_id = None
+                    owners[1] = None
+                wf._next = 0
+                # cp restore + the 4-word control-frame resume read.
+                stats._log.append(_S_CP_RESTORE_RESUME)
+                if extend is not None:
+                    packed = ((_CONTROL << AREA_SHIFT) | cp.control_base) << 2
+                    extend(range(packed, packed + 4 * CONTROL_RESUME_READS, 4))
+            chain = cp.candidates
+            if chain is None:
+                chain = cp.proc.clauses
             clause = chain[cp.next_clause]
             stats.predicate = cp.proc.label
             cp.next_clause += 1
+            top = cp.control_base
             if cp.next_clause >= len(chain):
-                self.cp_stack.pop()
-                mem.settop(_CONTROL, cp.control_base)
-                barrier = len(self.cp_stack)
+                cp_stack.pop()
+                barrier = len(cp_stack)
             else:
-                mem.settop(_CONTROL, cp.control_top)
-                barrier = len(self.cp_stack) - 1
+                top += CONTROL_FRAME_WORDS
+                barrier = len(cp_stack) - 1
+            if not fused:
+                mem.settop(_CONTROL, top)
+            else:
+                if top > len(control):
+                    raise beyond_top_error(_CONTROL)
+                if observer is not None:
+                    observer.on_settop(_A_CONTROL, top, len(control))
+                del control[top:]
             if self._activate(clause, cp.args, cp.parent_env, cp.parent_index,
                               barrier):
                 return True
@@ -877,19 +1078,39 @@ class PSIMachine:
             # per-op loop, so the trace byte order is preserved.
             mem = self.mem
             bill = stats._log.append
-            write_cell = self._write_cell
             pa = mem._packed_append
+            words = mem._words
+            owners = self.wf._owners
             trail_hi = _TRAIL << AREA_SHIFT
             while len(trail) > mark:
                 entry = trail.pop()
                 bill(_S_UNTRAIL_ENTRY)
                 if pa is not None:
                     pa((trail_hi | len(trail)) << 2)
-                if type(entry) is int:
-                    write_cell(entry, (_UNDEF, entry))
-                else:
+                if type(entry) is not int:
+                    # Lazy global-cell allocation record: reset the cache.
                     frame, slot = entry
                     frame.gcells[slot] = -1
+                    continue
+                # Reset the cell: a work-file write for a slot of a
+                # buffered frame, a memory write otherwise.
+                area = entry >> AREA_SHIFT
+                off = entry & OFFSET_MASK
+                if area == _LOCAL:
+                    f0, f1 = owners
+                    buffered = ((f0 is not None
+                                 and f0.base <= off < f0.base + f0.nlocals)
+                                or (f1 is not None
+                                    and f1.base <= off < f1.base + f1.nlocals))
+                else:
+                    buffered = False
+                if buffered:
+                    stats.emit(_R_FRAME_WRITE_BUF)
+                else:
+                    mem._mem_access(_C_WRITE, area)
+                    if pa is not None:
+                        pa((entry << 2) | 1)
+                words[area][off] = (_UNDEF, entry)
             return
         mem_read = self.mem.read
         emit = stats.emit
@@ -967,6 +1188,24 @@ class PSIMachine:
     def _read_cell(self, addr: int):
         area = addr >> AREA_SHIFT
         off = addr & OFFSET_MASK
+        if self._fused_on:
+            mem = self.mem
+            if area == _LOCAL:
+                for frame in self.wf._owners:
+                    if frame is not None and \
+                            frame.base <= off < frame.base + frame.nlocals:
+                        # A buffered slot: a work-file read.
+                        slot = off - frame.base
+                        self.stats.emit(
+                            _R_FRAME_READ_BUF_BASE
+                            if slot < BASE_RELATIVE_SLOTS and not slot % 8
+                            else _R_FRAME_READ_BUF)
+                        return mem._words[_LOCAL][off]
+            mem._mem_access(_C_READ, area)
+            pa = mem._packed_append
+            if pa is not None:
+                pa(addr << 2)
+            return mem._words[area][off]
         if area == _LOCAL:
             frame = self.wf.owner_of_local(off)
             if frame is not None:
@@ -995,7 +1234,7 @@ class PSIMachine:
             # mode instead of a memory access, as in _read_cell).
             stats = self.stats
             mem = self.mem
-            wf = self.wf
+            owners = self.wf._owners
             pa = mem._packed_append
             words = mem._words
             bill = stats._log.append
@@ -1005,12 +1244,17 @@ class PSIMachine:
                 area = addr >> AREA_SHIFT
                 off = addr & OFFSET_MASK
                 if area == _LOCAL:
-                    frame = wf.owner_of_local(off)
+                    for frame in owners:
+                        if frame is not None and \
+                                frame.base <= off < frame.base + frame.nlocals:
+                            slot = off - frame.base
+                            bill((_S6_DEREF_BUF_BASE
+                                  if slot < BASE_RELATIVE_SLOTS and not slot % 8
+                                  else _S6_DEREF_BUF) + midx)
+                            break
+                    else:
+                        frame = None
                     if frame is not None:
-                        slot = off - frame.base
-                        bill((_S6_DEREF_BUF_BASE
-                              if slot < 32 and not slot % 8
-                              else _S6_DEREF_BUF) + midx)
                         word = words[_LOCAL][off]
                         if word[0] != _REF:
                             return word
@@ -1035,18 +1279,41 @@ class PSIMachine:
         if self._fused_on:
             area = addr >> AREA_SHIFT
             off = addr & OFFSET_MASK
+            mem = self.mem
+            pa = mem._packed_append
+            if area == _LOCAL:
+                f0, f1 = self.wf._owners
+                buffered = ((f0 is not None
+                             and f0.base <= off < f0.base + f0.nlocals)
+                            or (f1 is not None
+                                and f1.base <= off < f1.base + f1.nlocals))
+            else:
+                buffered = False
             cp_stack = self.cp_stack
             if cp_stack:
                 cp = cp_stack[-1]
                 if (area == _GLOBAL and off < cp.global_top) or \
                         (area == _LOCAL and off < cp.local_top):
                     stats.emit(_R_BIND)
-                    self._write_cell(addr, word)
+                    # The cell write, as in _write_cell.
+                    if buffered:
+                        stats.emit(_R_FRAME_WRITE_BUF)
+                    else:
+                        mem._mem_access(_C_WRITE, area)
+                        if pa is not None:
+                            pa((addr << 2) | 1)
+                    mem._words[area][off] = word
                     previous = stats.module
                     stats.module = _M_TRAIL
                     # trail push + its write-stack in one bill.
                     stats._log.append(_S_TRAIL_PUSH)
-                    self.mem.push_fused(_TRAIL, (_REF, addr))
+                    stack = mem._words[_TRAIL]
+                    top = len(stack)
+                    if top >= mem.word_limit:
+                        raise overflow_error(_TRAIL, top)
+                    if pa is not None:
+                        pa((((_TRAIL << AREA_SHIFT) | top) << 2) | 2)
+                    stack.append((_REF, addr))
                     trail = self.trail
                     trail.append(addr)
                     if len(trail) % 8 == 0:
@@ -1057,13 +1324,11 @@ class PSIMachine:
             # overwhelmingly common shape: no choice point protects the
             # cell); a buffered frame slot is a work-file write, as in
             # _write_cell.
-            mem = self.mem
-            if area == _LOCAL and self.wf.owner_of_local(off) is not None:
+            if buffered:
                 stats._log.append(_S6_BIND_SKIP_BUF + stats.module.idx)
             else:
                 stats._log.append(_S6_BIND_SKIP_BY_AREA[area]
                                   + stats.module.idx)
-                pa = mem._packed_append
                 if pa is not None:
                     pa((addr << 2) | 1)                 # WRITE
             mem._words[area][off] = word
@@ -1191,31 +1456,13 @@ class PSIMachine:
     # ------------------------------------------------------------------
 
     def _fetch(self, node, packed_ok: bool = True) -> None:
-        """Instruction fetch + decode of one code node.
+        """Instruction fetch + decode of one code node (per-op path; the
+        fused :meth:`_match` and :meth:`_build` bill it inline).
 
         Structure nodes cost an extra heap read: the functor descriptor
         word follows the STRUCT code word.
         """
         stats = self.stats
-        if self._fused_on:
-            packed = node.packed and packed_ok
-            mem = self.mem
-            pa = mem._packed_append
-            if node.__class__ is CStruct:
-                stats._log.append(
-                    (_S6_FETCH_STRUCT_PACKED if packed else _S6_FETCH_STRUCT)
-                    + stats.module.idx)
-                if pa is not None:
-                    p = node.addr << 2
-                    pa(p)
-                    pa(p)
-            else:
-                stats._log.append(
-                    (_S6_FETCH_DECODE_PACKED if packed else _S6_FETCH_DECODE)
-                    + stats.module.idx)
-                if pa is not None:
-                    pa(node.addr << 2)
-            return
         self.mem.read(_HEAP, node.addr)
         if node.packed and packed_ok:
             stats.emit(_R_DECODE_PACKED)
@@ -1225,8 +1472,156 @@ class PSIMachine:
             self.mem.read(_HEAP, node.addr)
             stats.emit(_R_DECODE_OPCODE)
 
+    def _unify_head(self, nodes: tuple, words: tuple, frame: Frame) -> bool:
+        """Fused head unification: match each head-argument code term
+        against its argument word, depth first and left to right.
+
+        The arguments of a compound head term wait on a stack as (code
+        term, cell address) pairs, and each cell is read when its pair
+        comes up, exactly where the recursive per-op :meth:`_match`
+        reads it; so the emission and trace streams are the per-op
+        ones, with no Python call per term.
+        """
+        stats = self.stats
+        bill = stats._log.append
+        emit = stats.emit
+        midx = stats.module.idx
+        mem = self.mem
+        pa = mem._packed_append
+        mem_access = mem._mem_access
+        area_words = mem._words
+        local = area_words[_LOCAL]
+        owners = self.wf._owners
+        pending = []
+        arg = 0
+        nargs = len(nodes)
+        while True:
+            if pending:
+                node, addr = pending.pop()
+                area = addr >> AREA_SHIFT
+                if area == _LOCAL:
+                    word = self._read_cell(addr)
+                else:
+                    mem_access(_C_READ, area)
+                    if pa is not None:
+                        pa(addr << 2)
+                    word = area_words[area][addr & OFFSET_MASK]
+            elif arg < nargs:
+                node = nodes[arg]
+                word = words[arg]
+                arg += 1
+            else:
+                return True
+            cls = node.__class__
+            # Instruction fetch + decode; a structure node reads its
+            # functor word too.
+            if cls is CStruct:
+                bill((_S6_FETCH_STRUCT_PACKED if node.packed
+                      else _S6_FETCH_STRUCT) + midx)
+                if pa is not None:
+                    pa(node.addr << 2)
+                    pa(node.addr << 2)
+            else:
+                bill((_S6_FETCH_DECODE_PACKED if node.packed
+                      else _S6_FETCH_DECODE) + midx)
+                if pa is not None:
+                    pa(node.addr << 2)
+            if cls is CVar:
+                slot = node.slot
+                if not node.is_global:
+                    off = frame.base + slot
+                    if not node.is_first:
+                        if not self.unify(
+                                (_REF, (_LOCAL << AREA_SHIFT) | off), word):
+                            return False
+                        continue
+                    emit(_R_BUILD_VAR)
+                    if frame.buffer_id is not None:
+                        emit(_R_FRAME_WRITE_BUF_BASE
+                             if slot < BASE_RELATIVE_SLOTS
+                             else _R_FRAME_WRITE_BUF)
+                    else:
+                        mem_access(_C_WRITE, _LOCAL)
+                        if pa is not None:
+                            pa((((_LOCAL << AREA_SHIFT) | off) << 2) | 1)
+                    local[off] = \
+                        word if word[0] != _UNDEF else (_REF, word[1])
+                    continue
+                cell = frame.gcells[slot]
+                if cell < 0:
+                    cell = self._global_cell(frame, slot)
+                if not node.is_first:
+                    if not self.unify((_REF, cell), word):
+                        return False
+                    continue
+            elif cls is CVoid:
+                continue
+            # Dereference the argument (as deref: one bill per link).
+            while word[0] == _REF:
+                addr = word[1]
+                area = addr >> AREA_SHIFT
+                off = addr & OFFSET_MASK
+                if area == _LOCAL:
+                    for owner in owners:
+                        if owner is not None and \
+                                owner.base <= off < owner.base + owner.nlocals:
+                            off -= owner.base
+                            bill((_S6_DEREF_BUF_BASE
+                                  if off < BASE_RELATIVE_SLOTS and not off % 8
+                                  else _S6_DEREF_BUF) + midx)
+                            word = local[addr & OFFSET_MASK]
+                            break
+                    else:
+                        owner = None
+                    if owner is not None:
+                        continue
+                bill(_S6_DEREF_BY_AREA[area] + midx)
+                if pa is not None:
+                    pa(addr << 2)
+                word = area_words[area][off]
+            tag = word[0]
+            if cls is CConst:
+                if tag == _UNDEF:
+                    self.bind(word[1], node.word)
+                    continue
+                emit(_R_UNIFY_CONST)
+                if word != node.word:
+                    return False
+                continue
+            if cls is CVar:
+                # A global's first occurrence: store the argument in its
+                # fresh cell.
+                if tag == _UNDEF:
+                    self._bind_vars(cell, word[1])
+                else:
+                    self.bind(cell, word)
+                continue
+            if tag == _UNDEF:
+                self.bind(word[1], self._build(node, frame, prefetched=True))
+                continue
+            addr = word[1]
+            if cls is CList:
+                if tag != _T_LIST:
+                    return False
+                emit(_R_UNIFY_LIST)
+                pending.append((node.tail, addr + 1))
+                pending.append((node.head, addr))
+                continue
+            if cls is CStruct:
+                if tag != _T_STRUCT:
+                    return False
+                emit(_R_UNIFY_STRUCT)
+                if self._read_cell(addr)[1] != node.functor_id:
+                    return False
+                args = node.args
+                for i in range(len(args), 0, -1):
+                    pending.append((args[i - 1], addr + i))
+                continue
+            raise MachineError(f"unexpected code node {node!r}")  # pragma: no cover
+
     def _match(self, node: CTerm, word, frame: Frame) -> bool:
-        """Unify one head-argument code term with a runtime word."""
+        """Unify one head-argument code term with a runtime word (the
+        per-op path; fused runs use :meth:`_unify_head`)."""
         stats = self.stats
         cls = node.__class__
         self._fetch(node)
@@ -1305,30 +1700,53 @@ class PSIMachine:
     def _build(self, node: CTerm, frame: Frame, prefetched: bool = False):
         """Write mode: construct ``node`` on the global stack, return its word."""
         stats = self.stats
-        if not prefetched:
-            self._fetch(node)
+        mem = self.mem
+        fused = self._fused_on
+        pa = mem._packed_append
         cls = node.__class__
+        if not prefetched:
+            if not fused:
+                self._fetch(node)
+            elif cls is CStruct:
+                stats._log.append((_S6_FETCH_STRUCT_PACKED if node.packed
+                                   else _S6_FETCH_STRUCT) + stats.module.idx)
+                if pa is not None:
+                    pa(node.addr << 2)
+                    pa(node.addr << 2)
+            else:
+                stats._log.append((_S6_FETCH_DECODE_PACKED if node.packed
+                                   else _S6_FETCH_DECODE) + stats.module.idx)
+                if pa is not None:
+                    pa(node.addr << 2)
         if cls is CConst:
             return node.word
         if cls is CVar:
             stats.emit(_R_BUILD_VAR)
             if node.is_global:
-                return (_REF, self._global_cell(frame, node.slot))
+                cell = frame.gcells[node.slot]
+                if cell < 0:
+                    cell = self._global_cell(frame, node.slot)
+                return (_REF, cell)
             # Locals never occur nested (classification globalises them);
             # a local can only be built at top level of put_arg.
             return (_REF, (_LOCAL << AREA_SHIFT) | (frame.base + node.slot))
-        mem = self.mem
+        glob = mem._words[_GLOBAL]
+        limit = mem.word_limit
         g_hi = _GLOBAL << AREA_SHIFT
-        fused = self._fused_on
         if cls is CVoid:
-            off = mem.top(_GLOBAL)
+            off = len(glob)
+            cell = g_hi | off
             if fused:
                 stats._log.append(_S6_PUSH_VAR + stats.module.idx)
-                mem.push_fused(_GLOBAL, (_UNDEF, g_hi | off))
+                if off >= limit:
+                    raise overflow_error(_GLOBAL, off)
+                if pa is not None:
+                    pa((cell << 2) | 2)
+                glob.append((_UNDEF, cell))
             else:
-                mem.write_stack(_GLOBAL, (_UNDEF, g_hi | off))
+                mem.write_stack(_GLOBAL, (_UNDEF, cell))
                 stats.emit(_R_BUILD_VAR)
-            return (_REF, g_hi | off)
+            return (_REF, cell)
         if cls is CList:
             # Walk the spine in a loop (a list may be any length): fetch
             # each cell and build its head, build the final tail, then
@@ -1339,15 +1757,28 @@ class PSIMachine:
                 node = node.tail
                 if node.__class__ is not CList:
                     break
-                self._fetch(node)
+                if not fused:
+                    self._fetch(node)
+                    continue
+                stats._log.append((_S6_FETCH_DECODE_PACKED if node.packed
+                                   else _S6_FETCH_DECODE) + stats.module.idx)
+                if pa is not None:
+                    pa(node.addr << 2)
             word = self._build(node, frame)
             for head_word in reversed(head_words):
-                base = mem.top(_GLOBAL)
+                base = len(glob)
                 if fused:
                     # build cell + both global pushes in one bill.
                     stats._log.append(_S6_BUILD_LIST + stats.module.idx)
-                    mem.push_fused(_GLOBAL, head_word)
-                    mem.push_fused(_GLOBAL, word)
+                    if base + 1 >= limit:
+                        raise overflow_error(
+                            _GLOBAL, base if base >= limit else base + 1)
+                    if pa is not None:
+                        packed = ((g_hi | base) << 2) | 2
+                        pa(packed)
+                        pa(packed + 4)
+                    glob.append(head_word)
+                    glob.append(word)
                 else:
                     stats.emit(_R_BUILD_CELL)
                     mem.write_stack(_GLOBAL, head_word)
@@ -1357,9 +1788,20 @@ class PSIMachine:
         if cls is CStruct:
             arg_words = [self._build(arg, frame) for arg in node.args]
             stats.emit(_R_BUILD_CELL)
-            base = mem.top(_GLOBAL)
+            base = len(glob)
             arg_words.insert(0, (Tag.FUNC, node.functor_id))
-            mem.write_stack_block(_GLOBAL, arg_words)
+            if fused:
+                count = len(arg_words)
+                if base + count > limit:
+                    raise overflow_error(_GLOBAL, base + count)
+                mem._mem_access_n(_C_WRITE_STACK, _GLOBAL, count)
+                extend = mem._packed_extend
+                if extend is not None:
+                    packed = ((g_hi | base) << 2) | 2
+                    extend(range(packed, packed + 4 * count, 4))
+                glob.extend(arg_words)
+            else:
+                mem.write_stack_block(_GLOBAL, arg_words)
             return (Tag.STRUCT, g_hi | base)
         raise MachineError(f"unexpected code node {node!r}")  # pragma: no cover
 
@@ -1367,30 +1809,38 @@ class PSIMachine:
     # Body argument evaluation (get_arg)
     # ------------------------------------------------------------------
 
-    def _put_arg(self, node: CTerm, frame: Frame,
-                 module: Module = Module.GET_ARG):
-        """Evaluate one goal-argument code term into a register word.
+    def _put_args(self, nodes: tuple, frame: Frame, module: Module) -> list:
+        """Evaluate a goal's argument code terms into register words.
 
         Argument setup for user-predicate calls belongs to the call
         machinery (``control``); the paper's ``get_arg`` module is the
-        argument fetch for *builtin* predicates (§3.2).
+        argument fetch for *builtin* predicates (§3.2).  The fused path
+        is one loop per goal; the per-op path is :meth:`_put_arg` per
+        argument.
         """
+        if not self._fused_on:
+            put_arg = self._put_arg
+            return [put_arg(node, frame, module) for node in nodes]
         stats = self.stats
         stats.module = module
-        cls = node.__class__
-        if self._fused_on:
-            mem = self.mem
-            pa = mem._packed_append
-            bill = stats._log.append
-            midx = module.idx
+        bill = stats._log.append
+        midx = module.idx
+        mem = self.mem
+        pa = mem._packed_append
+        local = mem._words[_LOCAL]
+        words = []
+        for node in nodes:
+            cls = node.__class__
             if cls is CConst:
                 # arg fetch + its heap read in one bill.
                 bill((_S6_GET_ARG_PACKED if node.packed else _S6_GET_ARG)
                      + midx)
                 if pa is not None:
                     pa(node.addr << 2)
-                return node.word
+                words.append(node.word)
+                continue
             if cls is CVar:
+                slot = node.slot
                 if node.is_global:
                     # No local-stack read here (the cell is a frame
                     # gcell), so the VMEM superinstruction does not
@@ -1400,47 +1850,64 @@ class PSIMachine:
                     if pa is not None:
                         pa(node.addr << 2)
                     stats.emit(_R_GET_ARG_VAR_MEM)
-                    return (_REF, self._global_cell(frame, node.slot))
-                off = frame.base + node.slot
+                    cell = frame.gcells[slot]
+                    if cell < 0:
+                        cell = self._global_cell(frame, slot)
+                    words.append((_REF, cell))
+                    continue
+                off = frame.base + slot
                 if frame.buffer_id is not None:
-                    if node.slot < 32 and node.slot % 8 == 0:
-                        sid6 = (_S6_GA_VBUF_BASE_P if node.packed
+                    if slot < BASE_RELATIVE_SLOTS and not slot % 8:
+                        code = (_S6_GA_VBUF_BASE_P if node.packed
                                 else _S6_GA_VBUF_BASE)
                     else:
-                        sid6 = _S6_GA_VBUF_P if node.packed else _S6_GA_VBUF
-                    bill(sid6 + midx)
+                        code = _S6_GA_VBUF_P if node.packed else _S6_GA_VBUF
+                    bill(code + midx)
                     if pa is not None:
                         pa(node.addr << 2)
-                    value = mem._words[_LOCAL][off]
                 else:
                     bill((_S6_GA_VMEM_P if node.packed else _S6_GA_VMEM)
                          + midx)
                     if pa is not None:
                         pa(node.addr << 2)
                         pa(((_LOCAL << AREA_SHIFT) | off) << 2)
-                    value = mem._words[_LOCAL][off]
-                if value[0] == _UNDEF:
-                    return (_REF, value[1])
-                return value
+                value = local[off]
+                words.append((_REF, value[1]) if value[0] == _UNDEF
+                             else value)
+                continue
             if cls is CVoid:
                 # arg fetch + heap read + fresh-global push in one bill.
                 bill(_S6_GET_ARG_VOID + midx)
                 if pa is not None:
                     pa(node.addr << 2)
-                off = mem.top(_GLOBAL)
+                glob = mem._words[_GLOBAL]
+                off = len(glob)
+                if off >= mem.word_limit:
+                    raise overflow_error(_GLOBAL, off)
                 cell = (_GLOBAL << AREA_SHIFT) | off
-                mem.push_fused(_GLOBAL, (_UNDEF, cell))
-                return (_REF, cell)
+                if pa is not None:
+                    pa((cell << 2) | 2)
+                glob.append((_UNDEF, cell))
+                words.append((_REF, cell))
+                continue
             # Compound argument: construct it (structure copying).
             bill((_S6_GET_ARG_PACKED if node.packed else _S6_GET_ARG)
                  + midx)
             if pa is not None:
                 pa(node.addr << 2)
             stats.module = _M_UNIFY
-            word = self._build(node, frame)
+            words.append(self._build(node, frame))
             stats.module = module
             stats.emit(_R_PUT_ARG)
-            return word
+        return words
+
+    def _put_arg(self, node: CTerm, frame: Frame,
+                 module: Module = Module.GET_ARG):
+        """Evaluate one goal-argument code term into a register word
+        (the per-op path of :meth:`_put_args`)."""
+        stats = self.stats
+        stats.module = module
+        cls = node.__class__
         self.mem.read(_HEAP, node.addr)
         if cls is CConst:
             stats.emit(_R_GET_ARG_PACKED if node.packed else _R_GET_ARG)
@@ -1484,9 +1951,7 @@ class PSIMachine:
     def _dispatch_builtin(self, goal: BuiltinGoal, env: Env) -> bool:
         stats = self.stats
         stats.builtin_calls += 1
-        frame = env.frame
-        put_arg = self._put_arg
-        args = [put_arg(node, frame) for node in goal.args]
+        args = self._put_args(goal.args, env.frame, _M_GET_ARG)
         stats.module = _M_BUILT
         stats.emit(_R_BUILTIN_ENTRY)
         builtin: Builtin = goal.builtin
@@ -1506,7 +1971,14 @@ class PSIMachine:
         if proc is None:
             raise ExistenceError(functor, arity)
         stats.emit(_R_PROC_LOOKUP)
-        self.mem.read(_HEAP, proc.descriptor_base)
+        mem = self.mem
+        if self._fused_on:
+            mem._mem_access(_C_READ, _HEAP)
+            pa = mem._packed_append
+            if pa is not None:
+                pa(proc.descriptor_base << 2)
+        else:
+            mem.read(_HEAP, proc.descriptor_base)
         self._save_env(env)
         return self._call_procedure(proc, tuple(call_args), env, self.cur_index)
 
@@ -1611,8 +2083,12 @@ class PSIMachine:
                 continue
             mark = len(self.trail)
             frame = self._allocate_frame(clause)
-            matched = all(self._match(node, arg, frame)
-                          for node, arg in zip(clause.head_args, arg_words))
+            if self._fused_on:
+                matched = self._unify_head(clause.head_args, arg_words, frame)
+            else:
+                matched = all(self._match(node, arg, frame)
+                              for node, arg in zip(clause.head_args,
+                                                   arg_words))
             if matched:
                 proc.clauses.pop(index)
                 # Patch an existing clause index in place (bucket drop +

@@ -28,6 +28,13 @@ access sequences (control-frame pushes, frame flushes, resume reads)
 go through the block accessors, which bill once via
 ``stats.mem_access_n`` and append per word in the exact reference
 order, keeping the trace byte stream bit-identical.
+
+The accessors serve the machine's per-op path (the ``unfused`` spec
+and test oracle), the loader and the builtins.  The machine's fused
+path works on :attr:`MemorySystem._words` and the recorder's bound
+``append``/``extend`` directly; it raises the same
+:func:`overflow_error` and :func:`beyond_top_error` as the accessors
+and calls :attr:`MemorySystem.observer` where :meth:`settop` would.
 """
 
 from __future__ import annotations
@@ -92,6 +99,17 @@ AREA_IS_STACK = {
     Area.CONTROL: True,
     Area.TRAIL: True,
 }
+
+
+def overflow_error(area: int, words: int) -> MachineError:
+    """The error of a push or grow that would take ``area`` to ``words``
+    words, past the machine's ``word_limit``."""
+    return MachineError(f"{AREAS[area].label} overflow ({words} words)")
+
+
+def beyond_top_error(area: int) -> MachineError:
+    """The error of a truncation above the current top of ``area``."""
+    return MachineError(f"settop beyond top of {AREAS[area].label}")
 
 
 def encode_address(area: Area, offset: int) -> int:
@@ -208,7 +226,8 @@ class MemorySystem:
     """
 
     __slots__ = ("_stats", "_mem_access", "_mem_access_n", "word_limit",
-                 "areas", "_words", "_packed_append", "observer")
+                 "areas", "_words", "_packed_append", "_packed_extend",
+                 "observer")
 
     def __init__(self, stats, word_limit: int = 1 << 22):
         self._stats = stats
@@ -225,11 +244,14 @@ class MemorySystem:
         #: fused paths append pre-packed ``address << 2 | code`` ints
         #: directly, with no per-access Python frame.
         self._packed_append = None
+        #: The same trace's ``data.extend`` (or ``None``): the fused
+        #: paths append a run of consecutive words as one ``range``.
+        self._packed_extend = None
         #: Optional observability hook (``on_settop(area, offset, old_top)``):
         #: receives stack truncations — the PSI's GC-free reclaim events —
         #: when a :class:`repro.obs.session.StackObserver` is attached by
         #: an observed run.  ``None`` (the default) costs one identity
-        #: check per ``settop``, nothing per word access.
+        #: check per truncation, nothing per word access.
         self.observer = None
 
     # -- stats rebinding -------------------------------------------------------
@@ -249,6 +271,7 @@ class MemorySystem:
     def record(self, trace: TraceRecorder | None) -> None:
         """Append every later access to ``trace``; ``None`` stops recording."""
         self._packed_append = None if trace is None else trace.data.append
+        self._packed_extend = None if trace is None else trace.data.extend
 
     # -- raw accessors (no accounting; loader/debug use) ----------------------
 
@@ -266,7 +289,7 @@ class MemorySystem:
         """Truncate a stack area down to ``offset`` (backtracking reclaim)."""
         words = self._words[area]
         if offset > len(words):
-            raise MachineError(f"settop beyond top of {AREAS[area].label}")
+            raise beyond_top_error(area)
         if self.observer is not None:
             self.observer.on_settop(AREAS[area], offset, len(words))
         del words[offset:]
@@ -281,8 +304,7 @@ class MemorySystem:
         words = self._words[area]
         base = len(words)
         if base + count > self.word_limit:
-            raise MachineError(
-                f"{AREAS[area].label} overflow ({base + count} words)")
+            raise overflow_error(area, base + count)
         words.extend([fill] * count)
         return base
 
@@ -310,8 +332,7 @@ class MemorySystem:
         words = self._words[area]
         offset = len(words)
         if offset >= self.word_limit:
-            raise MachineError(
-                f"{AREAS[area].label} overflow ({offset} words)")
+            raise overflow_error(area, offset)
         self._mem_access(_WRITE_STACK, area)
         pa = self._packed_append
         if pa is not None:
@@ -354,8 +375,7 @@ class MemorySystem:
         offset = len(stack)
         count = len(words)
         if offset + count > self.word_limit:
-            raise MachineError(
-                f"{AREAS[area].label} overflow ({offset + count} words)")
+            raise overflow_error(area, offset + count)
         self._mem_access_n(_WRITE_STACK, area, count)
         pa = self._packed_append
         if pa is not None:
@@ -379,48 +399,3 @@ class MemorySystem:
             packed = (((area << AREA_SHIFT) | offset) << 2) | 2
             for i in range(count):
                 pa(packed + 4 * i)
-
-    # -- fused-path accessors ---------------------------------------------------
-    #
-    # Used by the machine's superinstruction dispatch: the *billing* of
-    # these accesses was already logged with the superinstruction's
-    # code, so only the trace append (and, for pushes, the actual word
-    # movement with its overflow check) remains.  The append order is
-    # exactly that of the unfused accessors.
-
-    def touch_read_run(self, area: Area, offset: int, count: int) -> None:
-        """Record ``count`` consecutive READs whose billing was fused."""
-        pa = self._packed_append
-        if pa is not None:
-            packed = ((area << AREA_SHIFT) | offset) << 2
-            for i in range(count):
-                pa(packed + 4 * i)
-
-    def push_fused(self, area: Area, word) -> int:
-        """:meth:`write_stack` minus the billing (fused by the caller)."""
-        words = self._words[area]
-        offset = len(words)
-        if offset >= self.word_limit:
-            raise MachineError(
-                f"{AREAS[area].label} overflow ({offset} words)")
-        pa = self._packed_append
-        if pa is not None:
-            pa((((area << AREA_SHIFT) | offset) << 2) | 2)
-        words.append(word)
-        return offset
-
-    def push_block_fused(self, area: Area, block) -> int:
-        """:meth:`write_stack_block` minus the billing (fused by caller)."""
-        stack = self._words[area]
-        offset = len(stack)
-        count = len(block)
-        if offset + count > self.word_limit:
-            raise MachineError(
-                f"{AREAS[area].label} overflow ({offset + count} words)")
-        pa = self._packed_append
-        if pa is not None:
-            packed = (((area << AREA_SHIFT) | offset) << 2) | 2
-            for i in range(count):
-                pa(packed + 4 * i)
-        stack.extend(block)
-        return offset

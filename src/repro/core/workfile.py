@@ -48,6 +48,8 @@ class WorkFile:
 
     def __init__(self, stats):
         self.stats = stats
+        #: The frame in each buffer.  The list itself never changes, so
+        #: the machine's fused sites may hold it across a run.
         self._owners: list[object | None] = [None, None]
         self._next = 0
 
@@ -70,18 +72,6 @@ class WorkFile:
         self.stats.emit(_R_SWITCH_BUFFER)
         return buffer_id
 
-    def acquire_quiet(self, frame) -> int:
-        """:meth:`acquire` with the SWITCH_BUFFER emission already billed
-        by the caller's superinstruction.  The caller guarantees
-        ``frame.nlocals <= BUFFER_SLOTS``."""
-        buffer_id = self._next
-        self._next = 1 - buffer_id
-        evicted = self._owners[buffer_id]
-        if evicted is not None:
-            evicted.buffer_id = None
-        self._owners[buffer_id] = frame
-        return buffer_id
-
     def release(self, frame) -> None:
         """Drop ``frame``'s buffer ownership (frame died or was flushed)."""
         if frame.buffer_id is not None and self._owners[frame.buffer_id] is frame:
@@ -96,10 +86,11 @@ class WorkFile:
         return None
 
     def reset(self) -> None:
-        for frame in self._owners:
+        owners = self._owners
+        for buffer_id, frame in enumerate(owners):
             if frame is not None:
                 frame.buffer_id = None
-        self._owners = [None, None]
+                owners[buffer_id] = None
         self._next = 0
 
     # -- billed slot access ------------------------------------------------------

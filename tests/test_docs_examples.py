@@ -160,3 +160,15 @@ def test_profile_command_runs_end_to_end(tmp_path, capsys):
     assert collapsed and all(" " in line for line in collapsed)
     jsonl = (tmp_path / "bup-2.trace.jsonl").read_text().splitlines()
     assert json.loads(jsonl[0])["meta"]["clock"] == "microsteps"
+
+
+def test_internal_references_resolve():
+    """`scripts/check_docs.py` on its default document set, as CI's
+    docs job runs it: every link and quoted repo path resolves and the
+    coverage gates pass."""
+    import subprocess
+    import sys
+
+    result = subprocess.run([sys.executable, "scripts/check_docs.py"],
+                            cwd=REPO, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
