@@ -20,10 +20,6 @@ from repro.tools.pmms import (
     write_policy_pair,
 )
 
-ASSOCIATIVITY_PROGRAMS = {"window": "window-1", "puzzle8": "puzzle8",
-                          "bup": "bup-2"}
-POLICY_PROGRAM = "window-1"
-
 
 @dataclass(frozen=True)
 class AblationResults:
@@ -39,10 +35,11 @@ def _compare(workload: str, pair) -> ComparisonResult:
 def generate() -> AblationResults:
     # Two 4KW sets and store-in are the production geometry, answered
     # from each run's stored result; only the other side is replayed.
+    programs = paper_data.ARTIFACTS["ablations"].workloads
     return AblationResults(
         {paper_name: _compare(workload, associativity_pair())
-         for paper_name, workload in ASSOCIATIVITY_PROGRAMS.items()},
-        _compare(POLICY_PROGRAM, write_policy_pair()))
+         for paper_name, workload in programs.items()},
+        _compare(programs["window"], write_policy_pair()))
 
 
 def render(results: AblationResults) -> str:

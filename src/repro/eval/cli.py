@@ -225,6 +225,20 @@ def _selected_tables(args):
     return args.tables or args.programs or None
 
 
+def _collect(args):
+    """The fidelity report ``fidelity`` and ``report`` print; a
+    selection it cannot score is a one-line error."""
+    from repro.obs import fidelity
+
+    try:
+        return fidelity.collect(tables=_selected_tables(args),
+                                threshold=args.max_drift
+                                if args.max_drift is not None
+                                else fidelity.DEFAULT_MAX_DRIFT)
+    except fidelity.SelectionError as exc:
+        raise SystemExit(f"psi-eval: {exc}")
+
+
 def _fidelity(args):
     """``psi-eval fidelity``: score every published cell, gate on drift.
 
@@ -234,19 +248,7 @@ def _fidelity(args):
     """
     import json
 
-    from repro.eval import specs
-    from repro.obs import fidelity
-
-    # Fidelity scores paper drift; the numbers are only meaningful for
-    # the configuration the paper describes.
-    try:
-        specs.assert_faithful("psi-eval fidelity")
-    except RuntimeError as exc:
-        raise SystemExit(str(exc))
-    report = fidelity.collect(tables=_selected_tables(args),
-                              threshold=args.max_drift
-                              if args.max_drift is not None
-                              else fidelity.DEFAULT_MAX_DRIFT)
+    report = _collect(args)
     text = (json.dumps(report.to_dict(), indent=2, sort_keys=True)
             if args.json else report.render())
     return text, 0 if report.passed else 1
@@ -278,17 +280,14 @@ def _report(args):
 
     from repro.obs import fidelity
 
-    selected = _selected_tables(args)
-    report = fidelity.collect(tables=selected, threshold=args.max_drift
-                              if args.max_drift is not None
-                              else fidelity.DEFAULT_MAX_DRIFT)
+    report = _collect(args)
     status = 0 if report.passed else 1
     if not args.html:
         return report.render(), status
 
     from repro.eval.htmlreport import build_dashboard
 
-    wants_figure1 = "figure1" in (selected or fidelity.TABLES)
+    wants_figure1 = "figure1" in (_selected_tables(args) or fidelity.TABLES)
     figure1_result = figure1.generate() if wants_figure1 else None
     html = build_dashboard(
         report, figure1_result=figure1_result,
@@ -495,38 +494,29 @@ _NON_ALL = ("run", "profile", "cache", "fidelity", "diff", "report",
             "crosscheck", "debug", "serve")
 
 
-def _target_workloads(target: str, args) -> list[str]:
-    """The PSI workloads a target will execute (for parallel pre-warm)."""
-    from repro.workloads import table1_workloads
+#: Artifact targets that take no workload names.
+_NAMELESS = ("table2", "table3", "table4", "table5", "table6", "table7",
+             "figure1", "ablations")
 
-    if target == "table1":
-        names = [w.name for w in table1_workloads()]
-        if args.programs:
-            names = [n for n in names if n in args.programs]
-        return names
-    if target == "table2":
-        return list(table2.PROGRAMS.values())
-    if target in ("table3", "table4", "table5"):
-        return list(table3.HARDWARE_PROGRAMS.values())
-    if target == "table6":
-        return [table6.WORKLOAD]
-    if target == "table7":
-        return list(table7.PROGRAMS.values())
-    if target == "figure1":
-        return [figure1.WORKLOAD]
-    if target == "ablations":
-        return list(ablations.ASSOCIATIVITY_PROGRAMS.values()) + [
-            ablations.POLICY_PROGRAM]
+
+def _target_workloads(target: str, args) -> list[str]:
+    """The PSI workloads a target will execute (for parallel pre-warm):
+    the declared workloads of the artifacts it generates."""
+    from repro.eval.paper_data import ARTIFACTS
+    from repro.obs.fidelity import TABLES
+
     if target == "run":
         return list(args.programs or ())
     if target in ("fidelity", "report"):
-        from repro.obs.fidelity import TABLES
-        sub_args = argparse.Namespace(**{**vars(args), "programs": None})
-        names: dict[str, None] = {}
-        for sub in (_selected_tables(args) or TABLES):
-            names.update(dict.fromkeys(_target_workloads(sub, sub_args)))
-        return list(names)
-    return []
+        names = _selected_tables(args) or TABLES
+    else:
+        names = [target]
+    workloads = dict.fromkeys(
+        workload for name in names if name in ARTIFACTS
+        for workload in ARTIFACTS[name].workloads.values())
+    if target in ARTIFACTS and target not in _NAMELESS and args.programs:
+        return [name for name in workloads if name in args.programs]
+    return list(workloads)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -637,6 +627,9 @@ def main(argv: list[str] | None = None) -> int:
         targets = [t for t in _TARGETS if t not in _NON_ALL]
     else:
         targets = [args.target]
+        if args.target in _NAMELESS and args.programs:
+            raise SystemExit(f"psi-eval: {args.target} takes no workload "
+                             f"names (got: {', '.join(args.programs)})")
 
     if args.jobs and args.jobs > 1:
         prewarm: dict[str, None] = {}

@@ -14,8 +14,6 @@ from repro.eval.report import format_table
 from repro.eval.runner import cache_stats
 from repro.tools.pmms import FIGURE1_CAPACITIES, SweepPoint, sweep_configs, sweep_points
 
-WORKLOAD = "window-1"
-
 
 @dataclass(frozen=True)
 class Figure1Result:
@@ -31,9 +29,12 @@ class Figure1Result:
         return self.points[-1].capacity_words
 
 
-def generate(workload: str = WORKLOAD, capacities=FIGURE1_CAPACITIES) -> Figure1Result:
+def generate(workload: str | None = None,
+             capacities=FIGURE1_CAPACITIES) -> Figure1Result:
     configs = sweep_configs(capacities)
-    run, stats = cache_stats(workload, configs)
+    run, stats = cache_stats(
+        workload or paper_data.ARTIFACTS["figure1"].workloads["window"],
+        configs)
     return Figure1Result(sweep_points(run.steps, configs, stats))
 
 

@@ -1,13 +1,25 @@
-"""The paper's published numbers, transcribed for comparison.
+"""The paper's published numbers, transcribed, and the cells measured
+against them.
 
-Every table and figure of the evaluation section, as printed.  These
-feed the report generators (paper-vs-measured columns) and the shape
-checks in the benchmark harnesses.  OCR damage in the source scan was
-repaired against in-text statements (e.g. Table 5's window rows; the
-text says most ratios exceed 96% except the WINDOWs).
+Every table and figure of the evaluation section, as printed.  OCR
+damage in the source scan was repaired against in-text statements
+(e.g. Table 5's window rows; the text says most ratios exceed 96%
+except the WINDOWs).
+
+:data:`ARTIFACTS` declares, once per table and figure, the workloads
+it runs, its fidelity band and every cell it measures.  Tables 2–7 are
+derived from those declarations by one loop
+(:func:`repro.eval.report.derive`), their renders read paper values
+from them, and :mod:`repro.obs.fidelity` scores every declared cell
+that has a paper value.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from repro.core.memory import Area
+from repro.core.micro import NO_OPERATION_OPS, BranchOp, CacheCmd, Module, WFMode
 
 # -- Table 1: execution time (ms) on PSI and DEC-2060, and DEC/PSI ratio ----
 
@@ -99,8 +111,6 @@ STORE_IN_GAIN_PERCENT = 8.0
 READ_WRITE_RATIO = 3.0
 #: Write-stack accounts for 50-75% of all write commands.
 WRITE_STACK_SHARE = (50.0, 75.0)
-#: About one in five steps is a memory access.
-MEM_ACCESS_SHARE = (16.0, 23.1)
 
 # -- Table 6: WF access-mode frequencies for BUP ------------------------------------
 # mode: (source1 % of WF accesses, source1 % of steps,
@@ -120,6 +130,8 @@ TABLE6 = {
 #: Table 6 'total' row: field access rates as % of all steps.
 TABLE6_TOTALS = {"source1": 56.4, "source2": 29.1, "dest": 36.6}
 
+#: §4.3: direct addressing covers >=90% of WF accesses.
+DIRECT_ADDRESSING_MIN = 90.0
 #: §4.3: >=90% of WFAR indirect accesses use auto increment.
 WFAR_AUTO_INCREMENT_MIN = 0.90
 
@@ -155,26 +167,247 @@ MULTIWAY_RATE_RANGE = (13.0, 14.0)
 #: §3.2: builtin call rate among all predicate calls.
 BUILTIN_CALL_RATE = {"window": 82.0, "bup": 65.0}
 
-# -- Fidelity tolerance bands (consumed by repro.obs.fidelity) ----------------
-#
-# Per-table drift judgement: ``kind`` selects the error formula —
-# ``"ratio"`` is relative error against the paper's value (unitless
-# quantities like Table 1's DEC/PSI ratios or Table 5's hit ratios,
-# where the paper value's magnitude is the natural yardstick), and
-# ``"percent"`` is the absolute percentage-point difference (the
-# exact-count frequency tables, where 2% vs 4% is a 2-point miss, not a
-# 100% one).  ``tolerance`` is the error at which a cell counts as
-# drifted: a cell's drift is ``error / tolerance``, so 1.0 is the band
-# edge.  The bands are calibration targets, not guarantees — tighten
-# them as the reproduction closes on the paper.
 
-FIDELITY_BANDS = {
-    "table1": {"kind": "ratio", "tolerance": 0.25},
-    "table2": {"kind": "percent", "tolerance": 10.0},
-    "table3": {"kind": "percent", "tolerance": 6.0},
-    "table4": {"kind": "percent", "tolerance": 10.0},
-    "table5": {"kind": "ratio", "tolerance": 0.05},
-    "table6": {"kind": "percent", "tolerance": 8.0},
-    "table7": {"kind": "percent", "tolerance": 5.0},
-    "figure1": {"kind": "ratio", "tolerance": 1.0},
-}
+# -- Cell declarations ------------------------------------------------------------
+#
+# Each artifact declares its workloads once (program label -> workload,
+# in print order), its fidelity band and its measures.  A measure
+# ``(row, col, how)`` fills one cell per program label, PROGRAM in
+# ``row`` or ``col`` standing for the label; ``how`` is a Ratio of
+# counters, a Sum of cells declared before it, or (Table 1's DEC/PSI
+# ratio, Figure 1's saturation point) a function ``(data, row)`` of the
+# artifact's generated data.  A cell with a paper value is scored,
+# one without is only printed.
+#
+# Band ``kind`` selects the error formula: ``"ratio"`` is relative
+# error against the paper's value (unitless quantities like Table 1's
+# DEC/PSI ratios or Table 5's hit ratios, where the paper value's
+# magnitude is the natural yardstick), and ``"percent"`` is the
+# absolute percentage-point difference (the exact-count frequency
+# tables, where 2% vs 4% is a 2-point miss, not a 100% one).
+# ``tolerance`` is the error at which a cell counts as drifted: a
+# cell's drift is ``error / tolerance``, so 1.0 is the band edge.  The
+# bands are calibration targets, not guarantees — tighten them as the
+# reproduction closes on the paper.
+
+#: Row/column placeholder for the program label a cell is measured on.
+PROGRAM = "{program}"
+
+
+@dataclass(frozen=True)
+class Ratio:
+    """``scale * sum(num) / sum(den)`` over one run's count views.
+
+    Keys are ``(view, item)`` pairs into
+    :data:`repro.eval.report.VIEWS`; an empty ``den`` divides by one,
+    and a denominator that counts nothing gives ``empty``."""
+
+    num: tuple
+    den: tuple = ()
+    scale: float = 100.0
+    empty: float = 0.0
+
+    def of(self, counts: dict) -> float:
+        den = sum(counts[view].get(item, 0) for view, item in self.den) \
+            if self.den else 1
+        if not den:
+            return self.empty
+        return self.scale * sum(counts[view].get(item, 0)
+                                for view, item in self.num) / den
+
+
+@dataclass(frozen=True)
+class Sum:
+    """The sum, in order, of cells declared before it (``(row, col)``
+    pairs, PROGRAM standing for the same program label)."""
+
+    cells: tuple
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One declared cell of one artifact."""
+
+    artifact: str
+    row: str
+    col: str
+    paper: float | None         # None: measured and printed, not scored
+    program: str                # the program label it is measured on
+    how: object                 # Ratio, Sum, or fn(data, row)
+
+    def measured(self, data):
+        """The cell's value in the artifact's generated ``data``
+        (``None`` when ``data`` did not measure it)."""
+        if isinstance(self.how, (Ratio, Sum)):
+            return data.get((self.row, self.col))
+        return self.how(data, self.row)
+
+
+def place(row: str, col: str, program: str) -> tuple[str, str]:
+    """A measure's ``(row, col)`` for one program label."""
+    return (program if row == PROGRAM else row,
+            program if col == PROGRAM else col)
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One table or figure: its workloads, band and measured cells."""
+
+    name: str
+    workloads: dict             # program label -> workload name
+    measures: tuple = ()        # (row, col, how)
+    paper: dict = field(default_factory=dict)   # (row, col) -> value
+    kind: str | None = None     # fidelity band: "ratio" | "percent"
+    tolerance: float | None = None
+
+    def cells(self) -> tuple[Cell, ...]:
+        cells = []
+        for label in self.workloads:
+            for row, col, how in self.measures:
+                key = place(row, col, label)
+                cells.append(Cell(self.name, *key, self.paper.get(key),
+                                  label, how))
+        return tuple(cells)
+
+
+def paper(artifact: str, row: str, col: str) -> float | None:
+    """The paper's value for one cell (``None`` if it prints none)."""
+    return ARTIFACTS[artifact].paper.get((row, col))
+
+
+def _keys(view: str, items) -> tuple:
+    return tuple((view, item) for item in items)
+
+
+_STEPS = (("steps", "total"),)
+_FIELDS = ("source1", "source2", "dest")
+_DIRECT = (WFMode.WF00_0F, WFMode.WF10_3F, WFMode.CONSTANT)
+_OPS = _keys("branch", BranchOp)
+_WRITES = _keys("cmd", (CacheCmd.WRITE_STACK, CacheCmd.WRITE))
+_HARDWARE = {"window-1": "window-1", "window-2": "window-2",
+             "window-3": "window-3", "puzzle8": "puzzle8",
+             "bup": "bup-eval", "harmonizer": "harmonizer-2",
+             "lcp": "lcp-eval"}
+_TABLE3_COLS = ("read", "write_stack", "write", "write_total", "total")
+_CMDS = {"read": CacheCmd.READ, "write_stack": CacheCmd.WRITE_STACK,
+         "write": CacheCmd.WRITE}
+
+
+def _wf(fields, modes=WFMode) -> tuple:
+    return tuple(("wf", (f, mode)) for f in fields for mode in modes)
+
+
+
+def _hits(areas) -> tuple:
+    return _keys("cache", (("hits", a) for a in areas))
+
+
+def _accesses(areas) -> tuple:
+    return _keys("cache", ((kind, a) for a in areas
+                           for kind in ("hits", "misses")))
+
+
+def _op_sum(*ops: BranchOp) -> Sum:
+    return Sum(tuple((op.value, PROGRAM) for op in ops))
+
+
+def _dec_over_psi(rows, row: str) -> float | None:
+    return next((r.ratio for r in rows if r.name == row), None)
+
+
+def _saturation(result, row: str) -> int:
+    return result.saturation_capacity
+
+
+ARTIFACTS = {artifact.name: artifact for artifact in (
+    Artifact(
+        "table1", {name: name for name in TABLE1},
+        ((PROGRAM, "dec_over_psi", _dec_over_psi),),
+        {(name, "dec_over_psi"): row[2] for name, row in TABLE1.items()},
+        "ratio", 0.25),
+    Artifact(
+        "table2", {"window": "window-1", "puzzle8": "puzzle8",
+                   "bup": "bup-eval", "harmonizer": "harmonizer-2"},
+        tuple((PROGRAM, m.value, Ratio((("module", m),), _STEPS))
+              for m in Module)
+        + ((PROGRAM, "builtin_call_rate",
+            Ratio((("calls", "builtin"),),
+                  _keys("calls", ("inferences", "builtin")))),),
+        {**{(p, m): v for p, row in TABLE2.items() for m, v in row.items()},
+         **{(p, "builtin_call_rate"): v
+            for p, v in BUILTIN_CALL_RATE.items()}},
+        "percent", 10.0),
+    Artifact(
+        "table3", _HARDWARE,
+        tuple((PROGRAM, col, Ratio((("cmd", cmd),), _STEPS))
+              for col, cmd in _CMDS.items())
+        + ((PROGRAM, "write_total",
+            Sum(((PROGRAM, "write_stack"), (PROGRAM, "write")))),
+           (PROGRAM, "total", Sum(((PROGRAM, "read"),
+                                   (PROGRAM, "write_total")))),
+           (PROGRAM, "read_write_ratio",
+            Ratio((("cmd", CacheCmd.READ),),
+                  _WRITES, scale=1.0)),
+           (PROGRAM, "write_stack_share",
+            Ratio((("cmd", CacheCmd.WRITE_STACK),), _WRITES))),
+        {(p, col): v for p, row in TABLE3.items()
+         for col, v in zip(_TABLE3_COLS, row)},
+        "percent", 6.0),
+    Artifact(
+        "table4", _HARDWARE,
+        tuple((PROGRAM, a.label, Ratio((("area", a),), _keys("area", Area)))
+              for a in Area),
+        {(p, a.label): v for p, row in TABLE4.items()
+         for a, v in zip(Area, row)},
+        "percent", 10.0),
+    Artifact(
+        "table5", _HARDWARE,
+        tuple((PROGRAM, a.label, Ratio(_hits([a]), _accesses([a]),
+                                       empty=100.0))
+              for a in Area)
+        + ((PROGRAM, "total", Ratio(_hits(Area), _accesses(Area),
+                                    empty=100.0)),),
+        {(p, col): v for p, row in TABLE5.items()
+         for col, v in zip([a.label for a in Area] + ["total"], row)},
+        "ratio", 0.05),
+    Artifact(
+        "table6", {"bup": "bup-eval"},
+        tuple(measure for mode in WFMode for f in _FIELDS for measure in (
+            (mode.value, f"{f}.wf", Ratio(_wf([f], [mode]), _wf([f]))),
+            (mode.value, f"{f}.steps", Ratio(_wf([f], [mode]), _STEPS))))
+        + tuple(("total", f"{f}.steps", Ratio(_wf([f]), _STEPS))
+                for f in _FIELDS)
+        + (("direct addressing", "share",
+            Ratio(_wf(_FIELDS, _DIRECT), _wf(_FIELDS))),
+           ("WFAR auto-increment", "share",
+            Ratio((("wfar", "auto_increment"),)))),
+        # TABLE6 rows are (wf, steps) pairs per field, None where the
+        # paper prints no value.
+        {**{(mode, f"{f}.{unit}"): v for mode, row in TABLE6.items()
+            for i, f in enumerate(_FIELDS)
+            for unit, v in zip(("wf", "steps"), row[2 * i:2 * i + 2])
+            if v is not None},
+         **{("total", f"{f}.steps"): v for f, v in TABLE6_TOTALS.items()}},
+        "percent", 8.0),
+    Artifact(
+        "table7", {"bup": "bup-eval", "window": "window-1",
+                   "puzzle8": "puzzle8"},
+        tuple((op.value, PROGRAM, Ratio((("branch", op),), _OPS))
+              for op in BranchOp)
+        + (("branch ops", PROGRAM,
+            Ratio(_keys("branch", (op for op in BranchOp
+                                   if op not in NO_OPERATION_OPS)), _OPS)),
+           ("conditionals", PROGRAM, _op_sum(
+               BranchOp.IF_COND, BranchOp.IF_NOT_COND, BranchOp.IF_TAG)),
+           ("multi-way", PROGRAM, _op_sum(
+               BranchOp.CASE_TAG, BranchOp.CASE_IRN, BranchOp.CASE_OPCODE))),
+        {(op, p): v for op, row in TABLE7.items() for p, v in row.items()},
+        "percent", 5.0),
+    Artifact(
+        "figure1", {"window": "window-1"},
+        ((PROGRAM, "saturation_words", _saturation),),
+        {("window", "saturation_words"): FIGURE1_SATURATION_WORDS},
+        "ratio", 1.0),
+    Artifact("ablations", {"window": "window-1", "puzzle8": "puzzle8",
+                           "bup": "bup-2"}),
+)}

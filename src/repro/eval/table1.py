@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.eval import paper_data
 from repro.eval.report import format_table
 from repro.eval.runner import run_spec
-from repro.workloads import table1_workloads
+from repro.workloads import get
 
 
 @dataclass(frozen=True)
@@ -27,59 +27,48 @@ class Table1Row:
     psi_ms: float
     dec_ms: float
     ratio: float            # DEC / PSI
-    paper_psi_ms: float
-    paper_dec_ms: float
-    paper_ratio: float
-    psi_inferences: int
 
 
 def generate(workload_names: list[str] | None = None) -> list[Table1Row]:
     """Run the Table 1 benchmarks on both machines."""
     rows = []
-    workloads = table1_workloads()
-    if workload_names is not None:
-        workloads = [w for w in workloads if w.name in workload_names]
-    for workload in workloads:
-        psi = run_spec(workload.name, record_trace=False)
-        dec = run_spec(workload.name, "baseline")
-        psi_ms = psi.time_ms
-        dec_ms = dec.time_ms
-        paper_psi, paper_dec, paper_ratio = paper_data.TABLE1[workload.name]
+    for name in paper_data.ARTIFACTS["table1"].workloads.values():
+        if workload_names is not None and name not in workload_names:
+            continue
+        workload = get(name)
+        psi_ms = run_spec(name, record_trace=False).time_ms
+        dec_ms = run_spec(name, "baseline").time_ms
         rows.append(Table1Row(
-            name=workload.name,
+            name=name,
             paper_id=workload.paper_id,
             title=workload.title,
             psi_ms=psi_ms,
             dec_ms=dec_ms,
             ratio=dec_ms / psi_ms if psi_ms else 0.0,
-            paper_psi_ms=paper_psi,
-            paper_dec_ms=paper_dec,
-            paper_ratio=paper_ratio,
-            psi_inferences=psi.stats.inferences,
         ))
     return rows
 
 
 def render(rows: list[Table1Row]) -> str:
+    papers = [paper_data.paper("table1", r.name, "dec_over_psi") for r in rows]
+    agrees = [_winner_agrees(r.ratio, paper) for r, paper in zip(rows, papers)]
     table = format_table(
         ["id", "program", "PSI(ms)", "DEC(ms)", "DEC/PSI",
          "paper DEC/PSI", "winner agrees"],
         [(r.paper_id, r.title, round(r.psi_ms, 2), round(r.dec_ms, 2),
-          round(r.ratio, 2), r.paper_ratio,
-          "yes" if _winner_agrees(r) else "NO")
-         for r in rows],
+          round(r.ratio, 2), paper, "yes" if agree else "NO")
+         for r, paper, agree in zip(rows, papers, agrees)],
         title="Table 1: execution time of benchmark programs on PSI and DEC-2060",
     )
-    agree = sum(_winner_agrees(r) for r in rows)
-    return f"{table}\nwinner agreement: {agree}/{len(rows)}"
+    return f"{table}\nwinner agreement: {sum(agrees)}/{len(rows)}"
 
 
-def _winner_agrees(row: Table1Row, tolerance: float = 0.08) -> bool:
+def _winner_agrees(ratio: float, paper: float, tolerance: float = 0.08) -> bool:
     """Same side of 1.0, treating near-1.0 ratios as ties."""
-    near_measured = abs(row.ratio - 1.0) <= tolerance
-    near_paper = abs(row.paper_ratio - 1.0) <= tolerance
+    near_measured = abs(ratio - 1.0) <= tolerance
+    near_paper = abs(paper - 1.0) <= tolerance
     if near_paper:
-        return near_measured or (row.ratio > 1.0) == (row.paper_ratio > 1.0)
+        return near_measured or (ratio > 1.0) == (paper > 1.0)
     if near_measured:
         return True
-    return (row.ratio > 1.0) == (row.paper_ratio > 1.0)
+    return (ratio > 1.0) == (paper > 1.0)

@@ -8,59 +8,18 @@ observations from §3.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.micro import Module
-from repro.eval import paper_data
-from repro.eval.report import format_table
-from repro.eval.runner import run_spec
+from repro.eval.report import Measured, derive, format_table, paired_rows
 
-#: Paper's Table 2 program -> our workload name.
-PROGRAMS = {
-    "window": "window-1",
-    "puzzle8": "puzzle8",
-    "bup": "bup-eval",
-    "harmonizer": "harmonizer-2",
-}
-
-MODULE_ORDER = [Module.CONTROL, Module.UNIFY, Module.TRAIL,
-                Module.GET_ARG, Module.CUT, Module.BUILT]
+COLUMNS = [m.value for m in Module] + ["builtin_call_rate"]
 
 
-@dataclass(frozen=True)
-class Table2Row:
-    program: str
-    ratios: dict            # Module -> percent
-    paper: dict             # module name -> percent
-    builtin_call_rate: float  # % of all predicate calls that are builtins
+def generate(programs: dict[str, str] | None = None) -> Measured:
+    return derive("table2", programs)
 
 
-def generate(programs: dict[str, str] | None = None) -> list[Table2Row]:
-    rows = []
-    for paper_name, workload_name in (programs or PROGRAMS).items():
-        run = run_spec(workload_name, record_trace=False)
-        stats = run.stats
-        calls = stats.inferences + stats.builtin_calls
-        rows.append(Table2Row(
-            program=paper_name,
-            ratios=stats.module_ratios(),
-            paper=paper_data.TABLE2.get(paper_name, {}),
-            builtin_call_rate=100.0 * stats.builtin_calls / calls if calls else 0.0,
-        ))
-    return rows
-
-
-def render(rows: list[Table2Row]) -> str:
-    headers = ["program"] + [m.value for m in MODULE_ORDER] + ["builtins/calls%"]
-    body = []
-    for row in rows:
-        body.append([row.program]
-                    + [round(row.ratios[m], 1) for m in MODULE_ORDER]
-                    + [round(row.builtin_call_rate, 1)])
-        if row.paper:
-            body.append([f"  (paper)"]
-                        + [row.paper[m.value] for m in MODULE_ORDER]
-                        + [paper_data.BUILTIN_CALL_RATE.get(row.program, "-")])
+def render(data: Measured) -> str:
+    headers = ["program"] + [m.value for m in Module] + ["builtins/calls%"]
     return format_table(
-        headers, body,
+        headers, paired_rows("table2", data, COLUMNS),
         title="Table 2: execution step ratios of interpreter modules (%)")

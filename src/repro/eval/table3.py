@@ -2,81 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.micro import CacheCmd
 from repro.eval import paper_data
-from repro.eval.report import format_table
-from repro.eval.runner import run_spec
+from repro.eval.report import Measured, derive, format_table, paired_rows, span
 
-#: Paper's Table 3/4/5 programs -> our workload names, in paper order.
-HARDWARE_PROGRAMS = {
-    "window-1": "window-1",
-    "window-2": "window-2",
-    "window-3": "window-3",
-    "puzzle8": "puzzle8",
-    "bup": "bup-eval",
-    "harmonizer": "harmonizer-2",
-    "lcp": "lcp-eval",
-}
+COLUMNS = ["read", "write_stack", "write", "write_total", "total"]
 
 
-@dataclass(frozen=True)
-class Table3Row:
-    program: str
-    read: float
-    write_stack: float
-    write: float
-    paper: tuple | None
-
-    @property
-    def write_total(self) -> float:
-        return self.write_stack + self.write
-
-    @property
-    def total(self) -> float:
-        return self.read + self.write_total
-
-    @property
-    def read_write_ratio(self) -> float:
-        return self.read / self.write_total if self.write_total else 0.0
-
-    @property
-    def write_stack_share(self) -> float:
-        """Write-stack as % of all write commands."""
-        return 100.0 * self.write_stack / self.write_total if self.write_total else 0.0
+def generate(programs: dict[str, str] | None = None) -> Measured:
+    return derive("table3", programs)
 
 
-def generate(programs: dict[str, str] | None = None) -> list[Table3Row]:
-    rows = []
-    for paper_name, workload_name in (programs or HARDWARE_PROGRAMS).items():
-        run = run_spec(workload_name, record_trace=False)
-        ratios = run.stats.cache_command_ratios()
-        rows.append(Table3Row(
-            program=paper_name,
-            read=ratios[CacheCmd.READ],
-            write_stack=ratios[CacheCmd.WRITE_STACK],
-            write=ratios[CacheCmd.WRITE],
-            paper=paper_data.TABLE3.get(paper_name),
-        ))
-    return rows
-
-
-def render(rows: list[Table3Row]) -> str:
-    body = []
-    for row in rows:
-        body.append([row.program, round(row.read, 1), round(row.write_stack, 1),
-                     round(row.write, 1), round(row.write_total, 1),
-                     round(row.total, 1)])
-        if row.paper:
-            body.append(["  (paper)"] + list(row.paper))
+def render(data: Measured) -> str:
     table = format_table(
         ["program", "read", "write-stack", "write", "write-total", "total"],
-        body,
+        paired_rows("table3", data, COLUMNS),
         title="Table 3: execution rate of each cache command in total steps (%)")
-    ratios = [row.read_write_ratio for row in rows]
-    shares = [row.write_stack_share for row in rows]
+    ratios = [data[p, "read_write_ratio"] for p in data.programs]
+    shares = [data[p, "write_stack_share"] for p in data.programs]
     summary = (f"read:write ratio {min(ratios):.1f}-{max(ratios):.1f} "
-               f"(paper: ~3), write-stack share of writes "
-               f"{min(shares):.0f}-{max(shares):.0f}% (paper: 50-75%)")
+               f"(paper: ~{paper_data.READ_WRITE_RATIO:.0f}), write-stack "
+               f"share of writes {min(shares):.0f}-{max(shares):.0f}% "
+               f"(paper: {span(paper_data.WRITE_STACK_SHARE)}%)")
     return f"{table}\n{summary}"

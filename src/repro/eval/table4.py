@@ -2,45 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.memory import Area
-from repro.eval import paper_data
-from repro.eval.report import format_table
-from repro.eval.runner import run_spec
-from repro.eval.table3 import HARDWARE_PROGRAMS
-
-AREA_ORDER = [Area.HEAP, Area.GLOBAL, Area.LOCAL, Area.CONTROL, Area.TRAIL]
+from repro.eval.report import Measured, derive, format_table, paired_rows
 
 
-@dataclass(frozen=True)
-class Table4Row:
-    program: str
-    ratios: dict           # Area -> percent
-    paper: tuple | None
+def generate(programs: dict[str, str] | None = None) -> Measured:
+    return derive("table4", programs)
 
 
-def generate(programs: dict[str, str] | None = None) -> list[Table4Row]:
-    rows = []
-    for paper_name, workload_name in (programs or HARDWARE_PROGRAMS).items():
-        run = run_spec(workload_name, record_trace=False)
-        ratios = run.stats.area_access_ratios()
-        rows.append(Table4Row(
-            program=paper_name,
-            ratios={area: ratios.get(area, 0.0) for area in AREA_ORDER},
-            paper=paper_data.TABLE4.get(paper_name),
-        ))
-    return rows
-
-
-def render(rows: list[Table4Row]) -> str:
-    body = []
-    for row in rows:
-        body.append([row.program]
-                    + [round(row.ratios[a], 1) for a in AREA_ORDER])
-        if row.paper:
-            body.append(["  (paper)"] + list(row.paper))
+def render(data: Measured) -> str:
     return format_table(
         ["program", "heap", "global stk", "local stk", "control stk", "trail stk"],
-        body,
+        paired_rows("table4", data, [a.label for a in Area]),
         title="Table 4: access frequency of each memory area (%)")

@@ -2,69 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.micro import WFMode
 from repro.eval import paper_data
-from repro.eval.report import format_table
-from repro.eval.runner import run_spec
-from repro.tools.map import wf_analysis
+from repro.eval.report import Measured, derive, format_table
 
-WORKLOAD = "bup-eval"
-
-MODE_ORDER = [WFMode.WF00_0F, WFMode.WF10_3F, WFMode.CONSTANT,
-              WFMode.PDR_CDR, WFMode.WFAR1, WFMode.WFAR2, WFMode.WFCBR]
+FIELDS = ("source1", "source2", "dest")
 
 
-@dataclass(frozen=True)
-class Table6Result:
-    table: dict                    # field -> {mode: (field %, steps %)}
-    totals: dict[str, float]       # field -> % of steps
-    auto_increment_ratio: float
-    direct_share: float            # % of WF accesses using direct modes
+def generate(programs: dict[str, str] | None = None) -> Measured:
+    return derive("table6", programs)
 
 
-def generate(workload: str = WORKLOAD) -> Table6Result:
-    run = run_spec(workload, record_trace=False)
-    stats = run.stats
-    table = stats.wf_table()
-    counts = stats.wf_field_counts()
-    all_accesses = sum(sum(c.values()) for c in counts.values())
-    direct = sum(counts[field].get(mode, 0)
-                 for field in counts
-                 for mode in (WFMode.WF00_0F, WFMode.WF10_3F, WFMode.CONSTANT))
-    return Table6Result(
-        table=table,
-        totals=stats.wf_field_totals(),
-        auto_increment_ratio=stats.wfar_auto_increment_ratio(),
-        direct_share=100.0 * direct / all_accesses if all_accesses else 0.0,
-    )
-
-
-def render(result: Table6Result) -> str:
+def render(data: Measured) -> str:
     body = []
-    for mode in MODE_ORDER:
-        s1 = result.table["source1"][mode]
-        s2 = result.table["source2"][mode]
-        d = result.table["dest"][mode]
-        paper = paper_data.TABLE6[mode.value]
-        body.append([
-            mode.value,
-            f"{s1[0]:.1f}/{s1[1]:.1f}",
-            f"{s2[0]:.1f}/{s2[1]:.1f}" if mode is WFMode.WF00_0F else "-",
-            f"{d[0]:.1f}/{d[1]:.1f}" if mode is not WFMode.CONSTANT else "-",
-            _paper_cell(paper[0], paper[1]),
-            _paper_cell(paper[2], paper[3]),
-            _paper_cell(paper[4], paper[5]),
-        ])
-    totals = result.totals
-    body.append(["total",
-                 f"100/{totals['source1']:.1f}",
-                 f"100/{totals['source2']:.1f}",
-                 f"100/{totals['dest']:.1f}",
-                 f"100/{paper_data.TABLE6_TOTALS['source1']}",
-                 f"100/{paper_data.TABLE6_TOTALS['source2']}",
-                 f"100/{paper_data.TABLE6_TOTALS['dest']}"])
+    for mode in WFMode:
+        row = mode.value
+        body.append([row]
+                    + [_measured(data, row, f) for f in FIELDS]
+                    + [_paper(row, f) for f in FIELDS])
+    body.append(["total"]
+                + [f"100/{data['total', f'{f}.steps']:.1f}" for f in FIELDS]
+                + [f"100/{paper_data.paper('table6', 'total', f'{f}.steps')}"
+                   for f in FIELDS])
     table = format_table(
         ["access mode", "source1", "source2", "dest",
          "paper s1", "paper s2", "paper dest"],
@@ -72,12 +31,22 @@ def render(result: Table6Result) -> str:
         title="Table 6: work file access modes for BUP "
               "(% of field's WF accesses / % of all steps)")
     return (f"{table}\n"
-            f"direct addressing share: {result.direct_share:.1f}% "
-            f"(paper: >=90%), WFAR auto-increment: "
-            f"{100 * result.auto_increment_ratio:.0f}% (paper: >=90%)")
+            f"direct addressing share: "
+            f"{data['direct addressing', 'share']:.1f}% "
+            f"(paper: >={paper_data.DIRECT_ADDRESSING_MIN:.0f}%), "
+            f"WFAR auto-increment: {data['WFAR auto-increment', 'share']:.0f}% "
+            f"(paper: >={100 * paper_data.WFAR_AUTO_INCREMENT_MIN:.0f}%)")
 
 
-def _paper_cell(a, b) -> str:
-    if a is None:
+def _measured(data: Measured, row: str, f: str) -> str:
+    """A field's ``wf%/steps%`` where the paper prints one, else ``-``."""
+    if paper_data.paper("table6", row, f"{f}.wf") is None:
         return "-"
-    return f"{a}/{b}"
+    return f"{data[row, f'{f}.wf']:.1f}/{data[row, f'{f}.steps']:.1f}"
+
+
+def _paper(row: str, f: str) -> str:
+    value = paper_data.paper("table6", row, f"{f}.wf")
+    if value is None:
+        return "-"
+    return f"{value}/{paper_data.paper('table6', row, f'{f}.steps')}"

@@ -2,66 +2,38 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.micro import BRANCH_TYPE, BranchOp, NO_OPERATION_OPS
+from repro.core.micro import BRANCH_TYPE, BranchOp
 from repro.eval import paper_data
-from repro.eval.report import format_table
-from repro.eval.runner import run_spec
-
-PROGRAMS = {"bup": "bup-eval", "window": "window-1", "puzzle8": "puzzle8"}
-
-OP_ORDER = list(BranchOp)
-
-_CONDITIONALS = (BranchOp.IF_COND, BranchOp.IF_NOT_COND, BranchOp.IF_TAG)
-_MULTIWAY = (BranchOp.CASE_TAG, BranchOp.CASE_IRN, BranchOp.CASE_OPCODE)
+from repro.eval.report import Measured, derive, format_table, span
 
 
-@dataclass(frozen=True)
-class Table7Result:
-    ratios: dict[str, dict[BranchOp, float]]   # program -> op -> %
-    branch_rates: dict[str, float]             # % steps with a branch op
-
-    def conditional_rate(self, program: str) -> float:
-        return sum(self.ratios[program][op] for op in _CONDITIONALS)
-
-    def multiway_rate(self, program: str) -> float:
-        return sum(self.ratios[program][op] for op in _MULTIWAY)
+def generate(programs: dict[str, str] | None = None) -> Measured:
+    return derive("table7", programs)
 
 
-def generate(programs: dict[str, str] | None = None) -> Table7Result:
-    ratios = {}
-    rates = {}
-    for paper_name, workload in (programs or PROGRAMS).items():
-        run = run_spec(workload, record_trace=False)
-        ratios[paper_name] = run.stats.branch_ratios()
-        rates[paper_name] = run.stats.branch_operation_rate()
-    return Table7Result(ratios, rates)
-
-
-def render(result: Table7Result) -> str:
-    programs = list(result.ratios)
+def render(data: Measured) -> str:
+    programs = list(data.programs)
     body = []
     current_type = 0
-    for op in OP_ORDER:
+    for op in BranchOp:
         if BRANCH_TYPE[op] != current_type:
             current_type = BRANCH_TYPE[op]
             body.append([f"Type{current_type}"] + [""] * (2 * len(programs)))
-        row = [f"  {op.value}"]
-        for program in programs:
-            row.append(round(result.ratios[program][op], 1))
-        for program in programs:
-            row.append(paper_data.TABLE7[op.value][program])
-        body.append(row)
+        body.append([f"  {op.value}"]
+                    + [round(data[op.value, p], 1) for p in programs]
+                    + [paper_data.paper("table7", op.value, p)
+                       for p in programs])
     headers = (["operation"] + programs + [f"paper {p}" for p in programs])
     table = format_table(
         headers, body,
         title="Table 7: dynamic frequency of branch operations (%)")
     lines = [table]
-    for program in programs:
+    for p in programs:
         lines.append(
-            f"{program}: branch ops {result.branch_rates[program]:.0f}% of steps "
-            f"(paper: 77-83), conditionals {result.conditional_rate(program):.0f}% "
-            f"(paper: 35-39), multi-way {result.multiway_rate(program):.0f}% "
-            f"(paper: 13-14)")
+            f"{p}: branch ops {data['branch ops', p]:.0f}% of steps "
+            f"(paper: {span(paper_data.BRANCH_RATE_RANGE)}), conditionals "
+            f"{data['conditionals', p]:.0f}% "
+            f"(paper: {span(paper_data.CONDITIONAL_RATE_RANGE)}), multi-way "
+            f"{data['multi-way', p]:.0f}% "
+            f"(paper: {span(paper_data.MULTIWAY_RATE_RANGE)})")
     return "\n".join(lines)

@@ -1,26 +1,27 @@
 """Paper-drift scoring: one number for "how close are we to the paper?"
 
 Every cell of Tables 1–7 and Figure 1 that the paper prints and the
-reproduction measures is compared as measured-vs-paper error, judged
-against the per-table tolerance band declared in
-:data:`repro.eval.paper_data.FIDELITY_BANDS` (``ratio`` tables use
-relative error, ``percent`` tables absolute percentage points — see
-there for the rationale), and aggregated into per-table and overall
-fidelity scores.  The score is the percentage of cells inside their
-band; ``drift`` is its complement, and ``psi-eval fidelity`` exits
-non-zero when overall drift exceeds a threshold, which is what lets CI
-gate on reproduction fidelity the same way it gates on tests.
+reproduction measures is declared once in
+:data:`repro.eval.paper_data.ARTIFACTS`, with its paper value and its
+artifact's tolerance band (``ratio`` tables use relative error,
+``percent`` tables absolute percentage points — see there for the
+rationale).  :func:`score` compares each as measured-vs-paper error,
+aggregated into per-table and overall fidelity scores.  The score is
+the percentage of cells inside their band; ``drift`` is its
+complement, and ``psi-eval fidelity`` exits non-zero when overall
+drift exceeds a threshold, which is what lets CI gate on reproduction
+fidelity the same way it gates on tests.
 
-The scoring functions are pure — they take the already-generated table
-results — so they are unit-testable without executing workloads;
-:func:`collect` is the convenience wrapper that runs the generators
-(through the run-cache tiers of :mod:`repro.eval.runner`) and scores
-everything.  The JSON document schema is documented in
-``docs/OBSERVABILITY.md`` ("Fidelity").
+Scoring is pure — it takes the already-generated table results — so
+it is unit-testable without executing workloads; :func:`collect` runs
+the generators and scores everything.  The JSON document schema is
+documented in ``docs/OBSERVABILITY.md`` ("Fidelity").
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 from dataclasses import dataclass
 
 from repro.eval import paper_data
@@ -183,12 +184,12 @@ class FidelityReport:
                 f"<= threshold {self.threshold:.1f}: {verdict}")
 
 
-# -- cell construction --------------------------------------------------------
+class SelectionError(ValueError):
+    """:func:`collect` cannot score what was asked: an unknown table,
+    or a run spec other than ``faithful``."""
 
-def _band(table: str) -> tuple[str, float]:
-    band = paper_data.FIDELITY_BANDS[table]
-    return band["kind"], band["tolerance"]
 
+# -- scoring -------------------------------------------------------------------
 
 def _cell(kind: str, tolerance: float, row: str, col: str,
           paper: float, measured: float) -> CellDrift:
@@ -203,124 +204,23 @@ def _cell(kind: str, tolerance: float, row: str, col: str,
                      drift=error / tolerance)
 
 
-def _score(table: str, triples) -> TableFidelity:
-    """Build a TableFidelity from ``(row, col, paper, measured)`` tuples."""
-    kind, tolerance = _band(table)
-    cells = tuple(_cell(kind, tolerance, row, col, paper, measured)
-                  for row, col, paper, measured in triples)
-    return TableFidelity(table, kind, tolerance, cells)
+def score(name: str, data) -> TableFidelity:
+    """Score every declared cell of artifact ``name`` that has a paper
+    value and that ``data`` (its ``generate()`` result) measured."""
+    artifact = paper_data.ARTIFACTS[name]
+    cells = []
+    for cell in artifact.cells():
+        measured = cell.measured(data) if cell.paper is not None else None
+        if measured is not None:
+            cells.append(_cell(artifact.kind, artifact.tolerance, cell.row,
+                               cell.col, cell.paper, measured))
+    return TableFidelity(name, artifact.kind, artifact.tolerance, tuple(cells))
 
 
-# -- per-table scorers (pure: take generated results) -------------------------
+(score_table1, score_table2, score_table3, score_table4, score_table5,
+ score_table6, score_table7, score_figure1) = (
+    functools.partial(score, name) for name in TABLES)
 
-def score_table1(rows) -> TableFidelity:
-    """Table 1: the DEC/PSI ratio per benchmark."""
-    return _score("table1", [(r.name, "dec_over_psi", r.paper_ratio, r.ratio)
-                             for r in rows])
-
-
-def score_table2(rows) -> TableFidelity:
-    """Table 2: module step ratios, plus the §3.2 builtin call rates."""
-    from repro.core.micro import Module
-
-    triples = []
-    for row in rows:
-        for module_name, paper_value in row.paper.items():
-            triples.append((row.program, module_name, paper_value,
-                            row.ratios[Module(module_name)]))
-        paper_rate = paper_data.BUILTIN_CALL_RATE.get(row.program)
-        if paper_rate is not None:
-            triples.append((row.program, "builtin_call_rate",
-                            paper_rate, row.builtin_call_rate))
-    return _score("table2", triples)
-
-
-def score_table3(rows) -> TableFidelity:
-    """Table 3: cache command rates (% of all steps)."""
-    triples = []
-    for row in rows:
-        if row.paper is None:
-            continue
-        read, write_stack, write, write_total, total = row.paper
-        for col, paper, measured in (
-                ("read", read, row.read),
-                ("write_stack", write_stack, row.write_stack),
-                ("write", write, row.write),
-                ("write_total", write_total, row.write_total),
-                ("total", total, row.total)):
-            triples.append((row.program, col, paper, measured))
-    return _score("table3", triples)
-
-
-def score_table4(rows) -> TableFidelity:
-    """Table 4: per-area access frequencies."""
-    from repro.eval.table4 import AREA_ORDER
-
-    triples = []
-    for row in rows:
-        if row.paper is None:
-            continue
-        for area, paper in zip(AREA_ORDER, row.paper):
-            triples.append((row.program, area.label, paper, row.ratios[area]))
-    return _score("table4", triples)
-
-
-def score_table5(rows) -> TableFidelity:
-    """Table 5: per-area cache hit ratios plus the total."""
-    from repro.eval.table4 import AREA_ORDER
-
-    triples = []
-    for row in rows:
-        if row.paper is None:
-            continue
-        for area, paper in zip(AREA_ORDER, row.paper[:-1]):
-            triples.append((row.program, area.label, paper, row.ratios[area]))
-        triples.append((row.program, "total", row.paper[-1], row.total))
-    return _score("table5", triples)
-
-
-def score_table6(result) -> TableFidelity:
-    """Table 6: WF access-mode frequencies (both %-of-accesses and
-    %-of-steps where the paper prints them) plus the totals row."""
-    from repro.core.micro import WFMode
-
-    triples = []
-    for mode_value, paper_row in paper_data.TABLE6.items():
-        mode = WFMode(mode_value)
-        for i, field in enumerate(("source1", "source2", "dest")):
-            paper_wf, paper_steps = paper_row[2 * i], paper_row[2 * i + 1]
-            if paper_wf is None:
-                continue
-            measured_wf, measured_steps = result.table[field][mode]
-            triples.append((mode_value, f"{field}.wf", paper_wf, measured_wf))
-            triples.append((mode_value, f"{field}.steps",
-                            paper_steps, measured_steps))
-    for field, paper_total in paper_data.TABLE6_TOTALS.items():
-        triples.append(("total", f"{field}.steps", paper_total,
-                        result.totals[field]))
-    return _score("table6", triples)
-
-
-def score_table7(result) -> TableFidelity:
-    """Table 7: branch-operation frequencies per program."""
-    triples = []
-    for program, ratios in result.ratios.items():
-        for op, measured in ratios.items():
-            paper = paper_data.TABLE7.get(op.value, {}).get(program)
-            if paper is None:
-                continue
-            triples.append((op.value, program, paper, measured))
-    return _score("table7", triples)
-
-
-def score_figure1(result) -> TableFidelity:
-    """Figure 1: the saturation capacity of the cache sweep."""
-    return _score("figure1", [
-        ("window", "saturation_words",
-         paper_data.FIGURE1_SATURATION_WORDS, result.saturation_capacity)])
-
-
-# -- collection (runs the generators through the cache tiers) -----------------
 
 def collect(tables=None, threshold: float = DEFAULT_MAX_DRIFT) -> FidelityReport:
     """Generate the selected tables and score every cell.
@@ -328,34 +228,26 @@ def collect(tables=None, threshold: float = DEFAULT_MAX_DRIFT) -> FidelityReport
     ``tables`` is an iterable of names from :data:`TABLES` (default:
     all of them — note ``table1`` also executes the DEC baseline, the
     expensive half; CI's cheap gate passes the subset without it).
+    Generation goes through the run-cache tiers of
+    :mod:`repro.eval.runner`.
 
     Fidelity is defined against the paper's machine, so scoring under
     any run spec but ``faithful`` fails loudly here — paper-drift
     numbers must never silently come from an optimized configuration.
     """
     from repro.eval.specs import assert_faithful
-    assert_faithful("fidelity scoring")
     selected = list(tables) if tables is not None else list(TABLES)
     unknown = [name for name in selected if name not in TABLES]
     if unknown:
-        raise ValueError(f"unknown fidelity table(s): {', '.join(unknown)} "
-                         f"(choose from: {', '.join(TABLES)})")
-
-    def _run(name: str) -> TableFidelity:
-        from repro.eval import (ablations, figure1, table1, table2, table3,
-                                table4, table5, table6, table7)  # noqa: F401
-        generators = {
-            "table1": lambda: score_table1(table1.generate()),
-            "table2": lambda: score_table2(table2.generate()),
-            "table3": lambda: score_table3(table3.generate()),
-            "table4": lambda: score_table4(table4.generate()),
-            "table5": lambda: score_table5(table5.generate()),
-            "table6": lambda: score_table6(table6.generate()),
-            "table7": lambda: score_table7(table7.generate()),
-            "figure1": lambda: score_figure1(figure1.generate()),
-        }
-        return generators[name]()
-
-    ordered = [name for name in TABLES if name in selected]
-    return FidelityReport(tuple(_run(name) for name in ordered),
-                          threshold=threshold)
+        raise SelectionError(f"unknown fidelity table(s): "
+                             f"{', '.join(unknown)} "
+                             f"(choose from: {', '.join(TABLES)})")
+    try:
+        assert_faithful("fidelity scoring")
+    except RuntimeError as exc:
+        raise SelectionError(str(exc)) from exc
+    return FidelityReport(
+        tuple(score(name, importlib.import_module(f"repro.eval.{name}")
+                    .generate())
+              for name in TABLES if name in selected),
+        threshold=threshold)

@@ -9,7 +9,7 @@ whole module runs in seconds.
 import pytest
 
 from repro.core.memory import Area
-from repro.core.micro import Module, WFMode
+from repro.core.micro import BranchOp, Module
 from repro.eval import figure1, paper_data, runner, table1, table2, table3, table4, table5, table6, table7
 from repro.eval.report import format_table
 
@@ -56,57 +56,54 @@ class TestTable1:
         assert "nreverse" in text and "DEC/PSI" in text
 
     def test_winner_agreement_logic(self):
-        row = table1.Table1Row("x", "(0)", "x", 10.0, 12.0, 1.2,
-                               10.0, 13.0, 1.3, 100)
-        assert table1._winner_agrees(row)
-        row_no = table1.Table1Row("x", "(0)", "x", 10.0, 8.0, 0.8,
-                                  10.0, 13.0, 1.3, 100)
-        assert not table1._winner_agrees(row_no)
-        near_tie = table1.Table1Row("x", "(0)", "x", 10.0, 10.4, 1.04,
-                                    10.0, 9.6, 0.96, 100)
-        assert table1._winner_agrees(near_tie)
+        assert table1._winner_agrees(1.2, 1.3)
+        assert not table1._winner_agrees(0.8, 1.3)
+        assert table1._winner_agrees(1.04, 0.96)          # near tie
 
 
 class TestProfileTables:
     def test_table2_rows(self):
-        rows = table2.generate(FAST)
-        assert len(rows) == 4
-        for row in rows:
-            assert sum(row.ratios.values()) == pytest.approx(100.0)
-        assert "program" in table2.render(rows)
+        data = table2.generate(FAST)
+        assert data.programs == tuple(FAST)
+        for program in FAST:
+            assert sum(data[program, m.value] for m in Module) == \
+                pytest.approx(100.0)
+        assert "program" in table2.render(data)
 
     def test_table3_rows(self):
-        rows = table3.generate({"bup": "bup-1"})
-        row = rows[0]
-        assert row.total == pytest.approx(row.read + row.write_total)
-        assert 0 < row.total < 100
-        assert "write-stack" in table3.render(rows)
+        data = table3.generate({"bup": "bup-1"})
+        total = data["bup", "total"]
+        assert total == pytest.approx(data["bup", "read"]
+                                      + data["bup", "write_total"])
+        assert 0 < total < 100
+        assert "write-stack" in table3.render(data)
 
     def test_table4_rows(self):
-        rows = table4.generate({"bup": "bup-1"})
-        total = sum(rows[0].ratios.values())
+        data = table4.generate({"bup": "bup-1"})
+        total = sum(data["bup", area.label] for area in Area)
         assert total == pytest.approx(100.0, abs=0.5)
-        table4.render(rows)
+        table4.render(data)
 
     def test_table5_rows(self):
-        rows = table5.generate({"bup": "bup-1"})
-        row = rows[0]
+        data = table5.generate({"bup": "bup-1"})
         for area in (Area.HEAP, Area.GLOBAL):
-            assert 0 < row.ratios[area] <= 100.0
-        table5.render(rows)
+            assert 0 < data["bup", area.label] <= 100.0
+        table5.render(data)
 
     def test_table6(self):
-        result = table6.generate("bup-1")
-        assert set(result.totals) == {"source1", "source2", "dest"}
-        assert 0 < result.direct_share <= 100
-        text = table6.render(result)
+        data = table6.generate({"bup": "bup-1"})
+        assert {col for row, col in data if row == "total"} == \
+            {"source1.steps", "source2.steps", "dest.steps"}
+        assert 0 < data["direct addressing", "share"] <= 100
+        text = table6.render(data)
         assert "@WFAR1" in text
 
     def test_table7(self):
-        result = table7.generate({"bup": "bup-1"})
-        assert sum(result.ratios["bup"].values()) == pytest.approx(100.0)
-        assert 0 < result.branch_rates["bup"] < 100
-        table7.render(result)
+        data = table7.generate({"bup": "bup-1"})
+        assert sum(data[op.value, "bup"] for op in BranchOp) == \
+            pytest.approx(100.0)
+        assert 0 < data["branch ops", "bup"] < 100
+        table7.render(data)
 
     def test_figure1_small(self):
         result = figure1.generate("lcp-2", capacities=(8, 256, 8192))
@@ -131,8 +128,9 @@ class TestReport:
 
 class TestCLI:
     def test_cli_runs_table6(self, capsys, monkeypatch):
-        from repro.eval import cli, table6 as t6
-        monkeypatch.setattr(t6, "WORKLOAD", "bup-1")
+        from repro.eval import cli
+        monkeypatch.setitem(paper_data.ARTIFACTS["table6"].workloads,
+                            "bup", "bup-1")
         assert cli.main(["table6"]) == 0
         out = capsys.readouterr().out
         assert "work file" in out.lower()
@@ -141,6 +139,17 @@ class TestCLI:
         from repro.eval import cli
         with pytest.raises(SystemExit):
             cli.main(["table99"])
+
+    @pytest.mark.parametrize("argv", [["table2", "nreverse"],
+                                      ["table5", "--programs", "bup-1"],
+                                      ["figure1", "lcp-2"],
+                                      ["ablations", "--programs", "qsort"]])
+    def test_cli_rejects_names_a_target_ignores(self, argv):
+        from repro.eval import cli
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert str(exc.value) == (f"psi-eval: {argv[0]} takes no workload "
+                                  f"names (got: {argv[-1]})")
 
     def test_cli_has_no_obs_mode(self, capsys):
         from repro.eval import cli

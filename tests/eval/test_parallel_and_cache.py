@@ -12,11 +12,11 @@ import pathlib
 import pytest
 
 from repro.baseline import WAMMachine
+from repro.core.memory import Area
 from repro.eval import (ablations, figure1, run_cache, runner, table1, table2,
                         table3, table4, table5)
 from repro.eval.run_cache import RunCache, run_key
 from repro.eval.specs import get_spec
-from repro.eval.table4 import AREA_ORDER
 from repro.memsys import Cache, CacheConfig, CacheResult
 from repro.memsys import cache as cache_module
 from repro.tools import pmms
@@ -279,18 +279,18 @@ class TestTable5FromStoredCacheStats:
 
     def test_other_config_replays_trace(self, warm):
         direct = CacheConfig(capacity_words=8192, ways=1)
-        rows = table5.generate(FAST_PROGRAMS, config=direct)
+        data = table5.generate(FAST_PROGRAMS, config=direct)
         assert runner.CACHE_EVENTS["disk_compute"] == 0
-        for row, name in zip(rows, FAST_PROGRAMS.values()):
+        for label, name in FAST_PROGRAMS.items():
             run = runner.run_spec(name, "faithful", record_trace=True)
             (stats,) = simulate_many(run.trace, [direct])
-            assert row.total == stats.hit_ratio
-            assert row.ratios == {area: stats.area_hit_ratio(area)
-                                  for area in AREA_ORDER}
+            assert data[label, "total"] == stats.hit_ratio
+            assert {area: data[label, area.label] for area in Area} == \
+                {area: stats.area_hit_ratio(area) for area in Area}
         # The 1-way replay is not the production cache's numbers.
         production = table5.generate(FAST_PROGRAMS)
-        assert [row.total for row in rows] != \
-            [row.total for row in production]
+        assert [data[label, "total"] for label in FAST_PROGRAMS] != \
+            [production[label, "total"] for label in FAST_PROGRAMS]
 
 
 class TestWarmRunsAreChecked:

@@ -1,11 +1,15 @@
-"""Paper-drift scoring tests: pure scorers, aggregation, the CLI gate."""
+"""Paper-drift scoring tests: the cell declarations, the scorer,
+aggregation, the CLI gate."""
 
 import json
+import pathlib
 import types
 
 import pytest
 
-from repro.eval import paper_data
+from repro.eval import paper_data, specs
+from repro.eval.paper_data import ARTIFACTS, Ratio, Sum, place
+from repro.eval.report import VIEWS, Measured
 from repro.obs import fidelity
 from repro.obs.fidelity import (
     CellDrift,
@@ -14,8 +18,12 @@ from repro.obs.fidelity import (
     _cell,
     score_figure1,
     score_table1,
+    score_table2,
     score_table3,
 )
+from repro.workloads import get, table1_workloads
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[2] / "results" / "fidelity.json"
 
 
 class TestCellMath:
@@ -40,27 +48,43 @@ class TestCellMath:
         assert cell.drift > 1.0
 
 
+def _measured(artifact: str, programs, value: float = 20.0) -> Measured:
+    """Generated data for ``artifact`` with every cell of ``programs``
+    measuring ``value``."""
+    return Measured(tuple(programs), {
+        place(row, col, program): value for program in programs
+        for row, col, _ in ARTIFACTS[artifact].measures})
+
+
 class TestScorers:
     def test_table1_scores_the_ratio_column(self):
-        rows = [types.SimpleNamespace(name="nrev", paper_ratio=1.5, ratio=1.4),
-                types.SimpleNamespace(name="qsort", paper_ratio=1.0, ratio=2.0)]
+        rows = [types.SimpleNamespace(name="nreverse", ratio=0.75),
+                types.SimpleNamespace(name="qsort", ratio=2.0)]
         table = score_table1(rows)
         assert table.kind == "ratio"
-        assert len(table.cells) == 2
+        assert [(c.row, c.col) for c in table.cells] == \
+            [("nreverse", "dec_over_psi"), ("qsort", "dec_over_psi")]
         in_band, out_band = table.cells
         assert in_band.within and not out_band.within
         assert table.score == pytest.approx(50.0)
 
-    def test_table3_skips_rows_without_paper_values(self):
-        row = types.SimpleNamespace(program="bup", paper=(20.0, 8.0, 12.0,
-                                                          20.0, 40.0),
-                                    read=21.0, write_stack=9.0, write=11.0,
-                                    write_total=20.0, total=41.0)
-        silent = types.SimpleNamespace(program="x", paper=None)
-        table = score_table3([row, silent])
+    def test_cells_without_paper_values_are_not_scored(self):
+        # "x" prints no paper row; the read:write ratio and write-stack
+        # share are printed, never scored.
+        table = score_table3(_measured("table3", ["bup", "x"]))
         assert {c.row for c in table.cells} == {"bup"}
-        assert len(table.cells) == 5
-        assert table.score == 100.0
+        assert [c.col for c in table.cells] == [
+            "read", "write_stack", "write", "write_total", "total"]
+        # The paper gives no builtin call rate for 8 PUZZLE.
+        table = score_table2(_measured("table2", ["puzzle8"]))
+        assert "builtin_call_rate" not in {c.col for c in table.cells}
+        assert len(table.cells) == 6
+
+    def test_scored_values_come_from_the_measured_cells(self):
+        data = _measured("table3", ["bup"], value=15.6)
+        table = score_table3(data)
+        read = table.cells[0]
+        assert (read.paper, read.measured, read.drift) == (15.6, 15.6, 0.0)
 
     def test_figure1_single_saturation_cell(self):
         result = types.SimpleNamespace(
@@ -69,6 +93,47 @@ class TestScorers:
         assert len(table.cells) == 1
         assert table.cells[0].within
         assert table.score == 100.0
+
+
+class TestDeclarations:
+    def test_each_cell_is_declared_once_per_artifact(self):
+        for artifact in ARTIFACTS.values():
+            keys = [(cell.row, cell.col) for cell in artifact.cells()]
+            assert len(keys) == len(set(keys)), artifact.name
+
+    def test_every_scored_artifact_has_a_band_and_workloads(self):
+        for name in fidelity.TABLES:
+            artifact = ARTIFACTS[name]
+            assert artifact.kind in ("ratio", "percent")
+            assert artifact.tolerance > 0
+            assert artifact.workloads
+            for workload in artifact.workloads.values():
+                get(workload)                  # a registered workload
+
+    def test_scored_cell_counts_match_the_golden_document(self):
+        counts = {name: sum(cell.paper is not None
+                            for cell in ARTIFACTS[name].cells())
+                  for name in fidelity.TABLES}
+        assert counts == {"table1": 19, "table2": 26, "table3": 35,
+                          "table4": 35, "table5": 42, "table6": 31,
+                          "table7": 48, "figure1": 1}
+        golden = json.loads(GOLDEN.read_text())["tables"]
+        assert counts == {name: golden[name]["cells"] for name in golden}
+
+    def test_table1_rows_follow_the_registry(self):
+        assert list(ARTIFACTS["table1"].workloads) == \
+            [w.name for w in table1_workloads()]
+
+    def test_measures_key_into_views_and_earlier_cells(self):
+        for artifact in ARTIFACTS.values():
+            declared = set()
+            for row, col, how in artifact.measures:
+                if isinstance(how, Ratio):
+                    assert {view for view, _ in how.num + how.den} <= \
+                        set(VIEWS)
+                elif isinstance(how, Sum):
+                    assert set(how.cells) <= declared, (row, col)
+                declared.add((row, col))
 
 
 def _table(name: str, drifts) -> TableFidelity:
@@ -117,14 +182,6 @@ class TestAggregation:
             fidelity.collect(tables=["table9"])
 
 
-class TestBands:
-    def test_every_scoreable_artifact_has_a_band(self):
-        assert set(paper_data.FIDELITY_BANDS) == set(fidelity.TABLES)
-        for band in paper_data.FIDELITY_BANDS.values():
-            assert band["kind"] in ("ratio", "percent")
-            assert band["tolerance"] > 0
-
-
 class TestCliGate:
     """`psi-eval fidelity` must exit non-zero above threshold — both ways."""
 
@@ -163,3 +220,20 @@ class TestCliGate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
         assert doc["tables"]["table2"]["score"] == 100.0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fidelity", "table9"], "unknown fidelity table(s): table9"),
+        (["report", "--tables", "table9"], "unknown fidelity table(s): table9"),
+        (["report", "--spec", "indexed"],
+         "fidelity scoring scores the paper's faithful configuration"),
+    ])
+    def test_bad_selection_is_a_one_line_error(self, argv, message):
+        from repro.eval.cli import main
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        finally:
+            specs.set_default_spec("faithful")
+        text = str(exc.value)
+        assert text.startswith(f"psi-eval: {message}")
+        assert "\n" not in text

@@ -8,7 +8,7 @@ conclusion — overall comparable performance — holds.
 
 import pytest
 
-from repro.eval import table1
+from repro.eval import paper_data, table1
 
 pytestmark = pytest.mark.slow
 
@@ -39,5 +39,7 @@ def test_table1_full():
     assert 0.67 < gmean < 1.5, f"geometric mean ratio {gmean:.2f} off scale"
 
     # Winner agreement with the paper on a clear majority of rows.
-    agreement = sum(table1._winner_agrees(row) for row in rows)
+    agreement = sum(table1._winner_agrees(
+        row.ratio, paper_data.paper("table1", row.name, "dec_over_psi"))
+        for row in rows)
     assert agreement >= 14, f"only {agreement}/19 winners agree with the paper"

@@ -18,12 +18,13 @@ pytestmark = pytest.mark.slow
 
 
 def test_table2():
-    rows = table2.generate()
+    data = table2.generate()
     print()
-    print(table2.render(rows))
-    by_name = {row.program: row for row in rows}
+    print(table2.render(data))
+    ratios = {program: {m: data[program, m.value] for m in Module}
+              for program in data.programs}
 
-    bup = by_name["bup"].ratios
+    bup = ratios["bup"]
     # Unification is BUP's dominant *working* module (the paper's 43%).
     # Our model over-attributes call/return machinery to control (a
     # documented deviation), so the check is: unify near the top and
@@ -33,21 +34,22 @@ def test_table2():
                                     if m is not Module.CONTROL)
     assert bup[Module.CONTROL] - bup[Module.UNIFY] < 10.0
 
-    harmonizer = by_name["harmonizer"].ratios
+    harmonizer = ratios["harmonizer"]
     assert max(harmonizer, key=harmonizer.get) is Module.UNIFY
 
-    puzzle = by_name["puzzle8"].ratios
+    puzzle = ratios["puzzle8"]
     assert puzzle[Module.CUT] == 0.0
     assert puzzle[Module.BUILT] + puzzle[Module.GET_ARG] > 15.0
     # Much backtracking -> visible trail activity.
     assert puzzle[Module.TRAIL] > 1.0
 
-    window = by_name["window"].ratios
+    window = ratios["window"]
     assert window[Module.CUT] > 3.0
     assert window[Module.BUILT] > 15.0
     assert window[Module.TRAIL] < 3.0
     assert window[Module.UNIFY] < bup[Module.UNIFY]
 
     # Builtin call rates: WINDOW highest, far above its step share.
-    assert by_name["window"].builtin_call_rate > 55.0
-    assert by_name["bup"].builtin_call_rate < by_name["window"].builtin_call_rate
+    assert data["window", "builtin_call_rate"] > 55.0
+    assert data["bup", "builtin_call_rate"] < \
+        data["window", "builtin_call_rate"]

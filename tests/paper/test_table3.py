@@ -13,16 +13,18 @@ pytestmark = pytest.mark.slow
 
 
 def test_table3():
-    rows = table3.generate()
+    data = table3.generate()
     print()
-    print(table3.render(rows))
+    print(table3.render(data))
 
-    for row in rows:
+    for program in data.programs:
         # "16 to 23.1% of all microinstruction steps include cache
         # commands" — allow a modelling margin around that band.
-        assert 12.0 < row.total < 32.0, (row.program, row.total)
+        total = data[program, "total"]
+        assert 12.0 < total < 32.0, (program, total)
         # Reads dominate writes (paper: ~3:1).
-        assert 1.8 < row.read_write_ratio < 5.5, (row.program, row.read_write_ratio)
+        ratio = data[program, "read_write_ratio"]
+        assert 1.8 < ratio < 5.5, (program, ratio)
         # Write-stack is the majority write command.
-        assert 45.0 < row.write_stack_share <= 95.0, (
-            row.program, row.write_stack_share)
+        share = data[program, "write_stack_share"]
+        assert 45.0 < share <= 95.0, (program, share)

@@ -16,29 +16,30 @@ pytestmark = pytest.mark.slow
 
 
 def test_table4():
-    rows = table4.generate()
+    data = table4.generate()
     print()
-    print(table4.render(rows))
-    by_name = {row.program: row for row in rows}
+    print(table4.render(data))
+    ratios = {program: {area: data[program, area.label] for area in Area}
+              for program in data.programs}
 
-    for row in rows:
+    for program, shares in ratios.items():
         # Heap is a major consumer for every program.
-        assert row.ratios[Area.HEAP] > 20.0, (row.program, row.ratios)
+        assert shares[Area.HEAP] > 20.0, (program, shares)
         # Trail accesses are low (paper: at most 6.4%).
-        assert row.ratios[Area.TRAIL] < 12.0, (row.program, row.ratios)
+        assert shares[Area.TRAIL] < 12.0, (program, shares)
 
     # WINDOW: heap-vector data lifts the heap share to the top.
-    window = by_name["window-1"].ratios
+    window = ratios["window-1"]
     assert window[Area.HEAP] == max(window.values())
     assert window[Area.HEAP] > 35.0
 
     # BUP processes many structured terms: global stack prominent.
-    bup = by_name["bup"].ratios
+    bup = ratios["bup"]
     assert bup[Area.GLOBAL] > 15.0
 
     # The search programs (8 PUZZLE, HARMONIZER) backtrack hardest:
     # they hold the top trail shares of the set.
-    trail_ranked = sorted(rows, key=lambda r: -r.ratios[Area.TRAIL])
-    top_two = {row.program for row in trail_ranked[:2]}
+    trail_ranked = sorted(ratios, key=lambda p: -ratios[p][Area.TRAIL])
+    top_two = set(trail_ranked[:2])
     assert "puzzle8" in top_two or "harmonizer" in top_two
-    assert by_name["puzzle8"].ratios[Area.TRAIL] > 3.0
+    assert ratios["puzzle8"][Area.TRAIL] > 3.0

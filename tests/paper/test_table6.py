@@ -16,28 +16,31 @@ pytestmark = pytest.mark.slow
 
 
 def test_table6():
-    result = table6.generate()
+    data = table6.generate()
     print()
-    print(table6.render(result))
+    print(table6.render(data))
 
     # Direct addressing dominates.
-    assert result.direct_share >= 85.0
+    assert data["direct addressing", "share"] >= 85.0
 
     # Source-1 is the busiest field; its rate is large but below 100%.
-    totals = result.totals
+    totals = {f: data["total", f"{f}.steps"] for f in table6.FIELDS}
     assert totals["source1"] > totals["source2"]
     assert totals["source1"] > totals["dest"]
     assert 30.0 < totals["source1"] < 90.0
     assert 10.0 < totals["dest"] < 60.0
 
-    source1 = result.table["source1"]
-    # Base-relative @PDR/CDR: present but small.
-    assert source1[WFMode.PDR_CDR][1] < 5.0
-    # Trail buffer and WFCBR nearly idle.
-    assert source1[WFMode.WFAR2][1] < 1.0
-    assert source1[WFMode.WFCBR][1] < 1.5
-    # Frame buffer accesses via @WFAR1 exist but are minor.
-    assert 0.0 < source1[WFMode.WFAR1][1] < 12.0
+    def source1(mode):
+        """% of all steps with a source-1 access in ``mode``."""
+        return data[mode.value, "source1.steps"]
 
-    # Auto-increment usage on WFAR accesses.
-    assert result.auto_increment_ratio >= 0.80
+    # Base-relative @PDR/CDR: present but small.
+    assert source1(WFMode.PDR_CDR) < 5.0
+    # Trail buffer and WFCBR nearly idle.
+    assert source1(WFMode.WFAR2) < 1.0
+    assert source1(WFMode.WFCBR) < 1.5
+    # Frame buffer accesses via @WFAR1 exist but are minor.
+    assert 0.0 < source1(WFMode.WFAR1) < 12.0
+
+    # Auto-increment usage on WFAR accesses (percent).
+    assert data["WFAR auto-increment", "share"] >= 80.0

@@ -15,21 +15,21 @@ pytestmark = pytest.mark.slow
 
 
 def test_table7():
-    result = table7.generate()
+    data = table7.generate()
     print()
-    print(table7.render(result))
+    print(table7.render(data))
 
-    for program in result.ratios:
-        rate = result.branch_rates[program]
+    for program in data.programs:
+        rate = data["branch ops", program]
         assert 60.0 < rate < 95.0, (program, rate)
 
-        conditional = result.conditional_rate(program)
+        conditional = data["conditionals", program]
         assert 20.0 < conditional < 55.0, (program, conditional)
 
-        multiway = result.multiway_rate(program)
+        multiway = data["multi-way", program]
         assert 8.0 < multiway < 25.0, (program, multiway)
 
-        ratios = result.ratios[program]
+        ratios = {op: data[op.value, program] for op in BranchOp}
         # Indirect branches via JR are rare.
         assert ratios[BranchOp.GOTO_JR1] < 4.0
         assert ratios[BranchOp.GOTO_JR3] < 1.0
@@ -39,5 +39,5 @@ def test_table7():
 
     # case(irn) (packed-operand dispatch) is livelier in the
     # integer-packed 8 puzzle than in the atom-heavy BUP.
-    assert result.ratios["puzzle8"][BranchOp.CASE_IRN] >= \
-        result.ratios["bup"][BranchOp.CASE_IRN] - 0.5
+    case_irn = BranchOp.CASE_IRN.value
+    assert data[case_irn, "puzzle8"] >= data[case_irn, "bup"] - 0.5
