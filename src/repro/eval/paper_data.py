@@ -232,7 +232,6 @@ class Cell:
     row: str
     col: str
     paper: float | None         # None: measured and printed, not scored
-    program: str                # the program label it is measured on
     how: object                 # Ratio, Sum, or fn(data, row)
 
     def measured(self, data):
@@ -265,8 +264,7 @@ class Artifact:
         for label in self.workloads:
             for row, col, how in self.measures:
                 key = place(row, col, label)
-                cells.append(Cell(self.name, *key, self.paper.get(key),
-                                  label, how))
+                cells.append(Cell(self.name, *key, self.paper.get(key), how))
         return tuple(cells)
 
 
