@@ -16,10 +16,11 @@ Layout (stdlib ``asyncio`` only, no new dependencies):
 
 * :mod:`repro.serve.protocol` — wire format (4-byte length prefix +
   UTF-8 JSON) and the CacheConfig/CacheStats JSON codecs;
-* :mod:`repro.serve.pool` — the warm worker pool: a
-  ``ProcessPoolExecutor`` whose workers reuse the exact
-  :mod:`repro.eval.runner` cache tiers (so ``RunSummary`` pickling and
-  the file-locked ``.psi-cache/`` are shared with the CLI path);
+* :mod:`repro.serve.pool` — the warm worker pool: forked worker
+  processes, each serving requests from one duplex pipe that the
+  event loop watches, and each reusing the exact
+  :mod:`repro.eval.runner` cache tiers (so the file-locked
+  ``.psi-cache/`` is shared with the CLI path);
 * :mod:`repro.serve.batcher` — the replay coalescer: a replay goes to
   the pool at once while a replay slot is free; requests for the same
   workload trace that queue behind busy slots run as one

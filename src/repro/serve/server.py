@@ -53,7 +53,8 @@ class EvalServer:
         self._requested_port = port
         self.metrics = MetricsRegistry()
         self.pool = pool_mod.WorkerPool(workers, cache_dir=cache_dir,
-                                        disk_cache=disk_cache)
+                                        disk_cache=disk_cache,
+                                        metrics=self.metrics)
         self.batcher = ReplayBatcher(self.pool, metrics=self.metrics)
         self._server: asyncio.base_events.Server | None = None
         self._tasks: set[asyncio.Task] = set()

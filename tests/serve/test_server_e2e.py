@@ -5,16 +5,22 @@ line, worker pool of 2); tests drive it with real protocol clients —
 concurrently, from threads — and check the serving answers against the
 same engines run locally.  The teardown drains the server and asserts
 a clean (status 0) exit, so graceful shutdown is under test on every
-run of this module.
+run of this module.  Two lifecycle tests boot a private server each,
+to kill or drain it and check that none of its workers outlives it.
 """
 
+import contextlib
 import json
 import os
 import random
 import re
+import signal
+import socket
+import struct
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -37,9 +43,8 @@ CLIENTS = 4
 READY_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 
 
-@pytest.fixture(scope="module")
-def server():
-    """A live ``psi-eval serve`` subprocess; drained clean at teardown.
+def _start_server():
+    """A live ``psi-eval serve`` subprocess, its host and its port.
 
     The suite's session ``PSI_CACHE_DIR`` redirect is inherited through
     the environment, so the server's workers share (and file-lock) the
@@ -56,12 +61,111 @@ def server():
     match = READY_RE.search(line)
     if not match:
         proc.kill()
+        proc.wait()
         pytest.fail(f"server did not announce readiness: {line!r}")
-    yield match.group(1), int(match.group(2))
-    with ServeClient(match.group(1), int(match.group(2))) as client:
+    return proc, match.group(1), int(match.group(2))
+
+
+@pytest.fixture(scope="module")
+def server():
+    """A live server for the module; drained clean at teardown."""
+    proc, host, port = _start_server()
+    yield host, port
+    with ServeClient(host, port) as client:
         drained = client.drain()
     assert drained["drained"] is True
     assert proc.wait(timeout=60) == 0, "server exited uncleanly after drain"
+    proc.stdout.close()
+
+
+def _worker_pids(host, port):
+    """Solve until every worker's pid has been seen; return them."""
+    pids = set()
+    with ServeClient(host, port) as client:
+        for _ in range(20 * WORKERS):
+            pids.add(client.solve("nreverse")["worker_pid"])
+            if len(pids) == WORKERS:
+                return pids
+    pytest.fail(f"saw only workers {sorted(pids)}")
+
+
+def _gone(pid):
+    """True once ``pid`` has exited (its entry reaped, or a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _wait_gone(pids, seconds):
+    """The pids still running after up to ``seconds`` of waiting."""
+    deadline = time.monotonic() + seconds
+    while True:
+        alive = {pid for pid in pids if not _gone(pid)}
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.05)
+
+
+@contextlib.contextmanager
+def _private_server():
+    """A server of its own and the set of its worker pids; on exit,
+    the server and any of those workers still running are killed, so
+    a failing test leaves no process behind."""
+    proc, host, port = _start_server()
+    pids = set()
+    try:
+        yield proc, host, port, pids
+    finally:
+        for pid in pids:
+            if not _gone(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
+def test_workers_exit_when_the_server_is_killed():
+    """A SIGKILLed server leaves no workers behind: each reads EOF on
+    its pipe and exits."""
+    with _private_server() as (proc, host, port, pids):
+        pids |= _worker_pids(host, port)
+        proc.kill()
+        proc.wait(timeout=60)
+        alive = _wait_gone(pids, 10.0)
+    assert not alive, f"workers {sorted(alive)} outlived the killed server"
+
+
+def test_drain_reaps_every_worker():
+    with _private_server() as (proc, host, port, pids):
+        pids |= _worker_pids(host, port)
+        with ServeClient(host, port) as client:
+            assert client.drain()["drained"] is True
+        assert proc.wait(timeout=60) == 0
+        alive = _wait_gone(pids, 0.0)
+    assert not alive, f"workers {sorted(alive)} outlived the drain"
+
+
+def test_dropped_connection_closes_after_a_respawn():
+    """A worker forked while a client is connected holds no copy of
+    that connection: when the server drops it over a malformed frame,
+    the client reads EOF."""
+    with _private_server() as (proc, host, port, pids):
+        with socket.create_connection((host, port), timeout=10) as raw, \
+                ServeClient(host, port) as client:
+            pids |= _worker_pids(host, port)
+            os.kill(min(pids), signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while client.health()["pool"]["respawns"] == 0:
+                assert time.monotonic() < deadline, "no respawn"
+                time.sleep(0.05)
+            pids.add(client.solve("nreverse")["worker_pid"])
+            pids.add(client.solve("nreverse")["worker_pid"])
+            raw.sendall(struct.pack(">I", 0xFFFFFFFF))
+            assert raw.recv(16) == b"", "dropped connection stayed open"
 
 
 def _assert_matches_local(name, spec, served):
@@ -304,6 +408,23 @@ def test_health_and_metrics_endpoints(server):
     assert metrics["latency_ms"]["p50"] is not None
     assert metrics["pool"]["workers"] == WORKERS
     assert {"respawns", "failed", "inflight"} <= set(metrics["pool"])
+
+
+def test_pool_phases_are_timed(server):
+    """Every solve adds one sample to the pool's wait histogram and
+    one to its compute histogram, both shown by the ``metrics`` op."""
+    host, port = server
+    names = ("serve.pool.wait_ms", "serve.pool.compute_ms")
+    solves = 3
+    with ServeClient(host, port) as client:
+        before = client.metrics()["server"]
+        for _ in range(solves):
+            client.solve("nreverse")
+        after = client.metrics()["server"]
+    for name in names:
+        assert after[name]["kind"] == "histogram"
+        assert after[name]["count"] - before[name]["count"] == solves
+        assert after[name]["sum"] >= before[name]["sum"]
 
 
 def test_replay_wait_is_timed(server):
