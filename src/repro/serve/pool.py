@@ -250,14 +250,18 @@ class WorkerPool:
     pipe.  Only that worker's in-flight request fails (with
     :class:`WorkerCrashed`), and only its slot is refilled with a
     fresh fork, so the surviving workers keep their warm memo;
-    ``respawns`` counts the refills.  A request that finds its worker
-    already dead when it sends never reached it, and goes to the next
-    idle worker instead.
+    ``respawns`` counts the refills.  The dead worker is reaped and its
+    request failed before the refill forks, and a refill whose fork
+    fails leaves the slot free for the next :meth:`run` to retry; with
+    no worker left, the waiting requests fail with the fork's error.
+    A request that finds its worker already dead when it sends never
+    reached it, and goes to the next idle worker instead.
 
     Submitted/completed/failed counts and the in-flight depth feed the
-    ``health`` endpoint; each request's wait for an idle worker and the
-    worker's own compute time go to the ``serve.pool.wait_ms`` and
-    ``serve.pool.compute_ms`` histograms of ``metrics``.
+    ``health`` endpoint.  Each request sent to a worker adds its wait
+    for an idle one to the ``serve.pool.wait_ms`` histogram of
+    ``metrics``, and each reply received adds the worker's own compute
+    time to ``serve.pool.compute_ms``.
     """
 
     def __init__(self, workers: int, *, cache_dir: str | None = None,
@@ -280,6 +284,7 @@ class WorkerPool:
         self._slots: list[_Worker] = []
         self._idle: deque[_Worker] = deque()
         self._waiting: deque[asyncio.Future] = deque()
+        self._shut = False
         for _ in range(self.workers):
             worker = self._spawn()
             self._slots.append(worker)
@@ -292,8 +297,13 @@ class WorkerPool:
         process = self._context.Process(
             target=_worker_main, args=(theirs, *self._initargs),
             daemon=True)
-        process.start()
-        theirs.close()
+        try:
+            process.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
         worker = _Worker(process, ours)
         if self._loop is not None:
             self._loop.add_reader(ours.fileno(), self._on_readable, worker)
@@ -333,6 +343,7 @@ class WorkerPool:
                 # Died while idle, before its EOF was read: the request
                 # never reached it.
                 self._replace(worker)
+                self._refill()
                 continue
             except Exception:                   # unpicklable; nothing sent
                 self._release(worker)
@@ -343,6 +354,12 @@ class WorkerPool:
         return await worker.reply
 
     async def _acquire(self, loop) -> _Worker:
+        if self._shut:
+            raise RuntimeError("the worker pool is shut down")
+        if len(self._slots) < self.workers:
+            error = self._refill()              # retry a failed fork
+            if not self._slots:
+                raise error
         if self._idle:
             return self._idle.popleft()
         waiter = loop.create_future()
@@ -368,6 +385,7 @@ class WorkerPool:
         if reply is None:
             # An idle worker's pipe only turns readable at EOF.
             self._replace(worker)
+            self._refill()
             return
         try:
             ok, value, compute_ms = worker.conn.recv()
@@ -376,6 +394,7 @@ class WorkerPool:
             exitcode = self._replace(worker)
             if not reply.done():
                 reply.set_exception(WorkerCrashed(pid, exitcode))
+            self._refill()
             return
         except Exception as exc:                # the reply did not unpickle
             ok, value, compute_ms = False, UnpicklableResult(
@@ -392,19 +411,39 @@ class WorkerPool:
             reply.set_exception(value)
 
     def _replace(self, dead: _Worker) -> int | None:
-        """Reap ``dead``, fork its replacement into the same slot and
-        hand that one out; return the dead worker's exit code."""
-        if dead not in self._slots:             # already replaced
+        """Reap ``dead`` and free its slot; return its exit code."""
+        if dead not in self._slots:             # already reaped
             return None
         self._close(dead)
         exitcode = _reap(dead.process, timeout=1.0)
+        self._slots.remove(dead)
         if dead in self._idle:
             self._idle.remove(dead)
-        fresh = self._spawn()
-        self._slots[self._slots.index(dead)] = fresh
-        self.respawns += 1
-        self._release(fresh)
         return exitcode
+
+    def _refill(self) -> OSError | None:
+        """Fork a fresh worker into every free slot and hand it out.
+
+        A fork can fail (ENOMEM, EAGAIN), most likely just after an
+        OOM kill.  Its slot then stays free for the next :meth:`run` to
+        retry, and the error is returned.  If no worker is left at all,
+        the requests waiting for one fail with it instead of waiting
+        forever.
+        """
+        while len(self._slots) < self.workers:
+            try:
+                fresh = self._spawn()
+            except OSError as exc:
+                if not self._slots:
+                    while self._waiting:
+                        waiter = self._waiting.popleft()
+                        if not waiter.done():
+                            waiter.set_exception(exc)
+                return exc
+            self._slots.append(fresh)
+            self.respawns += 1
+            self._release(fresh)
+        return None
 
     def _close(self, worker: _Worker) -> None:
         """Stop watching ``worker``'s pipe and close the server's end:
@@ -424,12 +463,13 @@ class WorkerPool:
             "respawns": self.respawns,
         }
 
-    def shutdown(self, timeout: float = 5.0) -> None:
+    def shutdown(self) -> None:
         """Close every pipe, then reap every worker (bounded wait each)."""
+        self._shut = True
         for worker in self._slots:
             self._close(worker)
         for worker in self._slots:
-            _reap(worker.process, timeout)
+            _reap(worker.process, timeout=5.0)
         self._slots.clear()
         self._idle.clear()
 

@@ -1,6 +1,7 @@
 """Worker-pool fault recovery: a dead worker must not take the pool down."""
 
 import asyncio
+import errno
 import os
 import signal
 import threading
@@ -126,6 +127,54 @@ def test_worker_dead_while_idle_fails_no_request(tmp_path):
     assert health["completed"] == 2
 
 
+def _fail_forks(pool, count):
+    """Make the next ``count`` forks of ``pool`` fail as fork does when
+    the host is out of memory."""
+    spawn = pool._spawn
+    left = [count]
+
+    def failing():
+        if left[0]:
+            left[0] -= 1
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        return spawn()
+
+    pool._spawn = failing
+
+
+def test_failed_refill_fails_requests_instead_of_hanging(tmp_path):
+    """When the fork that would refill a dead worker's slot fails, the
+    dead worker's request still fails with ``WorkerCrashed`` and a
+    request waiting for the only worker fails with the fork's error.
+    Each later request retries the fork: one whose fork fails too gets
+    its error, and the first whose fork succeeds is served."""
+    pool = WorkerPool(1, cache_dir=str(tmp_path), disk_cache=False)
+    _fail_forks(pool, 2)
+
+    async def scenario():
+        crashed, waited = await asyncio.wait_for(asyncio.gather(
+            pool.run(os._exit, 1), pool.run(os.getpid),
+            return_exceptions=True), timeout=60)
+        with pytest.raises(OSError) as retried:
+            await asyncio.wait_for(pool.run(os.getpid), timeout=60)
+        pid = await asyncio.wait_for(pool.run(os.getpid), timeout=60)
+        return crashed, waited, retried.value, pid
+
+    try:
+        crashed, waited, retried, pid = asyncio.run(scenario())
+    finally:
+        pool.shutdown()
+    assert isinstance(crashed, WorkerCrashed) and crashed.exitcode == 1
+    assert isinstance(waited, OSError) and waited.errno == errno.ENOMEM
+    assert retried.errno == errno.ENOMEM
+    assert pid != crashed.pid
+    health = pool.health()
+    assert health["failed"] == 3
+    assert health["completed"] == 1
+    assert health["respawns"] == 1
+    assert health["inflight"] == 0
+
+
 @pytest.mark.parametrize("fn, error, match", [
     (int, ValueError, "invalid literal"),
     (_raise_unpicklable, UnpicklableResult,
@@ -184,3 +233,5 @@ def test_shutdown_reaps_every_worker(tmp_path):
     for pid in pids:
         assert not os.path.exists(f"/proc/{pid}"), \
             f"worker {pid} not reaped by shutdown()"
+    with pytest.raises(RuntimeError, match="shut down"):
+        asyncio.run(pool.run(os.getpid))
